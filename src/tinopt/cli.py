@@ -3,7 +3,8 @@
 Subcommands analyze a network JSON file (see ``tinopt gap --help`` for a
 generator of the bundled parametric example).  Exit codes: 0 = analysis ran
 and the verdict is positive, 1 = analysis ran and the verdict is negative,
-2 = bad input, 3 = an exhaustive enumeration guard was exceeded.
+2 = bad input, 3 = an exhaustive enumeration guard was exceeded, 4 = two
+independent computations disagreed (a solver bug, never a verdict).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .detmodel import (
 )
 from .fixtures import caution_lp, example1, example2, gap_network, gap_point
 from .model import (
+    CrossCheckError,
     GuardError,
     InputError,
     as_rational,
@@ -586,6 +588,11 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except CrossCheckError as exc:
+        where = getattr(args, "network", None) or "no input file"
+        print("error: internal cross-check failed in %s (%s): %s"
+              % (args.command, where, exc), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -302,14 +302,18 @@ def partition_count(k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _cycle_scan_data(k: int) -> tuple:
-    """0-based (members, edges) per cycle, aligned with enumerate_cycles(k).
+    """(members, mask, edges) per cycle, aligned with enumerate_cycles(k).
 
-    Used by the LP separation scan, which wants integer index arithmetic
-    rather than Cycle objects on its hot path.
+    ``members`` are the 0-based users, ``mask`` has bit u set for each
+    member u, and ``edges`` lists each traversed edge e_ij as the index
+    i*K + j of a row-major K x K matrix (0-based).  Used by the cycle LP,
+    which wants integer index arithmetic rather than Cycle objects on its
+    hot path.
     """
     data = []
     for cyc in enumerate_cycles(k):
         members = tuple(u - 1 for u in cyc.users)
-        edges = tuple((i - 1, j - 1) for i, j in cyc.edges())
-        data.append((members, edges))
+        mask = sum(1 << u for u in members)
+        edges = tuple((i - 1) * k + (j - 1) for i, j in cyc.edges())
+        data.append((members, mask, edges))
     return tuple(data)

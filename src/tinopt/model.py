@@ -28,6 +28,7 @@ __all__ = [
     "InputError",
     "GuardError",
     "CrossCheckError",
+    "MAX_RATIONAL_DIGITS",
     "as_rational",
     "StrengthMatrix",
     "Network",
@@ -68,29 +69,67 @@ class CrossCheckError(AssertionError):
 # rational coercion
 # ---------------------------------------------------------------------------
 
+MAX_RATIONAL_DIGITS = 1000
+_RATIONAL_LIMIT = 10 ** MAX_RATIONAL_DIGITS
+
+
 def as_rational(value) -> Fraction:
     """Coerce a JSON-ish scalar to an exact Fraction.
 
-    Accepts int, Fraction, strings like "3", "5/2", "0.75", and finite floats
-    (converted via str() so the decimal literal is honored).  Rejects bool and
-    anything else.
+    Accepts int, Fraction, strings like "3", "5/2", "0.75", "1e-3", and
+    finite floats (converted via str() so the decimal literal is honored).
+    Rejects bool, anything else, and values whose numerator or denominator
+    has more than MAX_RATIONAL_DIGITS decimal digits; an oversized string is
+    rejected from its length and exponent, before it is parsed.
     """
     if isinstance(value, bool):
         raise InputError("boolean is not a valid channel strength: %r" % (value,))
     if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
+        frac = value
+    elif isinstance(value, int):
+        frac = Fraction(value)
+    elif isinstance(value, float):
         if not math.isfinite(value):
             raise InputError("non-finite channel strength: %r" % (value,))
-        return Fraction(str(value))
-    if isinstance(value, str):
+        frac = Fraction(str(value))
+    elif isinstance(value, str):
+        frac = _parse_rational(value.strip())
+    else:
+        raise InputError("cannot interpret %r as a rational strength" % (value,))
+    if abs(frac.numerator) >= _RATIONAL_LIMIT or frac.denominator >= _RATIONAL_LIMIT:
+        raise _too_large(value)
+    return frac
+
+
+def _parse_rational(text: str) -> Fraction:
+    # Fraction() takes time that grows with the digits and the exponent,
+    # e.g. "1e3000000" is 9 characters but 3 million digits: bound both.
+    if len(text) > 2 * MAX_RATIONAL_DIGITS + 64:
+        raise _too_large(text)
+    _, e, exponent = text.lower().partition("e")
+    if e:
         try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError("cannot parse rational %r" % (value,)) from exc
-    raise InputError("cannot interpret %r as a rational strength" % (value,))
+            too_large = abs(int(exponent)) > 2 * MAX_RATIONAL_DIGITS
+        except ValueError:
+            too_large = False       # malformed: Fraction() reports it
+        if too_large:
+            raise _too_large(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError("cannot parse rational %r" % (text,)) from exc
+
+
+def _too_large(value) -> InputError:
+    # never echo the value itself: str() of a huge int raises ValueError
+    if isinstance(value, str):
+        shown = repr(value if len(value) <= 24 else value[:24] + "...")
+    else:
+        shown = "of type %s" % type(value).__name__
+    return InputError(
+        "rational %s is too large: numerator and denominator are limited "
+        "to %d digits" % (shown, MAX_RATIONAL_DIGITS)
+    )
 
 
 def rational_str(value: Fraction) -> "int | str":
@@ -436,7 +475,7 @@ def load_network(path) -> Network:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer literal too long
         raise InputError("invalid JSON in %s: %s" % (path, exc)) from exc
     return parse_network(obj)
 

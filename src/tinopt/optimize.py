@@ -5,8 +5,9 @@ sub-channel, which for TIN-optimal sub-channels equals the sum-GDoF
 (sum-capacity in deterministic mode):
 
 * ``solve_cycle_lp``   -- the LP maximizing the rate sum under *all* cycle
-                          bounds, solved exactly by a cutting-plane loop
-                          around a rational two-phase simplex;
+                          bounds, solved exactly by cutting planes on a
+                          persistent simplex tableau (dual simplex after
+                          each batch of cuts);
 * ``best_partition_assignment`` -- the heaviest cyclic partition found as a
                           min-cost assignment (Hungarian method) over
                           predecessor permutations;
@@ -14,7 +15,9 @@ sub-channel, which for TIN-optimal sub-channels equals the sum-GDoF
                           permutations with integer-scaled arithmetic.
 
 ``sum_gdof`` runs all three and refuses to return values on which they
-disagree.  All arithmetic is over fractions.Fraction; no floats anywhere.
+disagree.  The same cutting-plane engine solves the decomposition LPs of
+``region``.  All arithmetic is exact (int and fractions.Fraction); no
+floats anywhere.
 """
 
 from __future__ import annotations
@@ -106,162 +109,227 @@ class LpSolution:
     point: "tuple | None"
 
 
-def _pivot(tableau, basis, obj, row, col):
-    piv = tableau[row][col]
-    inv = 1 / piv
-    tableau[row] = [val * inv for val in tableau[row]]
-    prow = tableau[row]
-    for i, other in enumerate(tableau):
-        if i == row:
-            continue
-        factor = other[col]
-        if factor != 0:
-            tableau[i] = [a - factor * b for a, b in zip(other, prow)]
-    factor = obj[col]
-    if factor != 0:
-        for j, b in enumerate(prow):
-            obj[j] -= factor * b
-    basis[row] = col
+def _split_free(nonneg) -> list:
+    """Structural columns as (variable, sign): a free variable x is split
+    into x+ - x-, both nonnegative."""
+    struct = []
+    for j, sign_restricted in enumerate(nonneg):
+        struct.append((j, 1))
+        if not sign_restricted:
+            struct.append((j, -1))
+    return struct
 
 
-def _run_simplex(tableau, basis, cost):
-    """Iterate Bland-rule pivots to optimality; returns (status, obj_row).
+class _Tableau:
+    """An exact simplex tableau whose basis outlives one solve.
 
-    ``obj_row[j]`` holds the reduced cost of column j and ``obj_row[-1]``
-    holds minus the current objective value.
+    ``rows[i]`` holds row i's coefficients over every column followed by its
+    right-hand side, and column ``basis[i]`` is basic in row i.  ``obj``
+    holds the reduced costs of the current objective, ``obj[-1]`` being
+    minus its value.  An entry is an int while it is integral and a
+    Fraction otherwise: integer-scaled data then pivot in int arithmetic for
+    as long as they can, and every result stays exact.  ``pivots`` counts
+    the pivots made.  Both the primal and the dual step follow Bland's
+    smallest-index rule, which rules out cycling.
     """
-    ncols = len(cost)
-    obj = list(cost) + [Fraction(0)]
-    for i, row in enumerate(tableau):
-        cb = cost[basis[i]]
-        if cb != 0:
-            for j, b in enumerate(row):
-                obj[j] -= cb * b
-    while True:
-        enter = -1
-        for j in range(ncols):
-            if obj[j] > 0:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal", obj
-        leave = -1
-        best = None
-        for i, row in enumerate(tableau):
-            a = row[enter]
-            if a > 0:
-                ratio = row[-1] / a
-                if (leave < 0 or ratio < best
-                        or (ratio == best and basis[i] < basis[leave])):
+
+    def __init__(self, rows, nstruct):
+        """``rows`` are (coefficients over the ``nstruct`` structural
+        columns, relation, rhs).  Every inequality row gets a slack column
+        and every ">=" or "==" row an artificial one, in that order after
+        the structural columns; ``phase_one`` removes the artificials."""
+        flip = {"<=": ">=", ">=": "<=", "==": "=="}
+        norm = []
+        for coeffs, rel, rhs in rows:
+            if rhs < 0:
+                coeffs, rel, rhs = [-c for c in coeffs], flip[rel], -rhs
+            norm.append((coeffs, rel, rhs))
+        nslack = sum(rel != "==" for _, rel, _ in norm)
+        nart = sum(rel != "<=" for _, rel, _ in norm)
+        self.real = nstruct + nslack        # the columns phase 1 keeps
+        self.ncols = self.real + nart
+        self.rows = []
+        self.basis = []
+        self.obj = None
+        self.pivots = 0
+        slack, art = nstruct, self.real
+        for coeffs, rel, rhs in norm:
+            row = list(coeffs) + [0] * (nslack + nart) + [rhs]
+            if rel != "==":
+                row[slack] = 1 if rel == "<=" else -1
+                slack += 1
+            if rel == "<=":
+                self.basis.append(slack - 1)
+            else:
+                row[art] = 1
+                self.basis.append(art)
+                art += 1
+            self.rows.append(row)
+
+    def pivot(self, row, col):
+        """Make ``col`` basic in ``row``, updating only the entries in the
+        pivot row's nonzero columns."""
+        prow = self.rows[row]
+        nz = [j for j, v in enumerate(prow) if v]
+        piv = prow[col]
+        if piv != 1:
+            inv = 1 / Fraction(piv)
+            for j in nz:
+                w = prow[j] * inv
+                prow[j] = w.numerator if w.denominator == 1 else w
+        entries = [(j, prow[j]) for j in nz]
+        for other in self.rows:
+            f = other[col]
+            if f and other is not prow:
+                for j, v in entries:
+                    w = other[j] - f * v
+                    other[j] = w.numerator if w.denominator == 1 else w
+        obj = self.obj
+        f = obj[col]
+        if f:
+            for j, v in entries:
+                w = obj[j] - f * v
+                obj[j] = w.numerator if w.denominator == 1 else w
+        self.basis[row] = col
+        self.pivots += 1
+
+    def primal(self, cost) -> str:
+        """Primal simplex from the current feasible basis, maximizing
+        ``cost`` over the leading columns (the others cost 0); "optimal" or
+        "unbounded"."""
+        rows, basis = self.rows, self.basis
+        cost = list(cost) + [0] * (self.ncols - len(cost))
+        obj = cost + [0]
+        for row, b in zip(rows, basis):
+            cb = cost[b]
+            if cb:
+                for j, v in enumerate(row):
+                    if v:
+                        obj[j] -= cb * v
+        self.obj = obj
+        while True:
+            enter = next((j for j in range(self.ncols) if obj[j] > 0), -1)
+            if enter < 0:
+                return "optimal"
+            leave = -1
+            for i, row in enumerate(rows):
+                a = row[enter]
+                if a > 0:
+                    # ratio row[-1] / a against the best, cross-multiplied
+                    if leave >= 0:
+                        lhs, rhs = row[-1] * best_a, best_b * a
+                    if (leave < 0 or lhs < rhs
+                            or (lhs == rhs and basis[i] < basis[leave])):
+                        leave, best_b, best_a = i, row[-1], a
+            if leave < 0:
+                return "unbounded"
+            self.pivot(leave, enter)
+
+    def dual(self) -> str:
+        """Dual simplex from the current dual-feasible basis, restoring
+        primal feasibility; "optimal" or "infeasible"."""
+        rows, basis, obj = self.rows, self.basis, self.obj
+        while True:
+            leave = -1
+            for i, row in enumerate(rows):
+                if row[-1] < 0 and (leave < 0 or basis[i] < basis[leave]):
                     leave = i
-                    best = ratio
-        if leave < 0:
-            return "unbounded", obj
-        _pivot(tableau, basis, obj, leave, enter)
+            if leave < 0:
+                return "optimal"
+            row = rows[leave]
+            enter = -1
+            for j in range(self.ncols):
+                a = row[j]
+                # ratio obj[j] / a against the best, cross-multiplied (a < 0)
+                if a < 0 and (enter < 0 or obj[j] * best_a < best_o * a):
+                    enter, best_o, best_a = j, obj[j], a
+            if enter < 0:
+                return "infeasible"
+            self.pivot(leave, enter)
+
+    def phase_one(self) -> bool:
+        """Drive the artificial columns to zero and delete them, with any row
+        left redundant; False when the rows are infeasible."""
+        real = self.real
+        if self.ncols == real:
+            return True
+        if self.primal([0] * real + [-1] * (self.ncols - real)) != "optimal":
+            raise CrossCheckError("phase-1 simplex cannot be unbounded")
+        if self.obj[-1] != 0:
+            return False
+        drop = []
+        for i, row in enumerate(self.rows):
+            if self.basis[i] >= real:
+                col = next((j for j in range(real) if row[j]), None)
+                if col is None:
+                    drop.append(i)
+                else:
+                    self.pivot(i, col)
+        for i in reversed(drop):
+            del self.rows[i]
+            del self.basis[i]
+        for row in self.rows:
+            del row[real:-1]
+        self.ncols = real
+        return True
+
+    def add_row(self, coeffs: dict, rhs):
+        """Append the row coeffs . x <= rhs (``coeffs`` maps structural
+        columns to values) with a new slack column basic in it, written in
+        the current basis.  Its right-hand side becomes the slack at the
+        current point, negative when the point violates the row."""
+        col = self.ncols
+        for row in self.rows:
+            row.insert(col, 0)
+        self.obj.insert(col, 0)
+        new = [0] * (col + 2)
+        for j, v in coeffs.items():
+            new[j] = v
+        new[col] = 1
+        new[-1] = rhs
+        for row, b in zip(self.rows, self.basis):
+            f = new[b]
+            if f:
+                for j, v in enumerate(row):
+                    if v:
+                        w = new[j] - f * v
+                        new[j] = w.numerator if w.denominator == 1 else w
+        self.rows.append(new)
+        self.basis.append(col)
+        self.ncols += 1
+
+    def values(self) -> list:
+        """The current basic solution, one value per column."""
+        vals = [0] * self.ncols
+        for row, b in zip(self.rows, self.basis):
+            vals[b] = row[-1]
+        return vals
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve exactly.  Frees are split x = x+ - x-; two-phase handles >= and ==."""
     if not isinstance(lp, LinearProgram):
         lp = LinearProgram.build(*lp)
-    n = len(lp.objective)
-
-    # structural columns: (variable, sign); free variables get both signs
-    struct = []
-    for j in range(n):
-        struct.append((j, 1))
-        if not lp.nonneg[j]:
-            struct.append((j, -1))
-    nstruct = len(struct)
-
-    rows = []          # (coeff list over struct cols, rel, rhs) with rhs >= 0
-    for coeffs, rel, rhs in lp.constraints:
-        if rhs < 0:
-            coeffs = tuple(-c for c in coeffs)
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        rows.append(([coeffs[j] * s for j, s in struct], rel, rhs))
-
-    m = len(rows)
-    nslack = sum(1 for _, rel, _ in rows if rel != "==")
-    nart = sum(1 for _, rel, _ in rows if rel != "<=")
-    ncols = nstruct + nslack + nart
-
-    tableau = []
-    basis = []
-    art_cols = []
-    slack_at = nstruct
-    art_at = nstruct + nslack
-    for coeffs, rel, rhs in rows:
-        row = list(coeffs) + [Fraction(0)] * (nslack + nart) + [rhs]
-        if rel == "<=":
-            row[slack_at] = Fraction(1)
-            basis.append(slack_at)
-            slack_at += 1
-        elif rel == ">=":
-            row[slack_at] = Fraction(-1)
-            slack_at += 1
-            row[art_at] = Fraction(1)
-            basis.append(art_at)
-            art_cols.append(art_at)
-            art_at += 1
-        else:  # ==
-            row[art_at] = Fraction(1)
-            basis.append(art_at)
-            art_cols.append(art_at)
-            art_at += 1
-        tableau.append(row)
-
-    if art_cols:
-        cost1 = [Fraction(0)] * ncols
-        for c in art_cols:
-            cost1[c] = Fraction(-1)
-        status, obj = _run_simplex(tableau, basis, cost1)
-        if status != "optimal":
-            raise CrossCheckError("phase-1 simplex cannot be unbounded")
-        if -obj[-1] != 0:
-            return LpSolution(status="infeasible", value=None, point=None)
-        art_set = set(art_cols)
-        # drive leftover artificials out of the basis (degenerate rows)
-        drop_rows = []
-        for i in range(m):
-            if basis[i] in art_set:
-                pivot_col = next(
-                    (j for j in range(ncols)
-                     if j not in art_set and tableau[i][j] != 0),
-                    None,
-                )
-                if pivot_col is None:
-                    drop_rows.append(i)
-                else:
-                    _pivot(tableau, basis, obj, i, pivot_col)
-        for i in sorted(drop_rows, reverse=True):
-            del tableau[i]
-            del basis[i]
-        keep = [j for j in range(ncols) if j not in art_set]
-        remap = {old: new for new, old in enumerate(keep)}
-        tableau = [[row[j] for j in keep] + [row[-1]] for row in tableau]
-        basis = [remap[b] for b in basis]
-        ncols = len(keep)
-
-    cost2 = [Fraction(0)] * ncols
-    for c, (j, s) in enumerate(struct):
-        cost2[c] = lp.objective[j] * s
-    status, obj = _run_simplex(tableau, basis, cost2)
-    if status == "unbounded":
+    struct = _split_free(lp.nonneg)
+    tab = _Tableau(
+        [([coeffs[j] * s for j, s in struct], rel, rhs)
+         for coeffs, rel, rhs in lp.constraints],
+        len(struct),
+    )
+    if not tab.phase_one():
+        return LpSolution(status="infeasible", value=None, point=None)
+    if tab.primal([lp.objective[j] * s for j, s in struct]) == "unbounded":
         return LpSolution(status="unbounded", value=None, point=None)
-
-    colval = [Fraction(0)] * ncols
-    for i, b in enumerate(basis):
-        colval[b] = tableau[i][-1]
-    point = [Fraction(0)] * n
+    vals = tab.values()
+    point = [Fraction(0)] * len(lp.objective)
     for c, (j, s) in enumerate(struct):
-        point[j] += colval[c] * s
-    return LpSolution(status="optimal", value=-obj[-1], point=tuple(point))
+        point[j] += vals[c] * s
+    return LpSolution(status="optimal", value=Fraction(-tab.obj[-1]),
+                      point=tuple(point))
 
 
 # ---------------------------------------------------------------------------
-# cycle-bound LP via cutting planes
+# cycle-bound LPs via cutting planes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -270,6 +338,8 @@ class CycleLpResult:
     value: "Fraction | None"
     point: "tuple | None"
     working_cycles: tuple        # cycles in the final working set
+    rounds: int                  # restricted LPs optimized, the first included
+    pivots: int                  # simplex pivots over all rounds
 
     @property
     def optimal(self) -> bool:
@@ -285,77 +355,142 @@ def _scaled_entries(matrix: StrengthMatrix):
     return denom, scaled
 
 
-def solve_cycle_lp(matrix: StrengthMatrix, nonneg: bool = True,
-                   batch: "int | None" = None) -> CycleLpResult:
+def _cycle_blocks(matrices, extra=()):
+    """Integer-scaled cycle bounds of sub-channels that share K users.
+
+    Returns (D, blocks): D is the least common denominator of every matrix
+    entry and of the rationals in ``extra``, and ``blocks[m][c]`` is D times
+    the right-hand side of cycle c (in ``enumerate_cycles`` order) on
+    ``matrices[m]``.
+    """
+    k = matrices[0].users
+    scan = _cycle_scan_data(k)
+    scale = lcm(*(val.denominator for mat in matrices
+                  for row in mat.entries for val in row),
+                *(val.denominator for val in extra))
+    blocks = []
+    for mat in matrices:
+        flat = [val.numerator * (scale // val.denominator)
+                for row in mat.entries for val in row]
+        desired = _subset_sums(flat[::k + 1])
+        blocks.append([
+            desired[mask] - sum(map(flat.__getitem__, edges))
+            for _, mask, edges in scan
+        ])
+    return scale, blocks
+
+
+def _subset_sums(values) -> list:
+    """sums[mask] is the sum of values[u] over the bits u set in mask."""
+    sums = [0]
+    for val in values:
+        sums += [s + val for s in sums]
+    return sums
+
+
+def _cutting_plane_lp(blocks, scale, objective, equalities=(), nonneg=True):
+    """Maximize ``objective`` . x subject to every cycle bound of every block,
+    by cutting planes on one persistent tableau.
+
+    Variable x[m*K + u] is user u+1's rate on block m, and ``blocks[m][c]``
+    is ``scale`` times the right-hand side of cycle c on that block (see
+    ``_cycle_blocks``).  Each (u, t) in ``equalities`` fixes user u+1's
+    total over all blocks to t / scale.  The tableau works in the scaled
+    variables y = scale * x, where every constraint has integer data.
+
+    The working set starts with the trivial cycles of every block only.
+    Each round scans every cycle with integer arithmetic, appends the
+    max(3, K) most violated cycles per block as rows in the current basis,
+    and restores optimality from the previous optimal basis by dual
+    simplex.  The final point obeys every cycle bound and is optimal for a
+    relaxation, hence optimal.
+
+    Returns (status, value, point, working, rounds, pivots), where
+    ``working[m]`` lists block m's working cycle indices in the order added.
+    """
+    nvars = len(objective)
+    k = nvars // len(blocks)
+    scan = _cycle_scan_data(k)
+    masks = [mask for _, mask, _ in scan]
+    batch = max(3, k)
+    struct = _split_free([nonneg] * nvars)
+    nstruct = len(struct)
+    cols = [[] for _ in range(nvars)]
+    for c, (v, s) in enumerate(struct):
+        cols[v].append((c, s))
+
+    def coeffs(variables):
+        return {c: s for v in variables for c, s in cols[v]}
+
+    def dense(variables):
+        row = [0] * nstruct
+        for c, s in coeffs(variables).items():
+            row[c] = s
+        return row
+
+    working = [list(range(k)) for _ in blocks]
+    rows = [
+        (dense(m * k + u for u in scan[c][0]), "<=", rhs[c])
+        for m, rhs in enumerate(blocks) for c in working[m]
+    ]
+    rows += [
+        (dense(m * k + u for m in range(len(blocks))), "==", total)
+        for u, total in equalities
+    ]
+    tab = _Tableau(rows, nstruct)
+    rounds = 1
+    feasible = tab.phase_one()
+    cost = [objective[v] * s for v, s in struct]
+    if feasible and tab.primal(cost) == "unbounded":
+        raise CrossCheckError(
+            "restricted cycle LP cannot be unbounded (trivial cycles seed it)"
+        )
+    while feasible:
+        vals = tab.values()
+        point = [sum(vals[c] * s for c, s in cols[v]) for v in range(nvars)]
+        added = False
+        for m, rhs in enumerate(blocks):
+            part = point[m * k:(m + 1) * k]
+            escale = lcm(*(p.denominator for p in part))
+            pscaled = [p.numerator * (escale // p.denominator) for p in part]
+            lhs = _subset_sums(pscaled)
+            # most violated first, ties by cycle index; the working cycles
+            # hold at the point, so only new cycles can appear
+            violated = sorted(
+                (-gap, c) for c, gap in enumerate(
+                    lhs[mask] - escale * r for mask, r in zip(masks, rhs))
+                if gap > 0
+            )
+            for _, c in violated[:batch]:
+                working[m].append(c)
+                tab.add_row(coeffs(m * k + u for u in scan[c][0]), rhs[c])
+                added = True
+        if not added:
+            return ("optimal", Fraction(-tab.obj[-1], scale),
+                    tuple(Fraction(p, scale) for p in point),
+                    working, rounds, tab.pivots)
+        rounds += 1
+        feasible = tab.dual() == "optimal"
+    return "infeasible", None, None, working, rounds, tab.pivots
+
+
+def solve_cycle_lp(matrix: StrengthMatrix, nonneg: bool = True) -> CycleLpResult:
     """Maximize the rate sum subject to every cycle bound of the sub-channel.
 
-    Works with a growing subset of the cycle constraints: solve the
-    restricted LP, scan *all* cycles for violated bounds with pure integer
-    arithmetic, add the worst offenders, repeat.  The returned point is
-    feasible for every cycle bound and optimal for a relaxation, hence
-    optimal for the full LP.  The working set is seeded with the K trivial
-    cycles only, so this route stays independent of the assignment and
-    brute-force routes.
+    Solved by the cutting-plane engine ``_cutting_plane_lp``: its working
+    set is seeded with the K trivial cycles only, so this route stays
+    independent of the assignment and brute-force routes.
     """
     k = matrix.users
     cycles = enumerate_cycles(k)
-    scan = _cycle_scan_data(k)
-    dscale, ent = _scaled_entries(matrix)
-    diag = [ent[i][i] for i in range(k)]
-
-    rhs_scaled = []
-    for members, edges in scan:
-        r = sum(diag[u] for u in members)
-        for i, j in edges:
-            r -= ent[i][j]
-        rhs_scaled.append(r)
-
-    if batch is None:
-        batch = max(3, k)
-    objective = [Fraction(1)] * k
-    working = list(range(k))     # enumeration lists the K trivial cycles first
-    in_working = set(working)
-
-    while True:
-        constraints = []
-        for c in working:
-            members, _ = scan[c]
-            coeffs = [Fraction(0)] * k
-            for u in members:
-                coeffs[u] = Fraction(1)
-            constraints.append((coeffs, "<=", Fraction(rhs_scaled[c], dscale)))
-        sol = solve_lp(LinearProgram.build(objective, constraints, nonneg=nonneg))
-        if sol.status == "infeasible":
-            return CycleLpResult(
-                status="infeasible", value=None, point=None,
-                working_cycles=tuple(cycles[c] for c in working),
-            )
-        if sol.status != "optimal":
-            raise CrossCheckError(
-                "restricted cycle LP cannot be unbounded (trivial cycles seed it)"
-            )
-
-        escale = lcm(*(p.denominator for p in sol.point))
-        pscaled = [int(p * escale) for p in sol.point]
-        violated = []
-        for c, (members, _) in enumerate(scan):
-            if c in in_working:
-                continue
-            lhs = 0
-            for u in members:
-                lhs += pscaled[u]
-            gap = dscale * lhs - escale * rhs_scaled[c]
-            if gap > 0:
-                violated.append((gap, c))
-        if not violated:
-            return CycleLpResult(
-                status="optimal", value=sol.value, point=sol.point,
-                working_cycles=tuple(cycles[c] for c in working),
-            )
-        violated.sort(key=lambda t: (-t[0], t[1]))
-        for _, c in violated[:batch]:
-            working.append(c)
-            in_working.add(c)
+    scale, blocks = _cycle_blocks((matrix,))
+    status, value, point, working, rounds, pivots = _cutting_plane_lp(
+        blocks, scale, [1] * k, nonneg=nonneg)
+    return CycleLpResult(
+        status=status, value=value, point=point,
+        working_cycles=tuple(cycles[c] for c in working[0]),
+        rounds=rounds, pivots=pivots,
+    )
 
 
 @dataclass(frozen=True)

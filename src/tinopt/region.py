@@ -18,14 +18,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cycles import (
-    _check_enum_guard,
-    _cycle_scan_data,
-    cycle_bound_rhs,
-    enumerate_cycles,
-)
+from .cycles import _check_enum_guard, cycle_bound_rhs, enumerate_cycles
 from .model import CrossCheckError, InputError, Network, StrengthMatrix, as_rational
-from .optimize import LinearProgram, best_partition_assignment, solve_lp
+from .optimize import _cutting_plane_lp, _cycle_blocks, best_partition_assignment
 
 __all__ = [
     "RegionConstraint",
@@ -189,109 +184,50 @@ class DecompositionResult:
         return self.feasible
 
 
-def _parallel_cycle_lp(network: Network, objective, fixed: dict):
-    """Maximize ``objective`` over per-sub-channel rate splits obeying every
-    cycle bound, with selected users' totals fixed.  Variables are d_k^[m],
-    indexed sub-channel-major; constraints are generated lazily the same way
-    solve_cycle_lp does it."""
-    k = network.users
-    m = network.subchannels
-    scan = _cycle_scan_data(k)
-    cycles_rhs = [
-        [cycle_bound_rhs(cyc, mat) for cyc in enumerate_cycles(k)]
-        for mat in network.matrices
-    ]
-    nvars = k * m
-
-    def var(user, chan):  # 1-based user, 0-based channel
-        return chan * k + (user - 1)
-
-    working = [list(range(k)) for _ in range(m)]
-    in_working = [set(w) for w in working]
-
-    while True:
-        constraints = []
-        for chan in range(m):
-            for c in working[chan]:
-                members, _ = scan[c]
-                coeffs = [Fraction(0)] * nvars
-                for u in members:
-                    coeffs[var(u + 1, chan)] = Fraction(1)
-                constraints.append((coeffs, "<=", cycles_rhs[chan][c]))
-        for user, tgt in sorted(fixed.items()):
-            coeffs = [Fraction(0)] * nvars
-            for chan in range(m):
-                coeffs[var(user, chan)] = Fraction(1)
-            constraints.append((coeffs, "==", tgt))
-        sol = solve_lp(LinearProgram.build(objective, constraints, nonneg=True))
-        if sol.status == "infeasible":
-            return sol
-        if sol.status != "optimal":
-            raise CrossCheckError("parallel cycle LP cannot be unbounded")
-        added = False
-        for chan in range(m):
-            violated = []
-            for c, (members, _) in enumerate(scan):
-                if c in in_working[chan]:
-                    continue
-                lhs = sum(
-                    (sol.point[var(u + 1, chan)] for u in members), Fraction(0)
-                )
-                gap = lhs - cycles_rhs[chan][c]
-                if gap > 0:
-                    violated.append((gap, c))
-            violated.sort(key=lambda t: (-t[0], t[1]))
-            for _, c in violated[:k]:
-                working[chan].append(c)
-                in_working[chan].add(c)
-                added = True
-        if not added:
-            return sol
-
-
 def separate_tin_decomposable(network: Network, point) -> DecompositionResult:
     """Can the rate point be split into per-sub-channel points that each obey
     their own sub-channel's cycle bounds?
 
-    Settled exactly by LP.  When the split is impossible the result carries
+    Settled exactly by the cutting-plane LP engine of ``optimize``, with
+    the cycle bounds scaled to integers once for all K + 1 LPs of a
+    negative verdict.  When the split is impossible the result carries
     every per-user cap certificate: fix all other users at their targets and
     maximize the remaining user's total; infeasibility forces that maximum
     below the user's own target for at least one user.
     """
     k = network.users
+    m = network.subchannels
     target = tuple(as_rational(x) for x in point)
     if len(target) != k:
         raise InputError("point has %d coordinates, expected %d" % (len(target), k))
-    nvars = k * network.subchannels
-    zeros = [Fraction(0)] * nvars
+    scale, blocks = _cycle_blocks(network.matrices, target)
+    fixed = [(u, t.numerator * (scale // t.denominator))
+             for u, t in enumerate(target)]
 
-    fixed = {user: target[user - 1] for user in range(1, k + 1)}
-    sol = _parallel_cycle_lp(network, zeros, fixed)
-    if sol.status == "optimal":
+    status, _, sol, *_ = _cutting_plane_lp(blocks, scale, [0] * (k * m), fixed)
+    if status == "optimal":
         allocation = tuple(
-            tuple(sol.point[chan * k + u] for u in range(k))
-            for chan in range(network.subchannels)
+            tuple(sol[chan * k:(chan + 1) * k]) for chan in range(m)
         )
         return DecompositionResult(
             feasible=True, target=target, allocation=allocation, caps=()
         )
 
     caps = []
-    for user in range(1, k + 1):
-        objective = list(zeros)
-        for chan in range(network.subchannels):
-            objective[chan * k + (user - 1)] = Fraction(1)
-        others = {u: t for u, t in fixed.items() if u != user}
-        cap_sol = _parallel_cycle_lp(network, objective, others)
-        if cap_sol.status != "optimal":
+    for user in range(k):
+        objective = [0] * (k * m)
+        for chan in range(m):
+            objective[chan * k + user] = 1
+        others = [f for f in fixed if f[0] != user]
+        status, cap, *_ = _cutting_plane_lp(blocks, scale, objective, others)
+        if status != "optimal":
             continue
-        if cap_sol.value >= target[user - 1]:
+        if cap >= target[user]:
             raise CrossCheckError(
                 "user %d can reach %s >= target %s although the joint split "
-                "is infeasible" % (user, cap_sol.value, target[user - 1])
+                "is infeasible" % (user + 1, cap, target[user])
             )
-        caps.append(UserCap(user=user, cap=cap_sol.value,
-                            target=target[user - 1]))
+        caps.append(UserCap(user=user + 1, cap=cap, target=target[user]))
     return DecompositionResult(
         feasible=False, target=target, allocation=None, caps=tuple(caps)
     )

@@ -3,8 +3,9 @@
 Everything in this module is deliberately written with a *different*
 algorithm than the code under test: vertex enumeration instead of simplex,
 permutation scans instead of the Hungarian method, literal channel
-simulation instead of GF(2) elimination.  Slow is fine; these only run on
-small instances.
+simulation instead of GF(2) elimination, and one from-scratch ``solve_lp``
+over every cycle bound instead of warm-started cutting planes.  Slow is
+fine; these only run on small instances.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from tinopt.cycles import enumerate_partitions
+from tinopt.cycles import enumerate_cycles, enumerate_partitions
 from tinopt.detmodel import channel_output, participating_levels
 from tinopt.model import Network, StrengthMatrix
+from tinopt.optimize import LinearProgram, solve_lp
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +154,57 @@ def point_obeys_cycle_bounds(matrix, point, cycles):
 
 
 # ---------------------------------------------------------------------------
+# cycle-bound LPs written out in full, solved from scratch
+# ---------------------------------------------------------------------------
+
+def _cycle_rows(matrix, offset=0, width=None):
+    """One (coeffs, "<=", rhs) row per cycle bound, on the variables
+    offset .. offset + K - 1 of a ``width``-variable LP."""
+    k = matrix.users
+    width = k if width is None else width
+    rows = []
+    for cyc in enumerate_cycles(k):
+        coeffs = [0] * width
+        for u in cyc.users:
+            coeffs[offset + u - 1] = 1
+        rhs = sum((matrix.desired(u) for u in cyc.users), Fraction(0))
+        rhs -= sum((matrix.edge_weight(i, j) for i, j in cyc.edges()), Fraction(0))
+        rows.append((coeffs, "<=", rhs))
+    return rows
+
+
+def full_cycle_lp(matrix, nonneg=True):
+    """The cycle LP with every cycle bound present: one solve_lp call, no
+    cutting planes, no warm start."""
+    k = matrix.users
+    return solve_lp(LinearProgram.build([1] * k, _cycle_rows(matrix), nonneg=nonneg))
+
+
+def full_decomposition(network, point):
+    """(feasible, {user: cap}) for a rate point, from the decomposition LPs
+    with every cycle bound of every sub-channel present."""
+    k = network.users
+    width = k * network.subchannels
+    rows = []
+    for chan, mat in enumerate(network.matrices):
+        rows += _cycle_rows(mat, chan * k, width)
+    totals = {}
+    for user in range(1, k + 1):
+        coeffs = [1 if v % k == user - 1 else 0 for v in range(width)]
+        totals[user] = (coeffs, "==", Fraction(point[user - 1]))
+    joint = solve_lp(LinearProgram.build([0] * width, rows + list(totals.values())))
+    if joint.status == "optimal":
+        return True, {}
+    caps = {}
+    for user in range(1, k + 1):
+        others = [row for u, row in totals.items() if u != user]
+        best = solve_lp(LinearProgram.build(totals[user][0], rows + others))
+        if best.status == "optimal":
+            caps[user] = best.value
+    return False, caps
+
+
+# ---------------------------------------------------------------------------
 # bit-level channel oracles
 # ---------------------------------------------------------------------------
 
@@ -250,6 +303,16 @@ def random_tin_network(rng, k, m, mode="gdof"):
         mode=mode,
         matrices=tuple(random_strict_tin_matrix(rng, k, mode) for _ in range(m)),
     )
+
+
+def random_gdof_matrix(rng, k):
+    """Arbitrary gdof matrix of simple rationals, nothing imposed."""
+    rows = tuple(
+        tuple(Fraction(rng.randint(0, 8), rng.choice((1, 2, 3, 4)))
+              for _ in range(k))
+        for _ in range(k)
+    )
+    return StrengthMatrix(mode="gdof", entries=rows)
 
 
 def random_det_matrix(rng, k, hi=3):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import random_det_matrix, random_strict_tin_matrix, tin_by_triples
 from tinopt.model import (
+    MAX_RATIONAL_DIGITS,
     ClampWarning,
     InputError,
     Network,
@@ -51,6 +52,17 @@ def test_as_rational_reads_floats_as_decimal_literals():
 def test_as_rational_rejects_garbage(bad):
     with pytest.raises(InputError):
         as_rational(bad)
+
+
+def test_as_rational_size_limit_is_exact():
+    limit = MAX_RATIONAL_DIGITS
+    assert as_rational("1e%d" % (limit - 1)) == 10 ** (limit - 1)
+    assert as_rational(Fraction(1, 10 ** (limit - 1))).denominator == 10 ** (limit - 1)
+    assert as_rational(5e-324) == Fraction("5e-324")   # every finite float fits
+    for big in ("1e%d" % limit, "1e-%d" % limit, 10 ** limit,
+                Fraction(1, 10 ** limit)):
+        with pytest.raises(InputError, match="too large"):
+            as_rational(big)
 
 
 def test_rational_str_is_int_or_fraction_string():

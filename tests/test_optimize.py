@@ -16,13 +16,15 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_min_assignment,
+    full_cycle_lp,
     point_obeys_cycle_bounds,
     random_det_matrix,
+    random_gdof_matrix,
     random_strict_tin_matrix,
     vertex_lp_oracle,
 )
 from tinopt.cycles import enumerate_cycles, enumerate_partitions
-from tinopt.fixtures import caution_lp
+from tinopt.fixtures import caution_lp, example1
 from tinopt.model import (
     CrossCheckError,
     GuardError,
@@ -304,12 +306,58 @@ def test_cycle_lp_seeds_only_trivial_cycles():
     mat = StrengthMatrix.from_values(
         "deterministic", [[4, 1, 1], [1, 4, 1], [1, 1, 4]]
     )
-    res = solve_cycle_lp(mat, batch=1)
+    res = solve_cycle_lp(mat)
     seeded = [c.users for c in res.working_cycles[:3]]
     assert seeded == [(1,), (2,), (3,)]
-    # with batch=1 the working set grows one non-trivial cycle at a time
+    # every cut the separation scan adds is a non-trivial cycle
+    assert len(res.working_cycles) > 3
     assert all(len(c) > 1 for c in res.working_cycles[3:])
     assert res.value == 12 - 3
+
+
+def test_cycle_lp_counters_are_pinned():
+    # deterministic counts on one fixed matrix: three trivial-cycle pivots,
+    # then cuts re-optimized by dual simplex from the previous basis
+    mat = example1().matrices[0]
+    res = solve_cycle_lp(mat)
+    assert res.value == 6
+    assert (res.rounds, res.pivots) == (3, 5)
+    assert len(res.working_cycles) == 7
+    free = solve_cycle_lp(mat, nonneg=False)
+    assert free.value == 6
+    assert (free.rounds, free.pivots) == (3, 5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9), st.integers(2, 5),
+       st.sampled_from(["strict", "gdof", "deterministic"]), st.booleans())
+def test_cycle_lp_engine_matches_full_lp(seed, k, kind, nonneg):
+    rng = random.Random(seed)
+    if kind == "strict":
+        mat = random_strict_tin_matrix(rng, k, mode="gdof")
+    elif kind == "gdof":
+        mat = random_gdof_matrix(rng, k)
+    else:
+        mat = random_det_matrix(rng, k, hi=4)
+    res = solve_cycle_lp(mat, nonneg=nonneg)
+    want = full_cycle_lp(mat, nonneg=nonneg)
+    assert res.status == want.status
+    assert res.value == want.value
+    if res.optimal:
+        assert point_obeys_cycle_bounds(mat, res.point, enumerate_cycles(k))
+        assert sum(res.point) == res.value
+        assert not nonneg or min(res.point) >= 0
+
+
+@pytest.mark.parametrize("nonneg", [True, False])
+def test_cycle_lp_engine_matches_full_lp_without_tin(nonneg):
+    # infeasible with d >= 0 (see test_cycle_lp_infeasible_without_tin);
+    # without it the pair bound d1 + d2 <= 2 - 10 sets the optimum
+    mat = StrengthMatrix.from_values("deterministic", [[1, 5], [5, 1]])
+    res = solve_cycle_lp(mat, nonneg=nonneg)
+    want = full_cycle_lp(mat, nonneg=nonneg)
+    assert (res.status, res.value) == (want.status, want.value)
+    assert res.status == ("infeasible" if nonneg else "optimal")
 
 
 def test_redundancy_check_true_under_strict_tin_false_otherwise():

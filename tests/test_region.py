@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import point_obeys_cycle_bounds, random_tin_network
+from oracles import full_decomposition, point_obeys_cycle_bounds, random_tin_network
 from tinopt.cycles import cycle_count, enumerate_cycles
 from tinopt.fixtures import example1, gap_network, gap_point
 from tinopt.model import InputError, Network, StrengthMatrix
@@ -188,6 +188,36 @@ def test_decomposition_allocations_always_verify(seed):
             assert sum(chan[u] for chan in res.allocation) == target[u]
     else:
         assert all(c.cap < c.target for c in res.caps)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 5)])
+def test_decomposition_matches_full_lp_on_gap_family(eps):
+    net = gap_network(eps)
+    points = [gap_point(), (1, 1, 1), (2, 0, 0), (1, 1, 0), (2, 1, 0),
+              (Fraction(3, 2), Fraction(1, 2), Fraction(1, 2)),
+              (1, Fraction(3, 4), Fraction(3, 4)), (0, 0, 3)]
+    verdicts = set()
+    for point in points:
+        res = separate_tin_decomposable(net, point)
+        feasible, caps = full_decomposition(net, point)
+        assert res.feasible == feasible
+        assert {c.user: c.cap for c in res.caps} == caps
+        verdicts.add(feasible)
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**9))
+def test_decomposition_matches_full_lp_on_random_networks(seed):
+    rng = random.Random(seed)
+    k = rng.randint(2, 3)
+    net = random_tin_network(rng, k, rng.randint(2, 3), mode="gdof")
+    point = tuple(Fraction(rng.randint(0, 12), rng.choice((1, 2, 4)))
+                  for _ in range(k))
+    res = separate_tin_decomposable(net, point)
+    feasible, caps = full_decomposition(net, point)
+    assert res.feasible == feasible
+    assert {c.user: c.cap for c in res.caps} == caps
 
 
 def test_gap_scales_with_epsilon():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from tinopt.cli import main
 from tinopt.cycles import Cycle, CyclicPartition
 from tinopt.fixtures import fixture_json
-from tinopt.model import load_network
+from tinopt.model import CrossCheckError, load_network
 from tinopt.report import (
     dumps_canonical,
     frac,
@@ -303,6 +304,44 @@ def test_bad_point_and_partition_exit_2(nets, capsys):
     code, _, err = run_cli(capsys, "invertibility", nets["symmetric3"],
                            "--partition", "1:2,1:3,3:0")
     assert code == 2 and "twice" in err
+
+
+@pytest.mark.parametrize("entry", ["1e5000", "1e3000000", "7" * 5000],
+                         ids=["1e5000", "1e3000000", "5000-digit-integer"])
+def test_oversized_rationals_exit_2(tmp_path, capsys, entry):
+    doc = {"mode": "gdof", "users": 2, "subchannels": 1,
+           "matrices": [[entry, 0, 0, 1]]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("sum", str(path)), ("sum", "--json", str(path))):
+        # the size check reads the text: parsing "1e3000000" alone takes ~1 s
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith("error: rational") and "too large" in err
+        assert err.count("\n") == 1
+
+
+def test_oversized_json_integer_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"mode": "gdof", "users": 1, "subchannels": 1, '
+                    '"matrices": [[%s]]}' % ("7" * 5000))
+    code, out, err = run_cli(capsys, "sum", str(path))
+    assert code == 2 and out == ""
+    assert "invalid JSON" in err and err.count("\n") == 1
+
+
+def test_cross_check_error_exits_4(nets, capsys, monkeypatch):
+    def disagree(network):
+        raise CrossCheckError("cycle LP (5) disagrees with partition bound (6)")
+
+    monkeypatch.setattr("tinopt.cli.network_sum", disagree)
+    code, out, err = run_cli(capsys, "sum", "--json", nets["example1"])
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "in sum (%s)" % nets["example1"] in err
+    assert "disagrees with partition bound" in err
 
 
 def test_enumeration_guard_exits_3(nets, capsys):
