@@ -1,8 +1,7 @@
 """Bundled example networks and the cautionary LP.
 
-Builders are the source of truth; the JSON files under ``tinopt/data`` (and
-the repository-level ``fixtures/`` copies) are generated from them and kept
-byte-equal by the test suite.
+Builders are the source of truth; the JSON files under ``tinopt/data`` are
+generated from them and kept byte-equal by the test suite.
 """
 
 from __future__ import annotations

@@ -132,6 +132,22 @@ def _too_large(value) -> InputError:
     )
 
 
+def _common_denominator(values) -> int:
+    """Least common multiple of the denominators of ``values`` (Fractions),
+    built up one value at a time; InputError as soon as it exceeds
+    MAX_RATIONAL_DIGITS digits, so that no sum of the values can render
+    past Python's int-to-str limit."""
+    denom = 1
+    for val in values:
+        denom = math.lcm(denom, val.denominator)
+        if denom >= _RATIONAL_LIMIT:
+            raise InputError(
+                "the common denominator of the input rationals is too large: "
+                "it is limited to %d digits" % MAX_RATIONAL_DIGITS
+            )
+    return denom
+
+
 def rational_str(value: Fraction) -> "int | str":
     """Render a Fraction for JSON output: bare int when integral, else "p/q"."""
     frac = Fraction(value)
@@ -464,6 +480,7 @@ def parse_network(obj) -> Network:
                 % (m, mat.users, mat.users, users)
             )
         mats.append(mat)
+    _common_denominator(val for mat in mats for row in mat.entries for val in row)
     return Network(mode=mode, matrices=tuple(mats))
 
 

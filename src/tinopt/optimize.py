@@ -15,9 +15,12 @@ sub-channel, which for TIN-optimal sub-channels equals the sum-GDoF
                           permutations with integer-scaled arithmetic.
 
 ``sum_gdof`` runs all three and refuses to return values on which they
-disagree.  The same cutting-plane engine solves the decomposition LPs of
-``region``.  All arithmetic is exact (int and fractions.Fraction); no
-floats anywhere.
+disagree.  The exhaustive scan (``_heaviest_permutations``, guarded by
+MAX_ENUM_USERS) keeps every tied permutation, so one scan per sub-channel
+also yields the reported partition (``optimal_partition``, the canonical
+tie) and the tie set (``all_optimal_partitions``).  The same cutting-plane
+engine solves the decomposition LPs of ``region``.  All arithmetic is exact
+(int and fractions.Fraction); no floats anywhere.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from .cycles import (
     _cycle_scan_data,
     enumerate_cycles,
 )
-from .model import CrossCheckError, InputError, StrengthMatrix, check_tin
+from .model import (CrossCheckError, InputError, StrengthMatrix,
+                    _common_denominator, check_tin)
 
 __all__ = [
     "LinearProgram",
@@ -346,28 +350,19 @@ class CycleLpResult:
         return self.status == "optimal"
 
 
-def _scaled_entries(matrix: StrengthMatrix):
-    """Integer-scaled copy of the matrix: (scale D, D*entries as ints)."""
-    denom = lcm(*(val.denominator for row in matrix.entries for val in row))
-    scaled = [
-        [int(val * denom) for val in row] for row in matrix.entries
-    ]
-    return denom, scaled
-
-
 def _cycle_blocks(matrices, extra=()):
     """Integer-scaled cycle bounds of sub-channels that share K users.
 
     Returns (D, blocks): D is the least common denominator of every matrix
-    entry and of the rationals in ``extra``, and ``blocks[m][c]`` is D times
-    the right-hand side of cycle c (in ``enumerate_cycles`` order) on
+    entry and of the rationals in ``extra`` (InputError past
+    MAX_RATIONAL_DIGITS digits), and ``blocks[m][c]`` is D times the
+    right-hand side of cycle c (in ``enumerate_cycles`` order) on
     ``matrices[m]``.
     """
     k = matrices[0].users
     scan = _cycle_scan_data(k)
-    scale = lcm(*(val.denominator for mat in matrices
-                  for row in mat.entries for val in row),
-                *(val.denominator for val in extra))
+    scale = _common_denominator(itertools.chain(
+        (val for mat in matrices for row in mat.entries for val in row), extra))
     blocks = []
     for mat in matrices:
         flat = [val.numerator * (scale // val.denominator)
@@ -598,87 +593,62 @@ def best_partition_assignment(matrix: StrengthMatrix):
 
 
 # ---------------------------------------------------------------------------
-# brute-force route (exhaustive permutations, integer-scaled)
+# brute-force route and tie enumeration (one exhaustive scan, integer-scaled)
 # ---------------------------------------------------------------------------
 
-def brute_force_best_weight(matrix: StrengthMatrix):
-    """Heaviest cyclic partition by scanning all K! predecessor permutations."""
+def _heaviest_permutations(matrix: StrengthMatrix):
+    """(max weight, tied) over all K! predecessor permutations.
+
+    ``tied`` lists every maximizing permutation, 0-based (perm[u] is user
+    u+1's predecessor), in ``itertools.permutations`` order; only the
+    running ties are kept, never all K! weights.
+    """
     k = matrix.users
     _check_enum_guard(k)
-    dscale, ent = _scaled_entries(matrix)
-    w = [[ent[i][j] if i != j else 0 for j in range(k)] for i in range(k)]
-    best = None
-    best_perm = None
+    scale = _common_denominator(val for row in matrix.entries for val in row)
+    # incoming[u][p]: scaled weight of user u's edge from predecessor p
+    incoming = [
+        [0 if p == u else int(matrix.entries[p][u] * scale) for p in range(k)]
+        for u in range(k)
+    ]
+    best, tied = -1, []                 # weights are nonnegative
     for perm in itertools.permutations(range(k)):
-        s = 0
-        for col in range(k):
-            s += w[perm[col]][col]
-        if best is None or s > best:
-            best = s
-            best_perm = perm
-    return Fraction(best, dscale), tuple(p + 1 for p in best_perm)
+        s = sum(map(list.__getitem__, incoming, perm))
+        if s > best:
+            best, tied = s, [perm]
+        elif s == best:
+            tied.append(perm)
+    return Fraction(best, scale), tied
+
+
+def brute_force_best_weight(matrix: StrengthMatrix):
+    """Heaviest cyclic partition by scanning all K! predecessor permutations.
+
+    Returns (max_weight, perm) with perm[k-1] user k's predecessor (k itself
+    for a trivial cycle); of the tied permutations, perm is the one with the
+    smallest predecessor vector, trivial cycles keyed 0.
+    """
+    weight, tied = _heaviest_permutations(matrix)
+    best = min(tied, key=lambda perm: tuple(
+        0 if p == u else p + 1 for u, p in enumerate(perm)))
+    return weight, tuple(p + 1 for p in best)
 
 
 def all_optimal_partitions(matrix: StrengthMatrix) -> tuple:
-    """Every cyclic partition tied (exactly) for the maximum weight."""
-    k = matrix.users
-    _check_enum_guard(k)
-    dscale, ent = _scaled_entries(matrix)
-    w = [[ent[i][j] if i != j else 0 for j in range(k)] for i in range(k)]
-    weights = []
-    best = None
-    for perm in itertools.permutations(range(k)):
-        s = 0
-        for col in range(k):
-            s += w[perm[col]][col]
-        weights.append((perm, s))
-        if best is None or s > best:
-            best = s
-    ties = sorted(
-        tuple(p + 1 for p in perm) for perm, s in weights if s == best
+    """Every cyclic partition tied (exactly) for the maximum weight, in
+    ``enumerate_partitions`` order."""
+    _, tied = _heaviest_permutations(matrix)
+    return tuple(
+        CyclicPartition.from_permutation([p + 1 for p in perm]) for perm in tied
     )
-    return tuple(CyclicPartition.from_permutation(perm) for perm in ties)
 
 
 def optimal_partition(matrix: StrengthMatrix) -> CyclicPartition:
     """The maximizing partition with lexicographically smallest predecessor
-    vector (trivial cycles sorting first), found by iterative fixing with
-    assignment subcalls -- no exhaustive enumeration needed."""
-    k = matrix.users
-    max_weight, _ = best_partition_assignment(matrix)
-
-    def completion_weight(fixed):
-        used_values = set(fixed.values())
-        free_users = [c for c in range(1, k + 1) if c not in fixed]
-        free_values = [r for r in range(1, k + 1) if r not in used_values]
-        part = sum(
-            (matrix.edge_weight(p, user) for user, p in fixed.items()),
-            Fraction(0),
-        )
-        if not free_users:
-            return part
-        cost = [
-            [-matrix.edge_weight(r, c) for c in free_users]
-            for r in free_values
-        ]
-        total, _ = min_cost_assignment(cost)
-        return part - total
-
-    fixed = {}
-    for user in range(1, k + 1):
-        # candidate predecessors in serialized order: trivial first, then 1, 2, ...
-        candidates = [user] + [p for p in range(1, k + 1) if p != user]
-        for p in candidates:
-            if p in fixed.values():
-                continue
-            fixed[user] = p
-            if completion_weight(fixed) == max_weight:
-                break
-            del fixed[user]
-        else:
-            raise CrossCheckError("no extendable predecessor for user %d" % user)
-    perm = tuple(fixed[user] for user in range(1, k + 1))
-    return CyclicPartition.from_permutation(perm)
+    vector (trivial cycles sorting first), from the exhaustive scan of
+    ``brute_force_best_weight``; guarded by MAX_ENUM_USERS (GuardError
+    above K = 9)."""
+    return CyclicPartition.from_permutation(brute_force_best_weight(matrix)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +694,7 @@ def sum_gdof(matrix: StrengthMatrix) -> SumGdofResult:
 
     lp = solve_cycle_lp(matrix, nonneg=True)
     aw, _ = best_partition_assignment(matrix)
-    bw, _ = brute_force_best_weight(matrix)
+    bw, bperm = brute_force_best_weight(matrix)
     assignment_value = diag_sum - aw
     brute_value = diag_sum - bw
 
@@ -761,7 +731,7 @@ def sum_gdof(matrix: StrengthMatrix) -> SumGdofResult:
         value=assignment_value,
         label=label,
         methods=methods,
-        partition=optimal_partition(matrix),
+        partition=CyclicPartition.from_permutation(bperm),
         agreement=agreement,
     )
 

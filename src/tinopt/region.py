@@ -200,6 +200,8 @@ def separate_tin_decomposable(network: Network, point) -> DecompositionResult:
     target = tuple(as_rational(x) for x in point)
     if len(target) != k:
         raise InputError("point has %d coordinates, expected %d" % (len(target), k))
+    if any(t < 0 for t in target):
+        raise InputError("point coordinates must be nonnegative rates")
     scale, blocks = _cycle_blocks(network.matrices, target)
     fixed = [(u, t.numerator * (scale // t.denominator))
              for u, t in enumerate(target)]

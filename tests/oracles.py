@@ -116,6 +116,21 @@ def brute_min_assignment(cost):
 
 
 # ---------------------------------------------------------------------------
+# heaviest-partition oracle (Fraction weights over enumerate_partitions)
+# ---------------------------------------------------------------------------
+
+def heaviest_partitions(matrix):
+    """(max weight, tied partitions in ``enumerate_partitions`` order, the
+    tie with the smallest predecessor vector), each partition weighed with
+    ``CyclicPartition.weight`` in Fraction arithmetic."""
+    parts = enumerate_partitions(matrix.users)
+    weights = [part.weight(matrix) for part in parts]
+    best = max(weights)
+    ties = tuple(part for part, w in zip(parts, weights) if w == best)
+    return best, ties, min(ties, key=lambda part: part.predecessors())
+
+
+# ---------------------------------------------------------------------------
 # TIN condition oracle (no max(), just every pair of inequalities)
 # ---------------------------------------------------------------------------
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -24,20 +23,10 @@ from tinopt.model import InputError, check_tin, network_to_dict, parse_network
 from tinopt.optimize import solve_lp
 from tinopt.report import dumps_canonical
 
-REPO_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
 def test_bundled_json_matches_builders_byte_for_byte():
     for name, builder in builtin_networks().items():
         expected = dumps_canonical(network_to_dict(builder()))
         assert fixture_json(name) == expected, name
-
-
-def test_repo_fixture_copies_equal_bundled_data():
-    for name in builtin_networks():
-        path = REPO_FIXTURES / (name + ".json")
-        assert path.is_file(), path
-        assert path.read_text() == fixture_json(name)
 
 
 def test_load_bundled_equals_builder():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from oracles import (
     brute_min_assignment,
     full_cycle_lp,
+    heaviest_partitions,
     point_obeys_cycle_bounds,
     random_det_matrix,
     random_gdof_matrix,
@@ -230,24 +231,39 @@ def test_all_optimal_partitions_is_the_exact_tie_set():
             assert part not in ties
 
 
-def _lexmin_oracle(mat):
-    """Reference for optimal_partition: scan ties, order by the predecessor
-    vector with trivial users keyed 0 (they serialize first)."""
-    def key(part):
-        return tuple(
-            0 if p == u + 1 else p
-            for u, p in enumerate(part.to_permutation())
-        )
+def _tied_matrix(rng, k):
+    """A heavily tied matrix: every cross link equal, or every one in {0, 1}."""
+    if rng.random() < 0.5:
+        cross = Fraction(rng.randint(0, 3), rng.choice((1, 2)))
+        rows = [[cross] * k for _ in range(k)]
+    else:
+        rows = [[Fraction(rng.randint(0, 1)) for _ in range(k)] for _ in range(k)]
+    for u in range(k):
+        rows[u][u] = Fraction(rng.randint(0, 4))
+    return StrengthMatrix(mode="gdof", entries=tuple(map(tuple, rows)))
 
-    return min(all_optimal_partitions(mat), key=key)
 
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10**9), st.integers(1, 4))
-def test_optimal_partition_is_lexmin_without_enumeration(seed, k):
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 6), st.booleans())
+def test_scan_views_match_partition_oracle(seed, k, tied):
     rng = random.Random(seed)
-    mat = random_det_matrix(rng, k, hi=3)
-    assert optimal_partition(mat) == _lexmin_oracle(mat)
+    mat = _tied_matrix(rng, k) if tied else random_gdof_matrix(rng, k)
+    best, ties, lexmin = heaviest_partitions(mat)
+    assert brute_force_best_weight(mat) == (best, lexmin.to_permutation())
+    assert all_optimal_partitions(mat) == ties
+    assert optimal_partition(mat) == lexmin
+
+
+def test_all_equal_cross_links_tie_every_derangement():
+    k = 6
+    rows = tuple(
+        tuple(Fraction(5 if r == c else 1) for c in range(k)) for r in range(k)
+    )
+    mat = StrengthMatrix(mode="gdof", entries=rows)
+    ties = all_optimal_partitions(mat)
+    assert len(ties) == 265                 # derangements of 6 users
+    assert ties == heaviest_partitions(mat)[1]
+    assert str(optimal_partition(mat)) == "{(1,2), (3,4), (5,6)}"
 
 
 def test_optimal_partition_prefers_trivial_cycles_on_ties():

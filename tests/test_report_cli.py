@@ -187,6 +187,12 @@ def test_decompose_exit_codes(nets, capsys):
     assert doc["decomposition"]["feasible"] is True
     assert len(doc["decomposition"]["allocation"]) == 2
 
+    # a negative rate is invalid input, not a solver disagreement
+    code, out, err = run_cli(capsys, "decompose", nets["gap_eps_1_10"],
+                             "--point=-1,1,1")
+    assert code == 2 and out == ""
+    assert "nonnegative" in err and err.count("\n") == 1
+
 
 def test_invertibility_deterministic(nets, capsys):
     code, out, _ = run_cli(capsys, "invertibility", nets["example1"])
@@ -321,6 +327,26 @@ def test_oversized_rationals_exit_2(tmp_path, capsys, entry):
         assert code == 2 and out == ""
         assert err.startswith("error: rational") and "too large" in err
         assert err.count("\n") == 1
+
+
+def test_oversized_common_denominator_exits_2(tmp_path, nets, capsys):
+    # every entry is under the digit limit, but their common denominator
+    # (about 12,000 digits) is not, nor would the reported sums render
+    big = 10 ** 999 + 1
+    cross = iter("1/%d" % (big + i) for i in range(12))
+    mats = [[[3 if r == c else next(cross) for c in range(3)] for r in range(3)]
+            for _ in range(2)]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"mode": "gdof", "users": 3, "subchannels": 2,
+                                "matrices": mats}))
+    # a decompose point's denominators join the network's
+    point = ",".join("1/%d" % (big + i) for i in range(3))
+    for argv in (("sum", str(path)), ("sum", "--json", str(path)),
+                 ("decompose", nets["gap_eps_1_10"], "--point", point)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "common denominator" in err and err.count("\n") == 1
+        assert len(err) < 200                   # the value is not echoed
 
 
 def test_oversized_json_integer_exits_2(tmp_path, capsys):
