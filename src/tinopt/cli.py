@@ -10,6 +10,7 @@ independent computations disagreed (a solver bug, never a verdict).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -34,28 +35,11 @@ from .model import (
     save_network,
 )
 from .optimize import network_sum, solve_lp
-from .region import (
-    combined_sum_bounds,
-    region_contains,
-    separate_tin_decomposable,
-    tin_region,
-)
-
-WIDTH = 66
-
-
-def _banner(title: str) -> None:
-    print(("== %s " % title).ljust(WIDTH, "="))
+from .region import combined_sum_bounds, separate_tin_decomposable, tin_region
 
 
 def _parse_point(text: str) -> tuple:
-    try:
-        parts = [p for p in text.split(",") if p.strip()]
-        return tuple(as_rational(p) for p in parts)
-    except InputError:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        raise InputError("cannot parse point %r" % text) from exc
+    return tuple(as_rational(p) for p in text.split(",") if p.strip())
 
 
 def _parse_partition(text: str, users: int) -> CyclicPartition:
@@ -82,18 +66,11 @@ def _parse_partition(text: str, users: int) -> CyclicPartition:
     return CyclicPartition.from_permutation(perm)
 
 
-def _emit(args, payload: dict, text_fn) -> None:
-    if args.json:
-        sys.stdout.write(report.dumps_canonical(payload))
-    else:
-        text_fn()
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (canonical payload, exit code); main writes it
 # ---------------------------------------------------------------------------
 
-def cmd_check_tin(args) -> int:
+def cmd_check_tin(args) -> tuple:
     net = load_network(args.network)
     verdicts = [check_tin(mat) for mat in net.matrices]
     payload = {
@@ -102,298 +79,123 @@ def cmd_check_tin(args) -> int:
         "subchannels": [report.tin_repr(v) for v in verdicts],
         "all_satisfied": all(v.satisfied for v in verdicts),
     }
-
-    def text():
-        _banner("TIN optimality")
-        for m, v in enumerate(verdicts, start=1):
-            if v.satisfied:
-                print("sub-channel %d: TIN optimal%s"
-                      % (m, " (strict)" if v.strict else ""))
-            else:
-                print("sub-channel %d: NOT TIN optimal" % m)
-                for viol in v.violations:
-                    print("  %s" % viol)
-        print("overall: %s" % ("TIN optimal" if payload["all_satisfied"]
-                               else "not TIN optimal"))
-
-    _emit(args, payload, text)
-    return 0 if payload["all_satisfied"] else 1
+    return payload, 0 if payload["all_satisfied"] else 1
 
 
-def cmd_sum(args) -> int:
+def cmd_sum(args) -> tuple:
     net = load_network(args.network)
     nsum = network_sum(net)
     quantity = "sum-capacity" if net.mode == "deterministic" else "sum-GDoF"
     payload = {"command": "sum", "mode": net.mode, "quantity": quantity}
     payload.update(report.network_sum_repr(nsum))
-
-    def text():
-        _banner(quantity)
-        for m, res in enumerate(nsum.per_channel, start=1):
-            print("sub-channel %d: %s  [%s]" % (m, res.value, res.label))
-            print("  lp_cycle_bounds=%s  assignment=%s  brute_force=%s"
-                  % (res.methods["lp_cycle_bounds"],
-                     res.methods["assignment"],
-                     res.methods["brute_force"]))
-            print("  optimal partition: %s" % res.partition)
-        print("total over %d sub-channel(s): %s  [%s]"
-              % (net.subchannels, nsum.total, nsum.label))
-
-    _emit(args, payload, text)
-    return 0
+    return payload, 0
 
 
-def cmd_region(args) -> int:
+def cmd_region(args) -> tuple:
     net = load_network(args.network)
-    per = [tin_region(mat) for mat in net.matrices]
     payload = {
         "command": "region",
         "mode": net.mode,
         "subchannels": [
-            [report.constraint_repr(c) for c in cons] for cons in per
+            [report.constraint_repr(c) for c in tin_region(mat)]
+            for mat in net.matrices
         ],
     }
-
-    def text():
-        for m, cons in enumerate(per, start=1):
-            _banner("sub-channel %d cycle bounds (%d constraints)"
-                    % (m, len(cons)))
-            for con in cons:
-                print("  %s    [cycle %s]" % (con, con.cycle))
-
-    _emit(args, payload, text)
-    return 0
+    return payload, 0
 
 
-def cmd_member(args) -> int:
+def cmd_member(args) -> tuple:
     net = load_network(args.network)
     point = _parse_point(args.point)
-    bounds = combined_sum_bounds(net)
-    result = bounds.contains(point)
+    result = combined_sum_bounds(net).contains(point)
     payload = {
         "command": "member",
         "point": report.point_repr(point),
         "membership": report.membership_repr(result),
     }
-
-    def text():
-        _banner("combined-region membership")
-        print("point: (%s)" % ", ".join(str(x) for x in point))
-        if result.inside:
-            print("inside the combined-bound region")
-        else:
-            print("OUTSIDE the combined-bound region")
-            for k in result.negative_users:
-                print("  negative coordinate: user %d" % k)
-            for con in result.violated:
-                print("  violates %s" % con)
-
-    _emit(args, payload, text)
-    return 0 if result.inside else 1
+    return payload, 0 if result.inside else 1
 
 
-def cmd_combined_bounds(args) -> int:
+def cmd_combined_bounds(args) -> tuple:
     net = load_network(args.network)
-    bounds = combined_sum_bounds(net)
     payload = {"command": "combined-bounds"}
-    payload.update(report.combined_repr(bounds))
-
-    def text():
-        _banner("combined sum bounds (over %d sub-channels)" % net.subchannels)
-        items = sorted(bounds.bounds.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        for subset, rhs in items:
-            lhs = " + ".join("d%d" % u for u in subset)
-            print("  %s <= %s" % (lhs, rhs))
-
-    _emit(args, payload, text)
-    return 0
+    payload.update(report.combined_repr(combined_sum_bounds(net)))
+    return payload, 0
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple:
     net = load_network(args.network)
-    point = _parse_point(args.point)
-    result = separate_tin_decomposable(net, point)
+    result = separate_tin_decomposable(net, _parse_point(args.point))
     payload = {
         "command": "decompose",
         "decomposition": report.decomposition_repr(result),
     }
-
-    def text():
-        _banner("per-sub-channel decomposition")
-        print("target: (%s)" % ", ".join(str(x) for x in result.target))
-        if result.feasible:
-            print("decomposable; one valid split:")
-            for m, chan in enumerate(result.allocation, start=1):
-                print("  sub-channel %d: (%s)"
-                      % (m, ", ".join(str(x) for x in chan)))
-        else:
-            print("NOT decomposable into per-sub-channel points")
-            for cap in result.caps:
-                print("  %s" % cap)
-
-    _emit(args, payload, text)
-    return 0 if result.feasible else 1
+    return payload, 0 if result.feasible else 1
 
 
-def _invertibility_for_network(net, partition_text):
-    """Per-sub-channel invertibility entries for a deterministic network."""
-    entries = []
-    all_ok = True
-    for m, mat in enumerate(net.matrices, start=1):
-        if partition_text is not None:
-            part = _parse_partition(partition_text, net.users)
-            cert = invertible_gf2(mat, part)
-            entries.append(("probe", m, cert))
-            all_ok = all_ok and cert.invertible
-        else:
-            verdict = invertibility_verdict(mat)
-            entries.append(("verdict", m, verdict))
-            all_ok = all_ok and verdict.invertible
-    return entries, all_ok
+def _invertibility_entries(net, partition_text) -> list:
+    """Per-sub-channel reports of a deterministic network: one probed
+    partition's certificate, or the verdict over every optimal partition."""
+    if partition_text is not None:
+        part = _parse_partition(partition_text, net.users)
+        return [report.certificate_repr(invertible_gf2(mat, part))
+                for mat in net.matrices]
+    return [report.invertibility_repr(invertibility_verdict(mat))
+            for mat in net.matrices]
 
 
-def cmd_invertibility(args) -> int:
+def cmd_invertibility(args) -> tuple:
     net = load_network(args.network)
     payload = {"command": "invertibility", "mode": net.mode}
-    sections = []
-
     if net.mode == "deterministic":
         if args.logP is not None:
             raise InputError("--logP only applies to gdof-mode networks")
-        entries, all_ok = _invertibility_for_network(net, args.partition)
-        payload["subchannels"] = [
-            report.certificate_repr(obj) if kind == "probe"
-            else report.invertibility_repr(obj)
-            for kind, _, obj in entries
-        ]
-        payload["invertible"] = all_ok
+        entries = _invertibility_entries(net, args.partition)
+        payload["subchannels"] = entries
+        payload["invertible"] = all(e["invertible"] for e in entries)
     else:
         if args.partition is not None and args.logP is None:
             raise InputError(
                 "the bit-level partition probe needs a deterministic network; "
                 "pass --logP to quantize this gdof network first"
             )
-        suff = [sufficient_invertibility(mat) for mat in net.matrices]
-        payload["subchannels"] = [report.sufficient_repr(s) for s in suff]
-        all_ok = all(s.status == "invertible" for s in suff)
-        payload["invertible"] = all_ok
-        entries = [("sufficient", m, s) for m, s in enumerate(suff, start=1)]
+        suff = [report.sufficient_repr(sufficient_invertibility(mat))
+                for mat in net.matrices]
+        payload["subchannels"] = suff
+        payload["invertible"] = all(s["status"] == "invertible" for s in suff)
         if args.logP is not None:
-            qnet = quantize(net, as_rational(args.logP))
-            qentries, q_ok = _invertibility_for_network(qnet, args.partition)
+            log2p = as_rational(args.logP)
+            entries = _invertibility_entries(quantize(net, log2p), args.partition)
             payload["quantized"] = {
-                "log2P": report.frac(as_rational(args.logP)),
-                "subchannels": [
-                    report.certificate_repr(obj) if kind == "probe"
-                    else report.invertibility_repr(obj)
-                    for kind, _, obj in qentries
-                ],
-                "invertible": q_ok,
+                "log2P": report.frac(log2p),
+                "subchannels": entries,
+                "invertible": all(e["invertible"] for e in entries),
             }
-            sections.append(("quantized", qentries))
-
-    def text():
-        _banner("invertibility (%s mode)" % net.mode)
-        for kind, m, obj in entries:
-            if kind == "verdict":
-                word = "invertible" if obj.invertible else "NON-invertible"
-                print("sub-channel %d: %s (%s; %d optimal partition(s) checked)"
-                      % (m, word, obj.method, len(obj.certificates)))
-                for cert in obj.certificates:
-                    _print_certificate(cert)
-            elif kind == "probe":
-                word = "invertible" if obj.invertible else "NON-invertible"
-                print("sub-channel %d under %s: %s"
-                      % (m, obj.partition, word))
-                _print_certificate(obj)
-            else:
-                print("sub-channel %d: %s (%s)" % (m, obj.status, obj.method))
-                for reason in obj.reasons:
-                    print("  - %s" % reason)
-        for name, qentries in sections:
-            _banner("%s at log2(P) = %s" % (name, args.logP))
-            for kind, m, obj in qentries:
-                word = "invertible" if obj.invertible else "NON-invertible"
-                if kind == "verdict":
-                    print("sub-channel %d: %s (%d optimal partition(s))"
-                          % (m, word, len(obj.certificates)))
-                    for cert in obj.certificates:
-                        _print_certificate(cert)
-                else:
-                    print("sub-channel %d under %s: %s" % (m, obj.partition, word))
-                    _print_certificate(obj)
-
-    _emit(args, payload, text)
-    return 0 if payload["invertible"] else 1
+    return payload, 0 if payload["invertible"] else 1
 
 
-def _print_certificate(cert) -> None:
-    print("  partition %s: %d bits, rank %d -> %s"
-          % (cert.partition, cert.num_bits, cert.rank,
-             "invertible" if cert.invertible else "singular"))
-    if cert.kernel:
-        terms = " + ".join("x[%d,(%d)]" % (u, b) for u, b in cert.kernel)
-        print("    kernel witness: %s" % terms)
-
-
-def cmd_separability(args) -> int:
+def cmd_separability(args) -> tuple:
     net = load_network(args.network)
     verdict = separability_verdict(net)
     payload = {"command": "separability", "mode": net.mode}
     payload.update(report.separability_repr(verdict))
-    extra = None
     if args.logP is not None:
         if net.mode != "gdof":
             raise InputError("--logP only applies to gdof-mode networks")
-        qnet = quantize(net, as_rational(args.logP))
-        extra = separability_verdict(qnet)
-        payload["quantized"] = {
-            "log2P": report.frac(as_rational(args.logP)),
-        }
-        payload["quantized"].update(report.separability_repr(extra))
-
-    def text():
-        _banner("separability")
-        quantity = ("sum-capacity" if net.mode == "deterministic"
-                    else "sum-GDoF")
-        for m, res in enumerate(verdict.sums.per_channel, start=1):
-            leg = verdict.legs[m - 1]
-            print("sub-channel %d: %s = %s [%s]; TIN %s; invertibility: %s (%s)"
-                  % (m, quantity, res.value, res.label,
-                     "optimal" if res.tin.satisfied else "NOT optimal",
-                     leg.status, leg.method))
-        print("separated total: %s" % verdict.total)
-        if verdict.certified:
-            print("verdict: separable (certified)")
-            print("  %s" % verdict.justification)
-        else:
-            print("verdict: not certified")
-            for reason in verdict.reasons:
-                print("  - %s" % reason)
-        if extra is not None:
-            _banner("quantized at log2(P) = %s" % args.logP)
-            print("certified: %s, total %s"
-                  % (extra.certified, extra.total))
-
-    _emit(args, payload, text)
-    return 0 if verdict.certified else 1
+        log2p = as_rational(args.logP)
+        payload["quantized"] = {"log2P": report.frac(log2p)}
+        payload["quantized"].update(
+            report.separability_repr(separability_verdict(quantize(net, log2p))))
+    return payload, 0 if verdict.certified else 1
 
 
-def cmd_gap(args) -> int:
+def cmd_gap(args) -> tuple:
     eps = as_rational(args.epsilon)
     net = gap_network(eps)
-    if args.out:
-        save_network(net, args.out)
-        if not args.json:
-            print("wrote gap network (epsilon = %s) to %s" % (eps, args.out))
-        else:
-            sys.stdout.write(report.dumps_canonical(
-                {"command": "gap", "epsilon": report.frac(eps),
-                 "out": args.out}
-            ))
-    else:
-        sys.stdout.write(report.dumps_canonical(network_to_dict(net)))
-    return 0
+    if not args.out:
+        return network_to_dict(net), 0
+    save_network(net, args.out)
+    return {"command": "gap", "epsilon": report.frac(eps), "out": args.out}, 0
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -401,20 +203,18 @@ def _expect(condition: bool, message: str) -> None:
         raise AssertionError("demo expectation failed: %s" % message)
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args) -> tuple:
+    """A narrated walkthrough, not a report: it prints its text as it runs
+    and returns a payload for ``--json`` only."""
     eps = as_rational(args.epsilon)
+    net = gap_network(eps)  # rejects a bad epsilon before demo 1 prints
     results = {}
-    quiet = args.json
 
     def say(line=""):
-        if not quiet:
+        if not args.json:
             print(line)
 
-    def banner(title):
-        if not quiet:
-            _banner(title)
-
-    banner("demo 1: fully invertible parallel network")
+    say(report.banner("demo 1: fully invertible parallel network"))
     ex1 = example1()
     nsum1 = network_sum(ex1)
     sep1 = separability_verdict(ex1)
@@ -431,7 +231,7 @@ def cmd_demo(args) -> int:
     results["example1"] = {"total": report.frac(nsum1.total),
                            "certified": sep1.certified}
 
-    banner("demo 2: invertibility failure on one sub-channel")
+    say(report.banner("demo 2: invertibility failure on one sub-channel"))
     ex2 = example2()
     sep2 = separability_verdict(ex2)
     statuses = [leg.status for leg in sep2.legs]
@@ -443,15 +243,14 @@ def cmd_demo(args) -> int:
     kernels = [c.kernel for c in bad.certificates]
     _expect(all(k for k in kernels), "kernel witnesses on all tied partitions")
     say("sub-channels 1-2 invertible; sub-channel 3 NON-invertible")
-    if not quiet:
-        for cert in bad.certificates:
-            _print_certificate(cert)
+    for cert in bad.certificates:
+        for line in report.certificate_lines(report.certificate_repr(cert)):
+            say(line)
     say("verdict: not certified")
     results["example2"] = {"certified": sep2.certified,
                            "statuses": statuses}
 
-    banner("demo 3: combined region exceeds the per-sub-channel sum")
-    net = gap_network(eps)
+    say(report.banner("demo 3: combined region exceeds the per-sub-channel sum"))
     bounds = combined_sum_bounds(net)
     pairs_rhs = Fraction(5, 2) + eps
     for subset, rhs in bounds.bounds.items():
@@ -473,8 +272,8 @@ def cmd_demo(args) -> int:
     say("combined bounds: singletons 2, pairs %s, all 3" % pairs_rhs)
     say("point (2, 1/2, 1/2): inside the combined region, yet NOT "
         "decomposable per sub-channel:")
-    for cap in split.caps:
-        say("  %s" % cap)
+    for cap in report.decomposition_repr(split)["caps"]:
+        say("  " + report.cap_line(cap))
     say("point (1, 1, 1): decomposable, e.g. %s"
         % (tuple(tuple(str(x) for x in chan) for chan in ok.allocation),))
     results["gap"] = {
@@ -483,7 +282,7 @@ def cmd_demo(args) -> int:
         "decomposable": split.feasible,
     }
 
-    banner("demo 4: nonnegativity matters in general LPs")
+    say(report.banner("demo 4: nonnegativity matters in general LPs"))
     sol_pos = solve_lp(caution_lp(nonneg=True))
     sol_free = solve_lp(caution_lp(nonneg=False))
     _expect(sol_pos.value == 20 and sol_pos.point == (0, 10, 10),
@@ -502,11 +301,7 @@ def cmd_demo(args) -> int:
         "free": report.frac(sol_free.value),
     }
 
-    if args.json:
-        sys.stdout.write(report.dumps_canonical(
-            {"command": "demo", "results": results}
-        ))
-    return 0
+    return ({"command": "demo", "results": results} if args.json else None), 0
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +373,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a separate value such as "-1,0,0" as an option and stops
+    # with "expected one argument": glue it to its flag instead
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--point" and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = ["--point=" + argv[i]]
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        if payload is not None:
+            sys.stdout.write(report.dumps_canonical(payload) if args.json
+                             else report.render_text(payload))
+        return code
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -356,10 +356,6 @@ class TinViolation:
     max_outgoing: Fraction   # strongest interference caused by this transmitter
     desired: Fraction        # the user's own link strength
 
-    def __str__(self):
-        return ("user %d: desired %s < max incoming %s + max outgoing %s"
-                % (self.user, self.desired, self.max_incoming, self.max_outgoing))
-
 
 @dataclass(frozen=True)
 class TinVerdict:
@@ -511,4 +507,9 @@ def network_to_dict(network: Network) -> dict:
 
 
 def save_network(network: Network, path) -> None:
-    Path(path).write_text(json.dumps(network_to_dict(network), indent=2) + "\n")
+    """Write a network as JSON (the inverse of :func:`load_network`)."""
+    text = json.dumps(network_to_dict(network), indent=2) + "\n"
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError("cannot write %s: %s" % (path, exc)) from exc

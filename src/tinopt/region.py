@@ -168,10 +168,6 @@ class UserCap:
     cap: Fraction
     target: Fraction
 
-    def __str__(self):
-        return ("user %d cannot exceed %s < %s once the other users hit "
-                "their targets" % (self.user, self.cap, self.target))
-
 
 @dataclass(frozen=True)
 class DecompositionResult:

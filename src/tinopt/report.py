@@ -1,8 +1,9 @@
-"""JSON-ready views of analysis results.
+"""Canonical JSON payloads of analysis results, and their text rendering.
 
 Every value rendered here is an int, string, bool, list, or dict -- never a
 float -- so a report dumped with :func:`dumps_canonical` survives a
-parse/re-dump round trip byte for byte.
+parse/re-dump round trip byte for byte.  :func:`render_text` reads nothing
+but such a payload, so a report's text is a function of its JSON.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ from .model import rational_str
 
 __all__ = [
     "dumps_canonical",
+    "render_text",
+    "banner",
+    "certificate_lines",
+    "cap_line",
     "frac",
     "point_repr",
     "partition_repr",
@@ -191,3 +196,193 @@ def separability_repr(verdict) -> dict:
         "reasons": list(verdict.reasons),
         "justification": verdict.justification,
     }
+
+
+# ---------------------------------------------------------------------------
+# text rendering
+# ---------------------------------------------------------------------------
+
+def banner(title: str) -> str:
+    return ("== %s " % title).ljust(66, "=")
+
+
+def _point(values) -> str:
+    return "(%s)" % ", ".join(str(x) for x in values)
+
+
+def _cycle(users) -> str:
+    return "(%s)" % ",".join(str(u) for u in users)
+
+
+def _partition(part) -> str:
+    return "{%s}" % ", ".join(_cycle(users) for users in part["cycles"])
+
+
+def _bound(con) -> str:
+    return "%s <= %s" % (" + ".join("d%d" % u for u in con["users"]), con["rhs"])
+
+
+def cap_line(cap) -> str:
+    return ("user %d cannot exceed %s < %s once the other users hit "
+            "their targets" % (cap["user"], cap["cap"], cap["target"]))
+
+
+def certificate_lines(cert) -> list:
+    lines = ["  partition %s: %d bits, rank %d -> %s"
+             % (_partition(cert["partition"]), cert["participating_bits"],
+                cert["rank"], "invertible" if cert["invertible"] else "singular")]
+    if cert.get("kernel"):
+        terms = " + ".join("x[%d,(%d)]" % (k["user"], k["bit"])
+                           for k in cert["kernel"])
+        lines.append("    kernel witness: %s" % terms)
+    return lines
+
+
+def _check_tin_lines(p) -> list:
+    lines = [banner("TIN optimality")]
+    for m, v in enumerate(p["subchannels"], start=1):
+        if v["satisfied"]:
+            lines.append("sub-channel %d: TIN optimal%s"
+                         % (m, " (strict)" if v["strict"] else ""))
+        else:
+            lines.append("sub-channel %d: NOT TIN optimal" % m)
+            lines += ["  user %d: desired %s < max incoming %s + max outgoing %s"
+                      % (x["user"], x["desired"], x["max_incoming"],
+                         x["max_outgoing"]) for x in v["violations"]]
+    lines.append("overall: %s" % ("TIN optimal" if p["all_satisfied"]
+                                  else "not TIN optimal"))
+    return lines
+
+
+def _sum_lines(p) -> list:
+    lines = [banner(p["quantity"])]
+    for m, res in enumerate(p["per_subchannel"], start=1):
+        methods = res["methods"]
+        lines += [
+            "sub-channel %d: %s  [%s]" % (m, res["value"], res["label"]),
+            "  lp_cycle_bounds=%s  assignment=%s  brute_force=%s"
+            % (methods["lp_cycle_bounds"], methods["assignment"],
+               methods["brute_force"]),
+            "  optimal partition: %s" % _partition(res["optimal_partition"]),
+        ]
+    lines.append("total over %d sub-channel(s): %s  [%s]"
+                 % (len(p["per_subchannel"]), p["total"], p["label"]))
+    return lines
+
+
+def _region_lines(p) -> list:
+    lines = []
+    for m, cons in enumerate(p["subchannels"], start=1):
+        lines.append(banner("sub-channel %d cycle bounds (%d constraints)"
+                            % (m, len(cons))))
+        lines += ["  %s    [cycle %s]" % (_bound(c), _cycle(c["cycle"]))
+                  for c in cons]
+    return lines
+
+
+def _member_lines(p) -> list:
+    result = p["membership"]
+    lines = [banner("combined-region membership"), "point: %s" % _point(p["point"])]
+    if result["inside"]:
+        lines.append("inside the combined-bound region")
+    else:
+        lines.append("OUTSIDE the combined-bound region")
+        lines += ["  negative coordinate: user %d" % k
+                  for k in result["negative_users"]]
+        lines += ["  violates %s" % _bound(c) for c in result["violated"]]
+    return lines
+
+
+def _combined_bounds_lines(p) -> list:
+    return [banner("combined sum bounds")] + ["  " + _bound(b) for b in p["bounds"]]
+
+
+def _decompose_lines(p) -> list:
+    result = p["decomposition"]
+    lines = [banner("per-sub-channel decomposition"),
+             "target: %s" % _point(result["target"])]
+    if result["feasible"]:
+        lines.append("decomposable; one valid split:")
+        lines += ["  sub-channel %d: %s" % (m, _point(chan))
+                  for m, chan in enumerate(result["allocation"], start=1)]
+    else:
+        lines.append("NOT decomposable into per-sub-channel points")
+        lines += ["  " + cap_line(c) for c in result["caps"]]
+    return lines
+
+
+def _subchannel_invertibility_lines(entries) -> list:
+    """Each entry is a sufficient-condition verdict (gdof mode), a verdict
+    over every optimal partition, or one probed partition's certificate."""
+    lines = []
+    for m, entry in enumerate(entries, start=1):
+        if "status" in entry:
+            lines.append("sub-channel %d: %s (%s)"
+                         % (m, entry["status"], entry["method"]))
+            lines += ["  - %s" % reason for reason in entry["reasons"]]
+            continue
+        word = "invertible" if entry["invertible"] else "NON-invertible"
+        if "certificates" in entry:
+            lines.append("sub-channel %d: %s (%s; %d optimal partition(s) checked)"
+                         % (m, word, entry["method"], len(entry["certificates"])))
+            for cert in entry["certificates"]:
+                lines += certificate_lines(cert)
+        else:
+            lines.append("sub-channel %d under %s: %s"
+                         % (m, _partition(entry["partition"]), word))
+            lines += certificate_lines(entry)
+    return lines
+
+
+def _invertibility_lines(p) -> list:
+    lines = [banner("invertibility (%s mode)" % p["mode"])]
+    lines += _subchannel_invertibility_lines(p["subchannels"])
+    if "quantized" in p:
+        lines.append(banner("quantized at log2(P) = %s" % p["quantized"]["log2P"]))
+        lines += _subchannel_invertibility_lines(p["quantized"]["subchannels"])
+    return lines
+
+
+def _separability_lines(p) -> list:
+    quantity = "sum-capacity" if p["mode"] == "deterministic" else "sum-GDoF"
+    lines = [banner("separability")]
+    for m, (res, leg) in enumerate(zip(p["per_subchannel"], p["invertibility"]),
+                                   start=1):
+        lines.append("sub-channel %d: %s = %s [%s]; TIN %s; invertibility: %s (%s)"
+                     % (m, quantity, res["value"], res["label"],
+                        "optimal" if res["tin"]["satisfied"] else "NOT optimal",
+                        leg["status"], leg["method"]))
+    lines.append("separated total: %s" % p["total"])
+    if p["certified"]:
+        lines += ["verdict: separable (certified)", "  %s" % p["justification"]]
+    else:
+        lines.append("verdict: not certified")
+        lines += ["  - %s" % reason for reason in p["reasons"]]
+    if "quantized" in p:
+        quantized = p["quantized"]
+        lines += [banner("quantized at log2(P) = %s" % quantized["log2P"]),
+                  "certified: %s, total %s"
+                  % (quantized["certified"], quantized["total"])]
+    return lines
+
+
+_RENDERERS = {
+    "check-tin": _check_tin_lines,
+    "sum": _sum_lines,
+    "region": _region_lines,
+    "member": _member_lines,
+    "combined-bounds": _combined_bounds_lines,
+    "decompose": _decompose_lines,
+    "invertibility": _invertibility_lines,
+    "separability": _separability_lines,
+    "gap": lambda p: ["wrote gap network (epsilon = %s) to %s"
+                      % (p["epsilon"], p["out"])],
+}
+
+
+def render_text(payload: dict) -> str:
+    """The text form of a report, read from its payload alone.  A network
+    document (no ``"command"`` key) is its own text form."""
+    if "command" not in payload:
+        return dumps_canonical(payload)
+    return "".join(line + "\n" for line in _RENDERERS[payload["command"]](payload))

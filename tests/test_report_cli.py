@@ -17,6 +17,7 @@ from tinopt.report import (
     frac,
     partition_repr,
     point_repr,
+    render_text,
 )
 
 # ---------------------------------------------------------------------------
@@ -49,11 +50,14 @@ def test_dumps_canonical_is_a_fixed_point():
 # ---------------------------------------------------------------------------
 
 
+BUNDLED = ("example1", "example2", "gap_eps_1_10", "acyclic4", "cyclic_dominant4")
+
+
 @pytest.fixture()
 def nets(tmp_path):
     """Bundled fixtures materialized as files, plus two hand-rolled ones."""
     paths = {}
-    for name in ("example1", "example2", "gap_eps_1_10"):
+    for name in BUNDLED:
         p = tmp_path / (name + ".json")
         p.write_text(fixture_json(name))
         paths[name] = str(p)
@@ -143,6 +147,10 @@ def test_region_lists_all_cycle_bounds(nets, capsys):
     doc = assert_canonical(out)
     assert len(doc["subchannels"][0]) == 8
 
+    code, out, _ = run_cli(capsys, "region", nets["example1"])
+    assert code == 0
+    assert "\n  d1 + d2 <= 5    [cycle (1,2)]\n" in out
+
 
 def test_member_exit_codes(nets, capsys):
     code, out, _ = run_cli(capsys, "member", nets["gap_eps_1_10"],
@@ -153,17 +161,18 @@ def test_member_exit_codes(nets, capsys):
                            "--point", "3,3,3")
     assert code == 1 and "OUTSIDE" in out
 
-    # values starting with "-" need the = form, as usual with argparse
-    code, out, _ = run_cli(capsys, "member", "--json", nets["gap_eps_1_10"],
-                           "--point=-1,0,0")
-    assert code == 1
-    doc = assert_canonical(out)
-    assert doc["membership"]["negative_users"] == [1]
+    for point in (["--point=-1,0,0"], ["--point", "-1,0,0"]):
+        code, out, _ = run_cli(capsys, "member", "--json",
+                               nets["gap_eps_1_10"], *point)
+        assert code == 1
+        doc = assert_canonical(out)
+        assert doc["membership"]["negative_users"] == [1]
 
 
 def test_combined_bounds_output(nets, capsys):
     code, out, _ = run_cli(capsys, "combined-bounds", nets["gap_eps_1_10"])
     assert code == 0
+    assert out.startswith("== combined sum bounds ====")
     assert "d1 <= 2" in out and "d1 + d2 <= 13/5" in out
     assert "d1 + d2 + d3 <= 3" in out
 
@@ -188,10 +197,11 @@ def test_decompose_exit_codes(nets, capsys):
     assert len(doc["decomposition"]["allocation"]) == 2
 
     # a negative rate is invalid input, not a solver disagreement
-    code, out, err = run_cli(capsys, "decompose", nets["gap_eps_1_10"],
-                             "--point=-1,1,1")
-    assert code == 2 and out == ""
-    assert "nonnegative" in err and err.count("\n") == 1
+    for point in (["--point=-1,1,1"], ["--point", "-1,1,1"]):
+        code, out, err = run_cli(capsys, "decompose", nets["gap_eps_1_10"],
+                                 *point)
+        assert code == 2 and out == ""
+        assert "nonnegative" in err and err.count("\n") == 1
 
 
 def test_invertibility_deterministic(nets, capsys):
@@ -228,6 +238,13 @@ def test_invertibility_gdof_paths(nets, capsys):
     doc = assert_canonical(out)
     assert doc["quantized"]["log2P"] == 20
     assert doc["quantized"]["invertible"] is True
+
+    # the quantized section shows the canonical log2(P) and the top-level
+    # verdict format
+    code, out, _ = run_cli(capsys, "invertibility", nets["gap_eps_1_10"],
+                           "--logP", "40/2")
+    assert code == 0 and "== quantized at log2(P) = 20 ==" in out
+    assert "sub-channel 1: invertible (exact-gf2; 1 optimal partition(s) checked)" in out
 
 
 def test_invertibility_flag_misuse_is_an_input_error(nets, capsys):
@@ -270,6 +287,12 @@ def test_gap_subcommand(tmp_path, capsys):
     code, _, err = run_cli(capsys, "gap", "--epsilon", "1/3")
     assert code == 2 and "epsilon" in err
 
+    # an unwritable --out is bad input (exit 2), not a negative verdict
+    code, out, err = run_cli(capsys, "gap", "--out",
+                             str(tmp_path / "missing" / "gap.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
 
 def test_demo_runs_and_asserts(capsys):
     code, out, _ = run_cli(capsys, "demo")
@@ -281,6 +304,49 @@ def test_demo_runs_and_asserts(capsys):
     doc = assert_canonical(out)
     assert doc["results"]["example1"] == {"total": 18, "certified": True}
     assert doc["results"]["gap"]["decomposable"] is False
+
+    # a bad epsilon stops the demo before demo 1 prints anything
+    for eps in ("0", "1/4"):
+        code, out, err = run_cli(capsys, "demo", "--epsilon", eps)
+        assert code == 2 and out == ""
+        assert "epsilon" in err and err.count("\n") == 1
+
+
+def _report_calls(nets, tmp_path):
+    """Every report subcommand on every bundled fixture."""
+    calls = [("gap", "--out", str(tmp_path / "gap.json"))]
+    for name in BUNDLED:
+        path = nets[name]
+        net = load_network(path)
+        k = net.users
+        ring = ",".join("%d:%d" % (u, (u - 2) % k + 1) for u in range(1, k + 1))
+        calls += [(sub, path) for sub in ("check-tin", "sum", "region",
+                                          "combined-bounds", "invertibility",
+                                          "separability")]
+        for point in (",".join(["1"] * k), ",".join(["3"] * k),
+                      ",".join(["-1"] + ["0"] * (k - 1))):
+            calls += [("member", path, "--point", point),
+                      ("decompose", path, "--point", point)]
+        if net.mode == "gdof":
+            calls += [("invertibility", path, "--logP", "20"),
+                      ("invertibility", path, "--logP", "7/2", "--partition", ring),
+                      ("separability", path, "--logP", "20")]
+        else:
+            calls.append(("invertibility", path, "--partition", ring))
+    return calls
+
+
+def test_text_is_rendered_from_the_json_report(nets, tmp_path, capsys):
+    for argv in _report_calls(nets, tmp_path):
+        code, text, err = run_cli(capsys, *argv)
+        json_code, json_out, json_err = run_cli(capsys, argv[0], "--json",
+                                                *argv[1:])
+        assert (code, err) == (json_code, json_err), argv
+        if code == 2:       # decompose rejects a negative point
+            assert argv[0] == "decompose" and text == json_out == ""
+            continue
+        assert code in (0, 1) and text, argv
+        assert text == render_text(json.loads(json_out)), argv
 
 
 # ---------------------------------------------------------------------------
