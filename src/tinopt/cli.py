@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 from . import report
@@ -24,6 +25,7 @@ from .detmodel import (
 )
 from .fixtures import caution_lp, example1, example2, gap_network, gap_point
 from .model import (
+    ClampWarning,
     CrossCheckError,
     GuardError,
     InputError,
@@ -372,6 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, *_):
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a separate value such as "-1,0,0" as an option and stops
@@ -380,23 +386,29 @@ def main(argv=None) -> int:
         if argv[i - 1] == "--point" and re.match(r"-[\d.]", argv[i]):
             argv[i - 1:i + 1] = ["--point=" + argv[i]]
     args = build_parser().parse_args(argv)
-    try:
-        payload, code = args.func(args)
-        if payload is not None:
-            sys.stdout.write(report.dumps_canonical(payload) if args.json
-                             else report.render_text(payload))
-        return code
-    except InputError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except GuardError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except CrossCheckError as exc:
-        where = getattr(args, "network", None) or "no input file"
-        print("error: internal cross-check failed in %s (%s): %s"
-              % (args.command, where, exc), file=sys.stderr)
-        return 4
+    with warnings.catch_warnings():
+        # one stderr line per clamped entry, on every run: the default
+        # format takes two lines and a source path, and the default filter
+        # shows a repeat only once per process
+        warnings.simplefilter("always", ClampWarning)
+        warnings.showwarning = _warning_line
+        try:
+            payload, code = args.func(args)
+            if payload is not None:
+                sys.stdout.write(report.dumps_canonical(payload) if args.json
+                                 else report.render_text(payload))
+            return code
+        except InputError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+        except GuardError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 3
+        except CrossCheckError as exc:
+            where = getattr(args, "network", None) or "no input file"
+            print("error: internal cross-check failed in %s (%s): %s"
+                  % (args.command, where, exc), file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

@@ -19,8 +19,13 @@ disagree.  The exhaustive scan (``_heaviest_permutations``, guarded by
 MAX_ENUM_USERS) keeps every tied permutation, so one scan per sub-channel
 also yields the reported partition (``optimal_partition``, the canonical
 tie) and the tie set (``all_optimal_partitions``).  The same cutting-plane
-engine solves the decomposition LPs of ``region``.  All arithmetic is exact
-(int and fractions.Fraction); no floats anywhere.
+engine solves the decomposition LPs of ``region``.
+
+``_heaviest_cycle_covers`` is a subset DP over integer-scaled entries: the
+heaviest cycle on every user subset (Held-Karp, O(2^K K^2)), then the
+heaviest cyclic partition of every subset (O(3^K)); ``region`` reads all of
+its combined sum bounds from it.  All arithmetic is exact (int and
+fractions.Fraction); no floats anywhere.
 """
 
 from __future__ import annotations
@@ -350,23 +355,32 @@ class CycleLpResult:
         return self.status == "optimal"
 
 
+def _scaled_entries(matrices, extra=()):
+    """(D, flats): D is the least common denominator of every matrix entry
+    and of the rationals in ``extra`` (InputError past MAX_RATIONAL_DIGITS
+    digits), and ``flats[m]`` lists D times the entries of ``matrices[m]``
+    as ints, row-major (entry (i, j) at index i*K + j, 0-based)."""
+    scale = _common_denominator(itertools.chain(
+        (val for mat in matrices for row in mat.entries for val in row), extra))
+    return scale, [
+        [val.numerator * (scale // val.denominator)
+         for row in mat.entries for val in row]
+        for mat in matrices
+    ]
+
+
 def _cycle_blocks(matrices, extra=()):
     """Integer-scaled cycle bounds of sub-channels that share K users.
 
-    Returns (D, blocks): D is the least common denominator of every matrix
-    entry and of the rationals in ``extra`` (InputError past
-    MAX_RATIONAL_DIGITS digits), and ``blocks[m][c]`` is D times the
-    right-hand side of cycle c (in ``enumerate_cycles`` order) on
-    ``matrices[m]``.
+    Returns (D, blocks): D is the common denominator of ``_scaled_entries``
+    and ``blocks[m][c]`` is D times the right-hand side of cycle c (in
+    ``enumerate_cycles`` order) on ``matrices[m]``.
     """
     k = matrices[0].users
     scan = _cycle_scan_data(k)
-    scale = _common_denominator(itertools.chain(
-        (val for mat in matrices for row in mat.entries for val in row), extra))
+    scale, flats = _scaled_entries(matrices, extra)
     blocks = []
-    for mat in matrices:
-        flat = [val.numerator * (scale // val.denominator)
-                for row in mat.entries for val in row]
+    for flat in flats:
         desired = _subset_sums(flat[::k + 1])
         blocks.append([
             desired[mask] - sum(map(flat.__getitem__, edges))
@@ -381,6 +395,55 @@ def _subset_sums(values) -> list:
     for val in values:
         sums += [s + val for s in sums]
     return sums
+
+
+def _heaviest_cycle_covers(flat, k):
+    """(cycles, covers), both indexed by user mask (bit u for 0-based user
+    u): ``cycles[mask]`` is the weight of the heaviest cycle through exactly
+    the users of ``mask`` and ``covers[mask]`` that of the heaviest cyclic
+    partition of them, for the row-major K x K integer weights ``flat``.
+    Trivial cycles weigh 0; the diagonal is never read.
+
+    A Held-Karp pass (Held & Karp 1962; Bellman 1962) keeps, per mask, the
+    heaviest path from its lowest member through every member to each other
+    member; closing those paths gives ``cycles``, in O(2^K K^2).  A pass
+    over the submasks that hold the lowest member, the one cycle of a cover
+    through that member, combines cycles into ``covers``, in O(3^K).
+    """
+    full = 1 << k
+    # paths[mask][v]: heaviest order (low, ..., v) of all of mask, weighed
+    # as a Cycle weighs its listed users: e_uv = flat[u*K + v] for each
+    # consecutive pair u, v, and e_v,low closes the cycle
+    paths = [None] * full
+    cycles = [0] * full
+    for mask in range(1, full):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << low)
+        if not rest:
+            paths[mask] = {low: 0}
+            continue
+        ends = {}
+        for v in range(k):
+            if rest >> v & 1:
+                ends[v] = max(w + flat[u * k + v]
+                              for u, w in paths[mask ^ (1 << v)].items())
+        paths[mask] = ends
+        cycles[mask] = max(w + flat[v * k + low] for v, w in ends.items())
+
+    covers = [0] * full
+    for mask in range(1, full):
+        low = mask & -mask
+        rest = mask ^ low
+        best, sub = 0, rest
+        while True:
+            weight = cycles[sub | low] + covers[rest ^ sub]
+            if weight > best:
+                best = weight
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        covers[mask] = best
+    return cycles, covers
 
 
 def _cutting_plane_lp(blocks, scale, objective, equalities=(), nonneg=True):
@@ -605,10 +668,10 @@ def _heaviest_permutations(matrix: StrengthMatrix):
     """
     k = matrix.users
     _check_enum_guard(k)
-    scale = _common_denominator(val for row in matrix.entries for val in row)
+    scale, (flat,) = _scaled_entries((matrix,))
     # incoming[u][p]: scaled weight of user u's edge from predecessor p
     incoming = [
-        [0 if p == u else int(matrix.entries[p][u] * scale) for p in range(k)]
+        [0 if p == u else flat[p * k + u] for p in range(k)]
         for u in range(k)
     ]
     best, tied = -1, []                 # weights are nonnegative

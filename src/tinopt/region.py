@@ -4,7 +4,9 @@ For a TIN-optimal sub-channel the achievable region is cut out by one bound
 per cycle of the interference graph (plus nonnegativity).  For a parallel
 network the tightest bound on any subset's *total* (across sub-channels) rate
 is the subset's best cyclic partition bound summed over sub-channels; these
-"combined" bounds are valid for the parallel network as a whole.
+"combined" bounds are valid for the parallel network as a whole.  One
+subset DP per sub-channel (``optimize._heaviest_cycle_covers``) gives the
+heaviest cyclic partition of every subset at once.
 
 A point in the combined region need not decompose into per-sub-channel
 points of the individual regions -- ``separate_tin_decomposable`` settles
@@ -20,7 +22,8 @@ from fractions import Fraction
 
 from .cycles import _check_enum_guard, cycle_bound_rhs, enumerate_cycles
 from .model import CrossCheckError, InputError, Network, StrengthMatrix, as_rational
-from .optimize import _cutting_plane_lp, _cycle_blocks, best_partition_assignment
+from .optimize import (_cutting_plane_lp, _cycle_blocks, _heaviest_cycle_covers,
+                       _scaled_entries, _subset_sums)
 
 __all__ = [
     "RegionConstraint",
@@ -133,25 +136,27 @@ class CombinedSumBounds:
 def combined_sum_bounds(network: Network) -> CombinedSumBounds:
     """Best partition bound per user subset, accumulated over sub-channels.
 
-    Restricting to a subset simply silences the other users, so each
-    restricted sub-channel is analyzed with the same machinery (and a
-    restricted TIN-optimal sub-channel stays TIN optimal).
+    Restricting to a subset simply silences the other users, so a subset's
+    bound on one sub-channel is its desired strengths minus the heaviest
+    cyclic partition of its users (and a restricted TIN-optimal sub-channel
+    stays TIN optimal).  One subset DP per sub-channel,
+    ``optimize._heaviest_cycle_covers`` on integer-scaled entries, yields
+    every subset's heaviest partition at once in O(3^K); guarded by
+    MAX_ENUM_USERS (GuardError above K = 9) before any of it runs.
     """
     k = network.users
     _check_enum_guard(k)
+    scale, flats = _scaled_entries(network.matrices)
+    totals = [0] * (1 << k)
+    for flat in flats:
+        _, covers = _heaviest_cycle_covers(flat, k)
+        desired = _subset_sums(flat[::k + 1])
+        totals = [t + d - c for t, d, c in zip(totals, desired, covers)]
     bounds = {}
-    all_users = range(1, k + 1)
     for size in range(1, k + 1):
-        for subset in itertools.combinations(all_users, size):
-            total = Fraction(0)
-            for mat in network.matrices:
-                sub = mat.submatrix(subset)
-                diag = sum(
-                    (sub.desired(i) for i in range(1, size + 1)), Fraction(0)
-                )
-                weight, _ = best_partition_assignment(sub)
-                total += diag - weight
-            bounds[subset] = total
+        for subset in itertools.combinations(range(1, k + 1), size):
+            mask = sum(1 << (u - 1) for u in subset)
+            bounds[subset] = Fraction(totals[mask], scale)
     return CombinedSumBounds(users=k, bounds=bounds)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from tinopt.cycles import enumerate_cycles, enumerate_partitions
+from tinopt.cycles import enumerate_cycles, enumerate_partitions, partition_bound
 from tinopt.detmodel import channel_output, participating_levels
 from tinopt.model import Network, StrengthMatrix
 from tinopt.optimize import LinearProgram, solve_lp
@@ -128,6 +128,24 @@ def heaviest_partitions(matrix):
     best = max(weights)
     ties = tuple(part for part, w in zip(parts, weights) if w == best)
     return best, ties, min(ties, key=lambda part: part.predecessors())
+
+
+def subset_bounds(network):
+    """{subset: bound} for every user subset, by size and then
+    lexicographically: the tightest ``partition_bound`` over
+    ``enumerate_partitions(|S|)`` of each sub-channel restricted to S,
+    summed over the sub-channels in Fraction arithmetic."""
+    k = network.users
+    out = {}
+    for size in range(1, k + 1):
+        for subset in itertools.combinations(range(1, k + 1), size):
+            subs = [mat.submatrix(subset) for mat in network.matrices]
+            out[subset] = sum(
+                (min(partition_bound(part, sub)
+                     for part in enumerate_partitions(size)) for sub in subs),
+                Fraction(0),
+            )
+    return out
 
 
 # ---------------------------------------------------------------------------

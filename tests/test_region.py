@@ -9,10 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import full_decomposition, point_obeys_cycle_bounds, random_tin_network
+from oracles import (
+    full_decomposition,
+    point_obeys_cycle_bounds,
+    random_tin_network,
+    subset_bounds,
+)
 from tinopt.cycles import cycle_count, enumerate_cycles
 from tinopt.fixtures import example1, gap_network, gap_point
 from tinopt.model import InputError, Network, StrengthMatrix
+from tinopt.optimize import _heaviest_cycle_covers, _scaled_entries, network_sum
 from tinopt.region import (
     combined_sum_bounds,
     region_contains,
@@ -126,6 +132,53 @@ def test_combined_bounds_single_channel_match_subset_sums():
     bounds = combined_sum_bounds(net)
     assert bounds.bound([1, 2, 3]) == 6
     assert bounds.bound([1]) == 3
+
+
+MIXED = (1, Fraction(1, 2), Fraction(1, 3), Fraction(5, 7))
+
+
+def _dp_matrix(rng, k, kind):
+    """A K x K matrix for the subset-DP tests: ``kind`` is "gdof" (entries
+    with the mixed denominators of MIXED), "det" (cross links in {0, 1, 2})
+    or "equal" (every cross link the same)."""
+    if kind == "gdof":
+        draw = lambda i, j: rng.randint(0, 6) * rng.choice(MIXED)
+    elif kind == "det":
+        draw = lambda i, j: rng.randint(0, 4) if i == j else rng.randint(0, 2)
+    else:
+        cross, desired = rng.randint(0, 3), rng.randint(0, 6)
+        draw = lambda i, j: desired if i == j else cross
+    mode = "gdof" if kind == "gdof" else "deterministic"
+    return StrengthMatrix(mode=mode, entries=tuple(
+        tuple(Fraction(draw(i, j)) for j in range(k)) for i in range(k)))
+
+
+@pytest.mark.parametrize("kind", ["gdof", "det", "equal"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_combined_bounds_match_partition_oracle(k, kind):
+    rng = random.Random("%s/%d" % (kind, k))
+    for m in (1, 2, 3):
+        mats = tuple(_dp_matrix(rng, k, kind) for _ in range(m))
+        net = Network(mode=mats[0].mode, matrices=mats)
+        bounds = combined_sum_bounds(net)
+        expected = subset_bounds(net)
+        assert list(bounds.bounds.items()) == list(expected.items())
+        assert bounds.bound(range(1, k + 1)) == network_sum(net).total
+
+
+@pytest.mark.parametrize("kind", ["gdof", "det", "equal"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_subset_dp_cycles_match_cycle_enumeration(k, kind):
+    mat = _dp_matrix(random.Random("cycles/%s/%d" % (kind, k)), k, kind)
+    scale, (flat,) = _scaled_entries((mat,))
+    cycles, _ = _heaviest_cycle_covers(flat, k)
+    heaviest = {}
+    for cyc in enumerate_cycles(k):
+        mask = sum(1 << (u - 1) for u in cyc.users)
+        heaviest[mask] = max(heaviest.get(mask, 0), cyc.weight(mat))
+    assert len(cycles) == 1 << k and cycles[0] == 0
+    assert {mask: Fraction(cycles[mask], scale)
+            for mask in range(1, 1 << k)} == heaviest
 
 
 # ---------------------------------------------------------------------------

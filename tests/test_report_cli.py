@@ -437,9 +437,31 @@ def test_cross_check_error_exits_4(nets, capsys, monkeypatch):
 
 
 def test_enumeration_guard_exits_3(nets, capsys):
-    code, _, err = run_cli(capsys, "sum", nets["huge"])
-    assert code == 3
-    assert "exhaustive enumeration limit exceeded" in err
+    # K = 10 is past MAX_ENUM_USERS: one error line and no report
+    for argv in (["sum"], ["combined-bounds"], ["combined-bounds", "--json"],
+                 ["member", "--point", ",".join(["0"] * 10)]):
+        code, out, err = run_cli(capsys, *argv, nets["huge"])
+        assert code == 3 and out == "", argv
+        assert err.count("\n") == 1
+        assert "exhaustive enumeration limit exceeded" in err
+
+
+def test_clamped_entries_warn_in_one_line_each_run(tmp_path, capsys):
+    p = tmp_path / "negative.json"
+    p.write_text(json.dumps({
+        "mode": "gdof", "users": 2, "subchannels": 1,
+        "matrices": [[[3, -1], [-2, 3]]],
+    }))
+    expected = (
+        "warning: clamped negative strength -1 to 0 "
+        "(receiver 1, transmitter 2, sub-channel 1)\n"
+        "warning: clamped negative strength -2 to 0 "
+        "(receiver 2, transmitter 1, sub-channel 1)\n"
+    )
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "sum", "--json", str(p))
+        assert code == 0 and err == expected
+        assert assert_canonical(out)["total"] == 6
 
 
 def test_unknown_subcommand_is_argparse_error(capsys):
