@@ -13,7 +13,8 @@ predecessor makes cyclic partitions the same thing as permutations of
 {1..K} (trivial cycles = fixed points).
 
 Enumeration is exhaustive and therefore guarded: K is capped at
-MAX_ENUM_USERS for the operations that walk all cycles or partitions.
+MAX_ENUM_USERS for the operations that walk all cycles or partitions.  The
+LPs in ``optimize`` read per-subset heaviest cycles from a subset DP instead.
 """
 
 from __future__ import annotations
@@ -295,25 +296,3 @@ def partition_count(k: int) -> int:
     """Closed form for len(enumerate_partitions(k))."""
     return math.factorial(k)
 
-
-# ---------------------------------------------------------------------------
-# fast scan structures (internal)
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _cycle_scan_data(k: int) -> tuple:
-    """(members, mask, edges) per cycle, aligned with enumerate_cycles(k).
-
-    ``members`` are the 0-based users, ``mask`` has bit u set for each
-    member u, and ``edges`` lists each traversed edge e_ij as the index
-    i*K + j of a row-major K x K matrix (0-based).  Used by the cycle LP,
-    which wants integer index arithmetic rather than Cycle objects on its
-    hot path.
-    """
-    data = []
-    for cyc in enumerate_cycles(k):
-        members = tuple(u - 1 for u in cyc.users)
-        mask = sum(1 << u for u in members)
-        edges = tuple((i - 1) * k + (j - 1) for i, j in cyc.edges())
-        data.append((members, mask, edges))
-    return tuple(data)

@@ -21,11 +21,11 @@ also yields the reported partition (``optimal_partition``, the canonical
 tie) and the tie set (``all_optimal_partitions``).  The same cutting-plane
 engine solves the decomposition LPs of ``region``.
 
-``_heaviest_cycle_covers`` is a subset DP over integer-scaled entries: the
-heaviest cycle on every user subset (Held-Karp, O(2^K K^2)), then the
-heaviest cyclic partition of every subset (O(3^K)); ``region`` reads all of
-its combined sum bounds from it.  All arithmetic is exact (int and
-fractions.Fraction); no floats anywhere.
+A cycle bound's left side depends only on its members, so per user subset
+only the heaviest cycle binds: ``_heaviest_cycles`` (integer Held-Karp,
+O(2^K K^2)) gives it for every subset, and both cutting-plane LPs read their
+rows from it; ``_heaviest_cycle_covers`` adds every subset's heaviest cyclic
+partition (O(3^K)) for ``region``.  All arithmetic is exact; no floats.
 """
 
 from __future__ import annotations
@@ -33,15 +33,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from operator import add
 
-from .cycles import (
-    Cycle,
-    CyclicPartition,
-    _check_enum_guard,
-    _cycle_scan_data,
-    enumerate_cycles,
-)
+from .cycles import Cycle, CyclicPartition, _check_enum_guard
 from .model import (CrossCheckError, InputError, StrengthMatrix,
                     _common_denominator, check_tin)
 
@@ -346,13 +342,19 @@ class CycleLpResult:
     status: str                  # "optimal" | "infeasible"
     value: "Fraction | None"
     point: "tuple | None"
-    working_cycles: tuple        # cycles in the final working set
+    working: tuple               # working subset masks, in the order added
     rounds: int                  # restricted LPs optimized, the first included
     pivots: int                  # simplex pivots over all rounds
+    table: tuple = field(repr=False, compare=False)  # see _heaviest_cycle
 
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
+
+    @cached_property
+    def working_cycles(self) -> tuple:
+        """A heaviest cycle through each working subset, read on first use."""
+        return tuple(_heaviest_cycle(*self.table, mask) for mask in self.working)
 
 
 def _scaled_entries(matrices, extra=()):
@@ -370,23 +372,22 @@ def _scaled_entries(matrices, extra=()):
 
 
 def _cycle_blocks(matrices, extra=()):
-    """Integer-scaled cycle bounds of sub-channels that share K users.
-
-    Returns (D, blocks): D is the common denominator of ``_scaled_entries``
-    and ``blocks[m][c]`` is D times the right-hand side of cycle c (in
-    ``enumerate_cycles`` order) on ``matrices[m]``.
-    """
+    """One integer-scaled cycle bound per user subset (its heaviest
+    cycle's: no other can bind) of sub-channels that share K users, as (D,
+    blocks, tables): D as in ``_scaled_entries``, ``blocks[m][mask]`` D
+    times the bound on the users of ``mask`` on ``matrices[m]``, and
+    ``tables[m]`` (flat, paths) for ``_heaviest_cycle``.  GuardError above
+    MAX_ENUM_USERS comes first."""
     k = matrices[0].users
-    scan = _cycle_scan_data(k)
+    _check_enum_guard(k)
     scale, flats = _scaled_entries(matrices, extra)
-    blocks = []
+    blocks, tables = [], []
     for flat in flats:
+        cycles, paths = _heaviest_cycles(flat, k)
         desired = _subset_sums(flat[::k + 1])
-        blocks.append([
-            desired[mask] - sum(map(flat.__getitem__, edges))
-            for _, mask, edges in scan
-        ])
-    return scale, blocks
+        blocks.append([d - c for d, c in zip(desired, cycles)])
+        tables.append((flat, paths))
+    return scale, blocks, tables
 
 
 def _subset_sums(values) -> list:
@@ -397,41 +398,57 @@ def _subset_sums(values) -> list:
     return sums
 
 
-def _heaviest_cycle_covers(flat, k):
-    """(cycles, covers), both indexed by user mask (bit u for 0-based user
-    u): ``cycles[mask]`` is the weight of the heaviest cycle through exactly
-    the users of ``mask`` and ``covers[mask]`` that of the heaviest cyclic
-    partition of them, for the row-major K x K integer weights ``flat``.
-    Trivial cycles weigh 0; the diagonal is never read.
+def _heaviest_cycles(flat, k):
+    """(cycles, paths), indexed by user mask (bit u for 0-based user u):
+    ``cycles[mask]`` weighs the heaviest cycle through exactly the users of
+    ``mask``, for the row-major K x K nonnegative integer weights ``flat``.
+    Trivial cycles weigh 0.
 
-    A Held-Karp pass (Held & Karp 1962; Bellman 1962) keeps, per mask, the
-    heaviest path from its lowest member through every member to each other
-    member; closing those paths gives ``cycles``, in O(2^K K^2).  A pass
-    over the submasks that hold the lowest member, the one cycle of a cover
-    through that member, combines cycles into ``covers``, in O(3^K).
+    A Held-Karp pass (Held & Karp 1962; Bellman 1962), in O(2^K K^2):
+    ``paths[mask][v]`` weighs the heaviest order (low, ..., v) of all of
+    mask, as a Cycle weighs its listed users (e_uv = flat[u*K + v] per
+    consecutive pair); e_v,low closes the cycle.  Where no order exists it
+    is too low to win any max.
     """
     full = 1 << k
-    # paths[mask][v]: heaviest order (low, ..., v) of all of mask, weighed
-    # as a Cycle weighs its listed users: e_uv = flat[u*K + v] for each
-    # consecutive pair u, v, and e_v,low closes the cycle
+    cols = [flat[v::k] for v in range(k)]       # cols[v][u] = e_uv
+    floor = -1 - sum(flat)
     paths = [None] * full
     cycles = [0] * full
     for mask in range(1, full):
         low = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << low)
-        if not rest:
-            paths[mask] = {low: 0}
-            continue
-        ends = {}
+        ends = [floor] * k
+        ends[low] = floor if rest else 0
         for v in range(k):
             if rest >> v & 1:
-                ends[v] = max(w + flat[u * k + v]
-                              for u, w in paths[mask ^ (1 << v)].items())
+                ends[v] = max(map(add, paths[mask ^ (1 << v)], cols[v]))
         paths[mask] = ends
-        cycles[mask] = max(w + flat[v * k + low] for v, w in ends.items())
+        if rest:
+            cycles[mask] = max(map(add, ends, cols[low]))
+    return cycles, paths
 
-    covers = [0] * full
-    for mask in range(1, full):
+
+def _heaviest_cycle(flat, k, paths, mask) -> Cycle:
+    """A heaviest cycle through exactly the users of ``mask``, read back
+    from the ``_heaviest_cycles`` table ``paths``, lowest tied user first."""
+    order, nxt = [], (mask & -mask).bit_length() - 1
+    while mask:
+        ends = paths[mask]
+        nxt = max(range(k), key=lambda u: ends[u] + flat[u * k + nxt])
+        order.append(nxt)
+        mask ^= 1 << nxt
+    return Cycle(tuple(u + 1 for u in reversed(order)))
+
+
+def _heaviest_cycle_covers(flat, k):
+    """(cycles, covers): ``cycles`` of ``_heaviest_cycles``, and per mask
+    the weight of the heaviest cyclic partition of its users, from a pass
+    over the submasks holding the lowest member (its cover's cycle through
+    it), in O(3^K)."""
+    cycles, _ = _heaviest_cycles(flat, k)
+    covers = [0] * (1 << k)
+    for mask in range(1, 1 << k):
         low = mask & -mask
         rest = mask ^ low
         best, sub = 0, rest
@@ -450,26 +467,25 @@ def _cutting_plane_lp(blocks, scale, objective, equalities=(), nonneg=True):
     """Maximize ``objective`` . x subject to every cycle bound of every block,
     by cutting planes on one persistent tableau.
 
-    Variable x[m*K + u] is user u+1's rate on block m, and ``blocks[m][c]``
-    is ``scale`` times the right-hand side of cycle c on that block (see
-    ``_cycle_blocks``).  Each (u, t) in ``equalities`` fixes user u+1's
-    total over all blocks to t / scale.  The tableau works in the scaled
-    variables y = scale * x, where every constraint has integer data.
+    Variable x[m*K + u] is user u+1's rate on block m, and
+    ``blocks[m][mask]`` is ``scale`` times the bound on the users of
+    ``mask`` on that block (see ``_cycle_blocks``).  Each (u, t) in
+    ``equalities`` fixes user u+1's total over all blocks to t / scale.
+    The tableau works in the scaled variables y = scale * x, where every
+    constraint has integer data.
 
-    The working set starts with the trivial cycles of every block only.
-    Each round scans every cycle with integer arithmetic, appends the
-    max(3, K) most violated cycles per block as rows in the current basis,
-    and restores optimality from the previous optimal basis by dual
-    simplex.  The final point obeys every cycle bound and is optimal for a
-    relaxation, hence optimal.
+    The working set starts with the singleton subsets (trivial cycles) of
+    every block only.  Each round scans the 2^K - 1 subsets with integer
+    arithmetic, appends the max(3, K) most violated subsets per block as
+    rows in the current basis, and restores optimality from the previous
+    optimal basis by dual simplex.  The final point obeys every cycle bound
+    and is optimal for a relaxation, hence optimal.
 
     Returns (status, value, point, working, rounds, pivots), where
-    ``working[m]`` lists block m's working cycle indices in the order added.
+    ``working[m]`` lists block m's working subset masks in the order added.
     """
     nvars = len(objective)
     k = nvars // len(blocks)
-    scan = _cycle_scan_data(k)
-    masks = [mask for _, mask, _ in scan]
     batch = max(3, k)
     struct = _split_free([nonneg] * nvars)
     nstruct = len(struct)
@@ -486,10 +502,10 @@ def _cutting_plane_lp(blocks, scale, objective, equalities=(), nonneg=True):
             row[c] = s
         return row
 
-    working = [list(range(k)) for _ in blocks]
+    working = [[1 << u for u in range(k)] for _ in blocks]
     rows = [
-        (dense(m * k + u for u in scan[c][0]), "<=", rhs[c])
-        for m, rhs in enumerate(blocks) for c in working[m]
+        (dense(m * k + u for u in range(k) if mask >> u & 1), "<=", rhs[mask])
+        for m, rhs in enumerate(blocks) for mask in working[m]
     ]
     rows += [
         (dense(m * k + u for m in range(len(blocks))), "==", total)
@@ -512,16 +528,17 @@ def _cutting_plane_lp(blocks, scale, objective, equalities=(), nonneg=True):
             escale = lcm(*(p.denominator for p in part))
             pscaled = [p.numerator * (escale // p.denominator) for p in part]
             lhs = _subset_sums(pscaled)
-            # most violated first, ties by cycle index; the working cycles
-            # hold at the point, so only new cycles can appear
+            # most violated first, ties by mask; the working subsets hold at
+            # the point, so only new subsets can appear
             violated = sorted(
-                (-gap, c) for c, gap in enumerate(
-                    lhs[mask] - escale * r for mask, r in zip(masks, rhs))
+                (-gap, mask) for mask, gap in enumerate(
+                    a - escale * r for a, r in zip(lhs, rhs))
                 if gap > 0
             )
-            for _, c in violated[:batch]:
-                working[m].append(c)
-                tab.add_row(coeffs(m * k + u for u in scan[c][0]), rhs[c])
+            for _, mask in violated[:batch]:
+                working[m].append(mask)
+                tab.add_row(coeffs(m * k + u for u in range(k) if mask >> u & 1),
+                            rhs[mask])
                 added = True
         if not added:
             return ("optimal", Fraction(-tab.obj[-1], scale),
@@ -535,19 +552,18 @@ def _cutting_plane_lp(blocks, scale, objective, equalities=(), nonneg=True):
 def solve_cycle_lp(matrix: StrengthMatrix, nonneg: bool = True) -> CycleLpResult:
     """Maximize the rate sum subject to every cycle bound of the sub-channel.
 
-    Solved by the cutting-plane engine ``_cutting_plane_lp``: its working
-    set is seeded with the K trivial cycles only, so this route stays
+    Solved by the cutting-plane engine ``_cutting_plane_lp`` on per-subset
+    bounds, seeded with the K trivial cycles only, so this route stays
     independent of the assignment and brute-force routes.
     """
     k = matrix.users
-    cycles = enumerate_cycles(k)
-    scale, blocks = _cycle_blocks((matrix,))
+    scale, blocks, ((flat, paths),) = _cycle_blocks((matrix,))
     status, value, point, working, rounds, pivots = _cutting_plane_lp(
         blocks, scale, [1] * k, nonneg=nonneg)
     return CycleLpResult(
-        status=status, value=value, point=point,
-        working_cycles=tuple(cycles[c] for c in working[0]),
+        status=status, value=value, point=point, working=tuple(working[0]),
         rounds=rounds, pivots=pivots,
+        table=(flat, k, paths),
     )
 
 

@@ -193,8 +193,9 @@ def separate_tin_decomposable(network: Network, point) -> DecompositionResult:
     the cycle bounds scaled to integers once for all K + 1 LPs of a
     negative verdict.  When the split is impossible the result carries
     every per-user cap certificate: fix all other users at their targets and
-    maximize the remaining user's total; infeasibility forces that maximum
-    below the user's own target for at least one user.
+    maximize the remaining user's total, which infeasibility forces below
+    its own target.  That LP may be infeasible too: ``caps`` is empty when
+    fixing any K - 1 users at their targets already is.
     """
     k = network.users
     m = network.subchannels
@@ -203,7 +204,7 @@ def separate_tin_decomposable(network: Network, point) -> DecompositionResult:
         raise InputError("point has %d coordinates, expected %d" % (len(target), k))
     if any(t < 0 for t in target):
         raise InputError("point coordinates must be nonnegative rates")
-    scale, blocks = _cycle_blocks(network.matrices, target)
+    scale, blocks, _ = _cycle_blocks(network.matrices, target)
     fixed = [(u, t.numerator * (scale // t.denominator))
              for u, t in enumerate(target)]
 

@@ -308,6 +308,9 @@ def _decompose_lines(p) -> list:
     else:
         lines.append("NOT decomposable into per-sub-channel points")
         lines += ["  " + cap_line(c) for c in result["caps"]]
+        if not result["caps"]:
+            lines.append("  no per-user cap: fixing any K-1 users at their "
+                         "targets is already infeasible")
     return lines
 
 

@@ -1,0 +1,85 @@
+"""Golden reports: the --json output of every report subcommand that reads a
+network file is pinned.
+
+Each case runs the CLI on a bundled fixture and compares its exit code and
+stdout byte for byte against ``tests/golden/<case>.json`` (exit codes in
+``tests/golden/exit_codes.json``).  A change to the solvers may change how
+a result is found, never what is reported.
+
+After an intended change to a report, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from tinopt.cli import main
+from tinopt.fixtures import builtin_networks, fixture_json, load_bundled
+
+GOLDEN = Path(__file__).parent / "golden"
+PLAIN = ("check-tin", "sum", "region", "combined-bounds", "invertibility",
+         "separability")
+
+
+def golden_cases() -> dict:
+    """Case name -> (subcommand, fixture, extra arguments)."""
+    cases = {}
+    for name in builtin_networks():
+        for sub in PLAIN:
+            cases["%s.%s" % (sub, name)] = (sub, name, ())
+        k = load_bundled(name).users
+        cases["member.%s" % name] = ("member", name, ("--point", ",".join(["1"] * k)))
+    for sub in ("invertibility", "separability"):
+        cases["%s.gap_eps_1_10.logP20" % sub] = (
+            sub, "gap_eps_1_10", ("--logP", "20"))
+    cases["decompose.gap_eps_1_10.ones"] = (
+        "decompose", "gap_eps_1_10", ("--point", "1,1,1"))
+    cases["decompose.gap_eps_1_10.gap_point"] = (
+        "decompose", "gap_eps_1_10", ("--point", "2,1/2,1/2"))
+    return cases
+
+
+def run_case(case, workdir) -> tuple:
+    sub, name, extra = case
+    path = Path(workdir) / (name + ".json")
+    if not path.exists():
+        path.write_text(fixture_json(name))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([sub, "--json", str(path), *extra])
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def exit_codes():
+    return json.loads((GOLDEN / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(golden_cases()))
+def test_report_matches_golden(case, exit_codes, tmp_path):
+    code, out = run_case(golden_cases()[case], tmp_path)
+    assert code == exit_codes[case]
+    assert out == (GOLDEN / (case + ".json")).read_text()
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for case, spec in sorted(golden_cases().items()):
+            codes[case], out = run_case(spec, workdir)
+            (GOLDEN / (case + ".json")).write_text(out)
+    (GOLDEN / "exit_codes.json").write_text(
+        json.dumps(codes, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()

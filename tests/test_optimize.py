@@ -24,7 +24,7 @@ from oracles import (
     random_strict_tin_matrix,
     vertex_lp_oracle,
 )
-from tinopt.cycles import enumerate_cycles, enumerate_partitions
+from tinopt.cycles import cycle_bound_rhs, enumerate_cycles, enumerate_partitions
 from tinopt.fixtures import caution_lp, example1
 from tinopt.model import (
     CrossCheckError,
@@ -344,17 +344,16 @@ def test_cycle_lp_counters_are_pinned():
     assert (free.rounds, free.pivots) == (3, 5)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10**9), st.integers(2, 5),
-       st.sampled_from(["strict", "gdof", "deterministic"]), st.booleans())
-def test_cycle_lp_engine_matches_full_lp(seed, k, kind, nonneg):
-    rng = random.Random(seed)
+def _lp_matrix(rng, k, kind):
     if kind == "strict":
-        mat = random_strict_tin_matrix(rng, k, mode="gdof")
-    elif kind == "gdof":
-        mat = random_gdof_matrix(rng, k)
-    else:
-        mat = random_det_matrix(rng, k, hi=4)
+        return random_strict_tin_matrix(rng, k, mode="gdof")
+    if kind == "gdof":
+        return random_gdof_matrix(rng, k)
+    return random_det_matrix(rng, k, hi=4)
+
+
+def _assert_matches_full_lp(mat, nonneg):
+    k = mat.users
     res = solve_cycle_lp(mat, nonneg=nonneg)
     want = full_cycle_lp(mat, nonneg=nonneg)
     assert res.status == want.status
@@ -363,6 +362,32 @@ def test_cycle_lp_engine_matches_full_lp(seed, k, kind, nonneg):
         assert point_obeys_cycle_bounds(mat, res.point, enumerate_cycles(k))
         assert sum(res.point) == res.value
         assert not nonneg or min(res.point) >= 0
+    # each working row is its member set's tightest cycle bound
+    tightest = {}
+    for cyc in enumerate_cycles(k):
+        key = frozenset(cyc.users)
+        rhs = cycle_bound_rhs(cyc, mat)
+        tightest[key] = min(rhs, tightest.get(key, rhs))
+    for cyc in res.working_cycles:
+        assert cycle_bound_rhs(cyc, mat) == tightest[frozenset(cyc.users)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9), st.integers(2, 5),
+       st.sampled_from(["strict", "gdof", "deterministic"]), st.booleans())
+def test_cycle_lp_engine_matches_full_lp(seed, k, kind, nonneg):
+    _assert_matches_full_lp(_lp_matrix(random.Random(seed), k, kind), nonneg)
+
+
+@pytest.mark.parametrize("kind, nonneg", [
+    ("strict", True), ("gdof", True), ("deterministic", True), ("strict", False),
+])
+@pytest.mark.parametrize("seed", range(2))
+def test_cycle_lp_engine_matches_full_lp_at_six_users(seed, kind, nonneg):
+    # subsets of up to six users carry up to 120 cycles each, of which the
+    # engine keeps one row; the full LP keeps all 409
+    _assert_matches_full_lp(
+        _lp_matrix(random.Random("six/%s/%d" % (kind, seed)), 6, kind), nonneg)
 
 
 @pytest.mark.parametrize("nonneg", [True, False])

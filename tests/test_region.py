@@ -222,11 +222,24 @@ def test_decompose_validates_point_length():
         separate_tin_decomposable(net, (1, 1))
 
 
+@pytest.mark.parametrize("second, point", [
+    ([[3, 1], [1, 3]], (10, 10)),       # each user reaches at most 6
+    ([[1, 5], [5, 1]], (0, 0)),         # empty region: d1 + d2 <= -8
+], ids=["targets-too-high", "empty-region"])
+def test_negative_decomposition_may_have_no_cap(second, point):
+    net = Network("deterministic", (
+        StrengthMatrix.from_values("deterministic", [[3, 1], [1, 3]]),
+        StrengthMatrix.from_values("deterministic", second)))
+    res = separate_tin_decomposable(net, point)
+    assert not res.feasible and res.caps == ()
+    assert full_decomposition(net, point) == (False, {})
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**9))
 def test_decomposition_allocations_always_verify(seed):
     rng = random.Random(seed)
-    k = rng.randint(2, 3)
+    k = rng.randint(2, 5)
     net = random_tin_network(rng, k, rng.randint(2, 3), mode="gdof")
     bounds = combined_sum_bounds(net)
     # scale the full-set bound down to get a plausibly decomposable target
@@ -263,7 +276,7 @@ def test_decomposition_matches_full_lp_on_gap_family(eps):
 @given(st.integers(0, 10**9))
 def test_decomposition_matches_full_lp_on_random_networks(seed):
     rng = random.Random(seed)
-    k = rng.randint(2, 3)
+    k = rng.randint(2, 5)
     net = random_tin_network(rng, k, rng.randint(2, 3), mode="gdof")
     point = tuple(Fraction(rng.randint(0, 12), rng.choice((1, 2, 4)))
                   for _ in range(k))

@@ -204,6 +204,28 @@ def test_decompose_exit_codes(nets, capsys):
         assert "nonnegative" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mats, point", [
+    # each user reaches at most 3 + 3 = 6 < 10 on its own
+    ([[[3, 1], [1, 3]], [[3, 1], [1, 3]]], "10,10"),
+    # the second sub-channel's region is empty: d1 + d2 <= 2 - 10
+    ([[[3, 1], [1, 3]], [[1, 5], [5, 1]]], "0,0"),
+], ids=["targets-too-high", "empty-region"])
+def test_decompose_without_caps_says_why(tmp_path, capsys, mats, point):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"mode": "deterministic", "users": 2,
+                                "subchannels": 2, "matrices": mats}))
+    code, out, _ = run_cli(capsys, "decompose", "--json", str(path),
+                           "--point", point)
+    assert code == 1
+    doc = assert_canonical(out)["decomposition"]
+    assert doc["feasible"] is False and doc["caps"] == []
+    code, out, _ = run_cli(capsys, "decompose", str(path), "--point", point)
+    assert code == 1
+    assert out.endswith("NOT decomposable into per-sub-channel points\n"
+                        "  no per-user cap: fixing any K-1 users at their "
+                        "targets is already infeasible\n")
+
+
 def test_invertibility_deterministic(nets, capsys):
     code, out, _ = run_cli(capsys, "invertibility", nets["example1"])
     assert code == 0 and out.count("invertible") >= 3
@@ -438,8 +460,10 @@ def test_cross_check_error_exits_4(nets, capsys, monkeypatch):
 
 def test_enumeration_guard_exits_3(nets, capsys):
     # K = 10 is past MAX_ENUM_USERS: one error line and no report
+    zeros = ",".join(["0"] * 10)
     for argv in (["sum"], ["combined-bounds"], ["combined-bounds", "--json"],
-                 ["member", "--point", ",".join(["0"] * 10)]):
+                 ["member", "--point", zeros], ["decompose", "--point", zeros],
+                 ["region"], ["invertibility"], ["separability"]):
         code, out, err = run_cli(capsys, *argv, nets["huge"])
         assert code == 3 and out == "", argv
         assert err.count("\n") == 1
