@@ -1,15 +1,19 @@
 """Command-line front end.
 
 Subcommands analyze a network JSON file (see ``tinopt gap --help`` for a
-generator of the bundled parametric example).  Exit codes: 0 = analysis ran
-and the verdict is positive, 1 = analysis ran and the verdict is negative,
-2 = bad input, 3 = an exhaustive enumeration guard was exceeded, 4 = two
-independent computations disagreed (a solver bug, never a verdict).
+generator of the bundled parametric example).  ``main(argv)`` may be called
+any number of times in one process: it builds the parser once, loads the
+network once per call and hands it to the subcommand, which checks every
+option before any analysis runs.  Exit codes: 0 = analysis ran and the
+verdict is positive, 1 = analysis ran and the verdict is negative, 2 = bad
+input, 3 = an exhaustive enumeration guard was exceeded, 4 = two independent
+computations disagreed (a solver bug, never a verdict).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 import warnings
@@ -40,8 +44,20 @@ from .optimize import network_sum, solve_lp
 from .region import combined_sum_bounds, separate_tin_decomposable, tin_region
 
 
-def _parse_point(text: str) -> tuple:
-    return tuple(as_rational(p) for p in text.split(",") if p.strip())
+def _parse_point(text: str, users: int) -> tuple:
+    point = tuple(as_rational(p) for p in text.split(",") if p.strip())
+    if len(point) != users:
+        raise InputError("point has %d coordinates, expected %d" % (len(point), users))
+    return point
+
+
+def _parse_log2p(text, net) -> tuple:
+    """--logP as (log2 P, the quantized network), or (None, None) without it."""
+    if text is None:
+        return None, None
+    if net.mode != "gdof":
+        raise InputError("--logP only applies to gdof-mode networks")
+    return as_rational(text), quantize(net, text)
 
 
 def _parse_partition(text: str, users: int) -> CyclicPartition:
@@ -69,11 +85,11 @@ def _parse_partition(text: str, users: int) -> CyclicPartition:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (canonical payload, exit code); main writes it
+# subcommands: each takes (network or None, args), checks its options before
+# any analysis and returns (canonical payload, exit code); main writes it
 # ---------------------------------------------------------------------------
 
-def cmd_check_tin(args) -> tuple:
-    net = load_network(args.network)
+def cmd_check_tin(net, args) -> tuple:
     verdicts = [check_tin(mat) for mat in net.matrices]
     payload = {
         "command": "check-tin",
@@ -84,8 +100,7 @@ def cmd_check_tin(args) -> tuple:
     return payload, 0 if payload["all_satisfied"] else 1
 
 
-def cmd_sum(args) -> tuple:
-    net = load_network(args.network)
+def cmd_sum(net, args) -> tuple:
     nsum = network_sum(net)
     quantity = "sum-capacity" if net.mode == "deterministic" else "sum-GDoF"
     payload = {"command": "sum", "mode": net.mode, "quantity": quantity}
@@ -93,8 +108,7 @@ def cmd_sum(args) -> tuple:
     return payload, 0
 
 
-def cmd_region(args) -> tuple:
-    net = load_network(args.network)
+def cmd_region(net, args) -> tuple:
     payload = {
         "command": "region",
         "mode": net.mode,
@@ -106,9 +120,8 @@ def cmd_region(args) -> tuple:
     return payload, 0
 
 
-def cmd_member(args) -> tuple:
-    net = load_network(args.network)
-    point = _parse_point(args.point)
+def cmd_member(net, args) -> tuple:
+    point = _parse_point(args.point, net.users)
     result = combined_sum_bounds(net).contains(point)
     payload = {
         "command": "member",
@@ -118,16 +131,14 @@ def cmd_member(args) -> tuple:
     return payload, 0 if result.inside else 1
 
 
-def cmd_combined_bounds(args) -> tuple:
-    net = load_network(args.network)
+def cmd_combined_bounds(net, args) -> tuple:
     payload = {"command": "combined-bounds"}
     payload.update(report.combined_repr(combined_sum_bounds(net)))
     return payload, 0
 
 
-def cmd_decompose(args) -> tuple:
-    net = load_network(args.network)
-    result = separate_tin_decomposable(net, _parse_point(args.point))
+def cmd_decompose(net, args) -> tuple:
+    result = separate_tin_decomposable(net, _parse_point(args.point, net.users))
     payload = {
         "command": "decompose",
         "decomposition": report.decomposition_repr(result),
@@ -135,63 +146,55 @@ def cmd_decompose(args) -> tuple:
     return payload, 0 if result.feasible else 1
 
 
-def _invertibility_entries(net, partition_text) -> list:
-    """Per-sub-channel reports of a deterministic network: one probed
-    partition's certificate, or the verdict over every optimal partition."""
-    if partition_text is not None:
-        part = _parse_partition(partition_text, net.users)
-        return [report.certificate_repr(invertible_gf2(mat, part))
-                for mat in net.matrices]
-    return [report.invertibility_repr(invertibility_verdict(mat))
-            for mat in net.matrices]
+def _invertibility_report(net, part) -> dict:
+    """A deterministic network's sub-channel reports and their verdict: one
+    probed partition's certificates, or verdicts over every optimal one."""
+    if part is not None:
+        entries = [report.certificate_repr(invertible_gf2(mat, part))
+                   for mat in net.matrices]
+    else:
+        entries = [report.invertibility_repr(invertibility_verdict(mat))
+                   for mat in net.matrices]
+    return {"subchannels": entries,
+            "invertible": all(e["invertible"] for e in entries)}
 
 
-def cmd_invertibility(args) -> tuple:
-    net = load_network(args.network)
+def cmd_invertibility(net, args) -> tuple:
+    if net.mode == "gdof" and args.partition is not None and args.logP is None:
+        raise InputError(
+            "the bit-level partition probe needs a deterministic network; "
+            "pass --logP to quantize this gdof network first"
+        )
+    log2p, qnet = _parse_log2p(args.logP, net)
+    part = (None if args.partition is None
+            else _parse_partition(args.partition, net.users))
     payload = {"command": "invertibility", "mode": net.mode}
     if net.mode == "deterministic":
-        if args.logP is not None:
-            raise InputError("--logP only applies to gdof-mode networks")
-        entries = _invertibility_entries(net, args.partition)
-        payload["subchannels"] = entries
-        payload["invertible"] = all(e["invertible"] for e in entries)
+        payload.update(_invertibility_report(net, part))
     else:
-        if args.partition is not None and args.logP is None:
-            raise InputError(
-                "the bit-level partition probe needs a deterministic network; "
-                "pass --logP to quantize this gdof network first"
-            )
         suff = [report.sufficient_repr(sufficient_invertibility(mat))
                 for mat in net.matrices]
         payload["subchannels"] = suff
         payload["invertible"] = all(s["status"] == "invertible" for s in suff)
-        if args.logP is not None:
-            log2p = as_rational(args.logP)
-            entries = _invertibility_entries(quantize(net, log2p), args.partition)
-            payload["quantized"] = {
-                "log2P": report.frac(log2p),
-                "subchannels": entries,
-                "invertible": all(e["invertible"] for e in entries),
-            }
+        if qnet is not None:
+            payload["quantized"] = {"log2P": report.frac(log2p)}
+            payload["quantized"].update(_invertibility_report(qnet, part))
     return payload, 0 if payload["invertible"] else 1
 
 
-def cmd_separability(args) -> tuple:
-    net = load_network(args.network)
+def cmd_separability(net, args) -> tuple:
+    log2p, qnet = _parse_log2p(args.logP, net)
     verdict = separability_verdict(net)
     payload = {"command": "separability", "mode": net.mode}
     payload.update(report.separability_repr(verdict))
-    if args.logP is not None:
-        if net.mode != "gdof":
-            raise InputError("--logP only applies to gdof-mode networks")
-        log2p = as_rational(args.logP)
+    if qnet is not None:
         payload["quantized"] = {"log2P": report.frac(log2p)}
         payload["quantized"].update(
-            report.separability_repr(separability_verdict(quantize(net, log2p))))
+            report.separability_repr(separability_verdict(qnet)))
     return payload, 0 if verdict.certified else 1
 
 
-def cmd_gap(args) -> tuple:
+def cmd_gap(net, args) -> tuple:
     eps = as_rational(args.epsilon)
     net = gap_network(eps)
     if not args.out:
@@ -205,7 +208,7 @@ def _expect(condition: bool, message: str) -> None:
         raise AssertionError("demo expectation failed: %s" % message)
 
 
-def cmd_demo(args) -> tuple:
+def cmd_demo(net, args) -> tuple:
     """A narrated walkthrough, not a report: it prints its text as it runs
     and returns a payload for ``--json`` only."""
     eps = as_rational(args.epsilon)
@@ -374,6 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def _warning_line(message, *_):
     print("warning: %s" % message, file=sys.stderr)
 
@@ -385,7 +391,7 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] == "--point" and re.match(r"-[\d.]", argv[i]):
             argv[i - 1:i + 1] = ["--point=" + argv[i]]
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     with warnings.catch_warnings():
         # one stderr line per clamped entry, on every run: the default
         # format takes two lines and a source path, and the default filter
@@ -393,17 +399,15 @@ def main(argv=None) -> int:
         warnings.simplefilter("always", ClampWarning)
         warnings.showwarning = _warning_line
         try:
-            payload, code = args.func(args)
+            net = load_network(args.network) if "network" in args else None
+            payload, code = args.func(net, args)
             if payload is not None:
                 sys.stdout.write(report.dumps_canonical(payload) if args.json
                                  else report.render_text(payload))
             return code
-        except InputError as exc:
+        except (InputError, GuardError) as exc:
             print("error: %s" % exc, file=sys.stderr)
-            return 2
-        except GuardError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 3
+            return 2 if isinstance(exc, InputError) else 3
         except CrossCheckError as exc:
             where = getattr(args, "network", None) or "no input file"
             print("error: internal cross-check failed in %s (%s): %s"

@@ -600,21 +600,18 @@ def nonnegativity_redundancy_check(matrix: StrengthMatrix) -> RedundancyResult:
 # ---------------------------------------------------------------------------
 
 def min_cost_assignment(cost) -> tuple:
-    """Minimum-cost perfect assignment on a square cost matrix of Fractions.
+    """Minimum-cost perfect assignment on a square matrix of ints or Fractions.
 
     Returns (total_cost, assign) with assign[j] = row matched to column j
     (0-based).  Standard O(n^3) potentials implementation.
     """
     n = len(cost)
-    if n == 0:
-        return Fraction(0), ()
     for row in cost:
         if len(row) != n:
             raise InputError("cost matrix must be square")
-    inf = Fraction(1) + sum((abs(Fraction(v)) for row in cost for v in row),
-                            Fraction(0))
-    u = [Fraction(0)] * (n + 1)
-    v = [Fraction(0)] * (n + 1)
+    inf = 1 + sum(abs(v) for row in cost for v in row)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
     p = [0] * (n + 1)          # p[j] = row matched to column j (1-based)
     way = [0] * (n + 1)
     for i in range(1, n + 1):
@@ -630,7 +627,7 @@ def min_cost_assignment(cost) -> tuple:
             for j in range(1, n + 1):
                 if used[j]:
                     continue
-                cur = Fraction(cost[i0 - 1][j - 1]) - u[i0] - v[j]
+                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
@@ -651,24 +648,23 @@ def min_cost_assignment(cost) -> tuple:
             p[j0] = p[j1]
             j0 = j1
     assign = tuple(p[j] - 1 for j in range(1, n + 1))
-    total = sum((Fraction(cost[assign[j]][j]) for j in range(n)), Fraction(0))
+    total = sum(cost[assign[j]][j] for j in range(n))
     return total, assign
 
 
 def best_partition_assignment(matrix: StrengthMatrix):
-    """Heaviest cyclic partition via min-cost assignment.
+    """Heaviest cyclic partition via min-cost assignment on scaled int entries.
 
     Returns (max_weight, perm) where perm[k-1] is user k's predecessor in
     some maximizing partition (perm[k-1] == k marks a trivial cycle).
     """
     k = matrix.users
-    cost = [
-        [-matrix.edge_weight(r + 1, c + 1) for c in range(k)]
-        for r in range(k)
-    ]
+    scale, (flat,) = _scaled_entries((matrix,))
+    cost = [[0 if r == c else -flat[r * k + c] for c in range(k)]
+            for r in range(k)]
     total, assign = min_cost_assignment(cost)
     perm = tuple(assign[j] + 1 for j in range(k))
-    return -total, perm
+    return Fraction(-total, scale), perm
 
 
 # ---------------------------------------------------------------------------

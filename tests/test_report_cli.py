@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tinopt
 from tinopt.cli import main
 from tinopt.cycles import Cycle, CyclicPartition
 from tinopt.fixtures import fixture_json
@@ -470,6 +476,29 @@ def test_enumeration_guard_exits_3(nets, capsys):
         assert "exhaustive enumeration limit exceeded" in err
 
 
+def test_bad_options_exit_2_before_the_guarded_analysis(nets, tmp_path, capsys):
+    # every option is checked before any analysis runs, so a bad one is an
+    # input error even where the analysis itself would trip a guard
+    gdof10 = tmp_path / "gdof10.json"
+    gdof10.write_text(json.dumps({
+        "mode": "gdof", "users": 10, "subchannels": 1,
+        "matrices": [[[3 if r == c else 1 for c in range(10)]
+                      for r in range(10)]],
+    }))
+    cases = (
+        (["separability", "--logP", "20"], nets["huge"], "only applies to gdof"),
+        (["member", "--point", "1,1"], nets["huge"], "2 coordinates, expected 10"),
+        (["separability", "--logP", "x"], str(gdof10), "cannot parse"),
+        (["separability", "--logP", "0"], str(gdof10), "log2(P) > 0"),
+        (["invertibility", "--logP", "x"], str(gdof10), "cannot parse"),
+    )
+    for argv, path, message in cases:
+        for json_flag in ([], ["--json"]):
+            code, out, err = run_cli(capsys, *argv, *json_flag, path)
+            assert code == 2 and out == "", argv
+            assert err.count("\n") == 1 and message in err, (argv, err)
+
+
 def test_clamped_entries_warn_in_one_line_each_run(tmp_path, capsys):
     p = tmp_path / "negative.json"
     p.write_text(json.dumps({
@@ -491,3 +520,49 @@ def test_clamped_entries_warn_in_one_line_each_run(tmp_path, capsys):
 def test_unknown_subcommand_is_argparse_error(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_calls_match_fresh_processes(nets, capsys, monkeypatch):
+    # main reuses one parser per process: no call may see another's state
+    monkeypatch.setenv("COLUMNS", "80")     # one usage-line width on both sides
+    src = str(Path(tinopt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    gap = nets["gap_eps_1_10"]
+    sequence = (
+        ["member", gap],                                  # usage error
+        ["sum", str(Path(gap).with_name("missing.json"))],  # input error
+        ["member", gap, "--point", "-1,0,0"],
+        ["invertibility", gap, "--logP", "20", "--partition", "1:3,2:1,3:2"],
+        ["decompose", gap, "--point", "1,1,1"],
+        ["sum", "--json", nets["example1"]],
+    )
+    for argv in sequence:
+        fresh = subprocess.run([sys.executable, "-m", "tinopt", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert _in_process(capsys, argv) == (fresh.returncode, fresh.stdout,
+                                             fresh.stderr), argv
+
+
+def test_parser_is_built_once_per_process(nets, capsys, monkeypatch):
+    main(["check-tin", nets["example1"]])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    for argv in (["sum", "--json", nets["example1"]], ["member", nets["example1"]],
+                 ["gap"], ["separability", nets["example2"], "--logP", "x"]):
+        _in_process(capsys, argv)
+    assert built == []
