@@ -11,14 +11,15 @@ sub-channel, which for TIN-optimal sub-channels equals the sum-GDoF
 * ``best_partition_assignment`` -- the heaviest cyclic partition found as a
                           min-cost assignment (Hungarian method) over
                           predecessor permutations;
-* ``brute_force_best_weight``   -- exhaustive scan of all K! predecessor
-                          permutations with integer-scaled arithmetic.
+* ``brute_force_best_weight``   -- an integer subset DP over predecessor
+                          permutations (Bellman 1962), O(2^K K).
 
 ``sum_gdof`` runs all three and refuses to return values on which they
-disagree.  The exhaustive scan (``_heaviest_permutations``, guarded by
-MAX_ENUM_USERS) keeps every tied permutation, so one scan per sub-channel
-also yields the reported partition (``optimal_partition``, the canonical
-tie) and the tie set (``all_optimal_partitions``).  The same cutting-plane
+disagree.  The DP (``_heaviest_permutations``, guarded by MAX_ENUM_USERS)
+also counts the tied permutations, so one pass per sub-channel yields the
+reported partition (``optimal_partition``, the canonical tie, by a greedy
+O(K^2) pass) and the tie set (``all_optimal_partitions``, a walk of the
+tight branches only, guarded by TIE_GUARD).  The same cutting-plane
 engine solves the decomposition LPs of ``region``.
 
 A cycle bound's left side depends only on its members, so per user subset
@@ -38,10 +39,11 @@ from math import lcm
 from operator import add
 
 from .cycles import Cycle, CyclicPartition, _check_enum_guard
-from .model import (CrossCheckError, InputError, StrengthMatrix,
+from .model import (CrossCheckError, GuardError, InputError, StrengthMatrix,
                     _common_denominator, check_tin)
 
 __all__ = [
+    "TIE_GUARD",
     "LinearProgram",
     "LpSolution",
     "solve_lp",
@@ -59,6 +61,10 @@ __all__ = [
     "NetworkSum",
     "network_sum",
 ]
+
+# most tied optimal partitions ``all_optimal_partitions`` will list; every
+# derangement of K = 9 users ties (133,496) when all cross links are equal
+TIE_GUARD = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -668,61 +674,122 @@ def best_partition_assignment(matrix: StrengthMatrix):
 
 
 # ---------------------------------------------------------------------------
-# brute-force route and tie enumeration (one exhaustive scan, integer-scaled)
+# brute-force route and tie enumeration (one integer subset DP)
 # ---------------------------------------------------------------------------
 
 def _heaviest_permutations(matrix: StrengthMatrix):
-    """(max weight, tied) over all K! predecessor permutations.
+    """(D, incoming, suf, cnt): the predecessor-permutation DP of ``matrix``.
 
-    ``tied`` lists every maximizing permutation, 0-based (perm[u] is user
-    u+1's predecessor), in ``itertools.permutations`` order; only the
-    running ties are kept, never all K! weights.
+    D is the ``_scaled_entries`` scale and ``incoming[u][p]`` D times user
+    u's edge weight from predecessor p (0-based, 0 for p == u).  For a mask
+    ``used`` of predecessors already given to users 0..n-1 (n its
+    popcount), ``suf[used]`` is the heaviest way to give users n..K-1
+    distinct predecessors outside ``used`` (Bellman 1962) and ``cnt[used]``
+    counts the ways that attain it, so ``suf[0]`` is D times the heaviest
+    cyclic partition's weight and ``cnt[0]`` the number of tied partitions.
+    O(2^K K); GuardError above MAX_ENUM_USERS.
     """
     k = matrix.users
     _check_enum_guard(k)
     scale, (flat,) = _scaled_entries((matrix,))
-    # incoming[u][p]: scaled weight of user u's edge from predecessor p
     incoming = [
         [0 if p == u else flat[p * k + u] for p in range(k)]
         for u in range(k)
     ]
-    best, tied = -1, []                 # weights are nonnegative
-    for perm in itertools.permutations(range(k)):
-        s = sum(map(list.__getitem__, incoming, perm))
-        if s > best:
-            best, tied = s, [perm]
-        elif s == best:
-            tied.append(perm)
-    return Fraction(best, scale), tied
+    full = (1 << k) - 1
+    suf = [0] * (full + 1)
+    cnt = [0] * full + [1]
+    for used in range(full - 1, -1, -1):
+        row = incoming[used.bit_count()]
+        best, ways = -1, 0                  # weights are nonnegative
+        for p in range(k):
+            nxt = used | 1 << p
+            if nxt != used:
+                weight = row[p] + suf[nxt]
+                if weight > best:
+                    best, ways = weight, cnt[nxt]
+                elif weight == best:
+                    ways += cnt[nxt]
+        suf[used], cnt[used] = best, ways
+    return scale, incoming, suf, cnt
+
+
+def _tied_permutations(incoming, suf) -> list:
+    """Every permutation attaining ``suf[0]``, 0-based (perm[u] is user
+    u+1's predecessor), in lexicographic order: a depth-first walk that
+    tries predecessors in increasing order and takes only tight branches,
+    each of which ends in a tie, so its cost grows with the ties, not K!."""
+    k = len(incoming)
+    tied, prefix = [], []
+
+    def walk(used):
+        if len(prefix) == k:
+            tied.append(tuple(prefix))
+            return
+        row, target = incoming[len(prefix)], suf[used]
+        for p in range(k):
+            nxt = used | 1 << p
+            if nxt != used and row[p] + suf[nxt] == target:
+                prefix.append(p)
+                walk(nxt)
+                prefix.pop()
+
+    walk(0)
+    return tied
+
+
+def _canonical_tie(incoming, suf) -> tuple:
+    """The tie with the smallest predecessor vector, trivial cycles keyed
+    0 (0-based, as ``_tied_permutations``), by one greedy O(K^2) pass:
+    every tight choice extends to a tie, so taking the smallest tight key
+    at each user is the lexicographic minimum."""
+    k = len(incoming)
+    perm, used = [], 0
+    for u, row in enumerate(incoming):
+        target = suf[used]
+        for p in (u, *range(k)):
+            nxt = used | 1 << p
+            if nxt != used and row[p] + suf[nxt] == target:
+                break
+        perm.append(p)
+        used = nxt
+    return tuple(perm)
 
 
 def brute_force_best_weight(matrix: StrengthMatrix):
-    """Heaviest cyclic partition by scanning all K! predecessor permutations.
+    """Heaviest cyclic partition by the subset DP over predecessor
+    permutations (``_heaviest_permutations``); no cycles, no assignment.
 
     Returns (max_weight, perm) with perm[k-1] user k's predecessor (k itself
     for a trivial cycle); of the tied permutations, perm is the one with the
     smallest predecessor vector, trivial cycles keyed 0.
     """
-    weight, tied = _heaviest_permutations(matrix)
-    best = min(tied, key=lambda perm: tuple(
-        0 if p == u else p + 1 for u, p in enumerate(perm)))
-    return weight, tuple(p + 1 for p in best)
+    scale, incoming, suf, _ = _heaviest_permutations(matrix)
+    best = _canonical_tie(incoming, suf)
+    return Fraction(suf[0], scale), tuple(p + 1 for p in best)
 
 
 def all_optimal_partitions(matrix: StrengthMatrix) -> tuple:
     """Every cyclic partition tied (exactly) for the maximum weight, in
-    ``enumerate_partitions`` order."""
-    _, tied = _heaviest_permutations(matrix)
+    ``enumerate_partitions`` order.  The ties are counted first: GuardError
+    above TIE_GUARD of them, before any is walked."""
+    _, incoming, suf, cnt = _heaviest_permutations(matrix)
+    ties = cnt[0]
+    if ties > TIE_GUARD:
+        raise GuardError(
+            "optimal-partition tie limit exceeded: %d tied partitions (max %d)"
+            % (ties, TIE_GUARD)
+        )
     return tuple(
-        CyclicPartition.from_permutation([p + 1 for p in perm]) for perm in tied
+        CyclicPartition.from_permutation([p + 1 for p in perm])
+        for perm in _tied_permutations(incoming, suf)
     )
 
 
 def optimal_partition(matrix: StrengthMatrix) -> CyclicPartition:
     """The maximizing partition with lexicographically smallest predecessor
-    vector (trivial cycles sorting first), from the exhaustive scan of
-    ``brute_force_best_weight``; guarded by MAX_ENUM_USERS (GuardError
-    above K = 9)."""
+    vector (trivial cycles sorting first), as ``brute_force_best_weight``
+    finds it; guarded by MAX_ENUM_USERS (GuardError above K = 9)."""
     return CyclicPartition.from_permutation(brute_force_best_weight(matrix)[1])
 
 

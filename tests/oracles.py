@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from tinopt.cycles import enumerate_cycles, enumerate_partitions, partition_bound
 from tinopt.detmodel import channel_output, participating_levels
@@ -116,7 +117,8 @@ def brute_min_assignment(cost):
 
 
 # ---------------------------------------------------------------------------
-# heaviest-partition oracle (Fraction weights over enumerate_partitions)
+# heaviest-partition oracles (Fraction weights over enumerate_partitions,
+# and the integer K! permutation scan)
 # ---------------------------------------------------------------------------
 
 def heaviest_partitions(matrix):
@@ -128,6 +130,31 @@ def heaviest_partitions(matrix):
     best = max(weights)
     ties = tuple(part for part, w in zip(parts, weights) if w == best)
     return best, ties, min(ties, key=lambda part: part.predecessors())
+
+
+def heaviest_permutations(matrix):
+    """(max weight, tied, canonical) by scanning all K! predecessor
+    permutations in integer-scaled arithmetic.  ``tied`` lists every
+    maximizing permutation, 0-based (perm[u] is user u+1's predecessor), in
+    ``itertools.permutations`` order; ``canonical`` is the tie with the
+    smallest predecessor vector, trivial cycles keyed 0."""
+    k = matrix.users
+    scale = lcm(*(val.denominator for row in matrix.entries for val in row))
+    # incoming[u][p]: scaled weight of user u's edge from predecessor p
+    incoming = [
+        [0 if p == u else int(matrix.entries[p][u] * scale) for p in range(k)]
+        for u in range(k)
+    ]
+    best, tied = -1, []                 # weights are nonnegative
+    for perm in itertools.permutations(range(k)):
+        s = sum(map(list.__getitem__, incoming, perm))
+        if s > best:
+            best, tied = s, [perm]
+        elif s == best:
+            tied.append(perm)
+    canonical = min(tied, key=lambda perm: tuple(
+        0 if p == u else p + 1 for u, p in enumerate(perm)))
+    return Fraction(best, scale), tied, canonical
 
 
 def subset_bounds(network):

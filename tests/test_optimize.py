@@ -18,13 +18,19 @@ from oracles import (
     brute_min_assignment,
     full_cycle_lp,
     heaviest_partitions,
+    heaviest_permutations,
     point_obeys_cycle_bounds,
     random_det_matrix,
     random_gdof_matrix,
     random_strict_tin_matrix,
     vertex_lp_oracle,
 )
-from tinopt.cycles import cycle_bound_rhs, enumerate_cycles, enumerate_partitions
+from tinopt.cycles import (
+    CyclicPartition,
+    cycle_bound_rhs,
+    enumerate_cycles,
+    enumerate_partitions,
+)
 from tinopt.fixtures import caution_lp, example1
 from tinopt.model import (
     CrossCheckError,
@@ -36,7 +42,10 @@ from tinopt.model import (
 )
 from tinopt.optimize import (
     BOUND_ONLY_LABEL,
+    TIE_GUARD,
     LinearProgram,
+    _heaviest_permutations,
+    _tied_permutations,
     all_optimal_partitions,
     best_partition_assignment,
     brute_force_best_weight,
@@ -252,6 +261,58 @@ def test_scan_views_match_partition_oracle(seed, k, tied):
     assert brute_force_best_weight(mat) == (best, lexmin.to_permutation())
     assert all_optimal_partitions(mat) == ties
     assert optimal_partition(mat) == lexmin
+
+
+def _dp_case_matrix(rng, k, kind):
+    """Random gdof entries, or a heavily tied matrix: cross links in {0, 1},
+    all equal, or all zero (every permutation ties)."""
+    if kind == "random":
+        return random_gdof_matrix(rng, k)
+    cross = {"binary": lambda: rng.randint(0, 1),
+             "equal": lambda: 1, "zero": lambda: 0}[kind]
+    rows = [[Fraction(cross()) for _ in range(k)] for _ in range(k)]
+    for u in range(k):
+        rows[u][u] = Fraction(rng.randint(0, 4))
+    return StrengthMatrix(mode="gdof", entries=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("kind", ("random", "binary", "equal", "zero"))
+@pytest.mark.parametrize("k", range(1, 9))
+def test_subset_dp_matches_permutation_scan_oracle(k, kind):
+    rng = random.Random(1000 * k + len(kind))
+    for _ in range(2):
+        mat = _dp_case_matrix(rng, k, kind)
+        weight, tied, canonical = heaviest_permutations(mat)
+        scale, incoming, suf, cnt = _heaviest_permutations(mat)
+        assert Fraction(suf[0], scale) == weight
+        assert cnt[0] == len(tied)
+        # the walk lists every tie, tuple for tuple, in the scan's order
+        assert _tied_permutations(incoming, suf) == tied
+        lexmin = tuple(p + 1 for p in canonical)
+        assert brute_force_best_weight(mat) == (weight, lexmin)
+        assert optimal_partition(mat) == CyclicPartition.from_permutation(lexmin)
+        if len(tied) <= TIE_GUARD:
+            assert all_optimal_partitions(mat) == tuple(
+                CyclicPartition.from_permutation([p + 1 for p in perm])
+                for perm in tied)
+        else:
+            with pytest.raises(GuardError, match="tie limit exceeded"):
+                all_optimal_partitions(mat)
+
+
+def test_tie_guard_trips_before_the_walk(monkeypatch):
+    # all-equal K = 9: 133,496 derangements tie; only the count is read
+    k = 9
+    rows = [[3 if r == c else 1 for c in range(k)] for r in range(k)]
+    mat = StrengthMatrix.from_values("deterministic", rows)
+    walked = []
+    monkeypatch.setattr("tinopt.optimize._tied_permutations",
+                        lambda *args: walked.append(args))
+    with pytest.raises(GuardError, match="133496 tied partitions"):
+        all_optimal_partitions(mat)
+    assert walked == []
+    # the value and the canonical tie never walk ties
+    assert brute_force_best_weight(mat) == (9, (2, 1, 4, 3, 6, 5, 8, 9, 7))
 
 
 def test_all_equal_cross_links_tie_every_derangement():

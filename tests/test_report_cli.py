@@ -5,9 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,6 +51,38 @@ def test_dumps_canonical_is_a_fixed_point():
     text = dumps_canonical(doc)
     assert text.endswith("\n")
     assert dumps_canonical(json.loads(text)) == text
+
+
+def test_dumps_canonical_equals_json_dumps_on_every_golden_payload():
+    golden = sorted((Path(__file__).parent / "golden").glob("*.json"))
+    assert len(golden) > 30
+    for path in golden:
+        obj = json.loads(path.read_text())
+        assert dumps_canonical(obj) == json.dumps(obj, indent=2) + "\n", path
+
+
+def test_dumps_canonical_peak_memory_is_bounded(tmp_path, capsys):
+    # a K = 6, M = 2 region report (about 180 KB); one join of every encoder
+    # chunk peaks near 7x its size where indented encoding is pure Python
+    rng = random.Random(5)
+    path = tmp_path / "region6.json"
+    path.write_text(json.dumps({
+        "mode": "deterministic", "users": 6, "subchannels": 2,
+        "matrices": [[[rng.randint(6, 9) if r == c else rng.randint(0, 2)
+                       for c in range(6)] for r in range(6)]
+                     for _ in range(2)],
+    }))
+    code, out, _ = run_cli(capsys, "region", "--json", str(path))
+    assert code == 0 and len(out) > 100_000
+    obj = json.loads(out)
+    tracemalloc.start()
+    try:
+        text = dumps_canonical(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == out
+    assert peak <= 3 * len(text)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +508,35 @@ def test_enumeration_guard_exits_3(nets, capsys):
         assert code == 3 and out == "", argv
         assert err.count("\n") == 1
         assert "exhaustive enumeration limit exceeded" in err
+
+
+@pytest.mark.parametrize("mode, cross", (
+    ("deterministic", 1), ("deterministic", 0), ("gdof", 1)))
+def test_tie_guard_exits_3_before_walking_the_ties(tmp_path, capsys, mode,
+                                                   cross):
+    # K = 9 with every cross link 1 ties all 133,496 derangements, and with
+    # none every one of the 9! permutations: past TIE_GUARD either way (the
+    # gdof sufficient conditions list ties only when no cheaper one holds)
+    k = 9
+    path = tmp_path / "tied9.json"
+    path.write_text(json.dumps({
+        "mode": mode, "users": k, "subchannels": 2,
+        "matrices": [[[3 if r == c else cross for c in range(k)]
+                      for r in range(k)]] * 2,
+    }))
+    for argv in (["invertibility"], ["invertibility", "--json"],
+                 ["separability"], ["separability", "--json"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert time.perf_counter() - start < 5, argv
+        assert code == 3 and out == "", argv
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "tie limit exceeded" in err
+        assert "(max %d)" % tinopt.optimize.TIE_GUARD in err
+    # the sum needs only the value and the canonical tie
+    code, out, err = run_cli(capsys, "sum", "--json", str(path))
+    assert code == 0 and err == ""
+    assert assert_canonical(out)["total"] == 2 * (3 - cross) * k
 
 
 def test_bad_options_exit_2_before_the_guarded_analysis(nets, tmp_path, capsys):
