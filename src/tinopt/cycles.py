@@ -14,7 +14,11 @@ predecessor makes cyclic partitions the same thing as permutations of
 
 Enumeration is exhaustive and therefore guarded: K is capped at
 MAX_ENUM_USERS for the operations that walk all cycles or partitions.  The
-LPs in ``optimize`` read per-subset heaviest cycles from a subset DP instead.
+LPs in ``optimize`` read per-subset heaviest cycles from a subset DP instead,
+and ``region.tin_region`` walks ``enumerate_cycles`` but sums each cycle's
+edges as integer-scaled entries rather than calling ``cycle_bound_rhs``;
+``cycle_weight`` and ``cycle_bound_rhs`` are the Fraction reference that
+the tests and oracles compare against.
 """
 
 from __future__ import annotations

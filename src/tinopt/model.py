@@ -148,11 +148,14 @@ def _common_denominator(values) -> int:
     return denom
 
 
-def rational_str(value: Fraction) -> "int | str":
-    """Render a Fraction for JSON output: bare int when integral, else "p/q"."""
-    frac = Fraction(value)
+def rational_str(value) -> "int | str":
+    """Render a rational for JSON output: bare int when integral, else "p/q".
+
+    A Fraction is used as it is; anything else goes through ``Fraction()``.
+    """
+    frac = value if isinstance(value, Fraction) else Fraction(value)
     if frac.denominator == 1:
-        return int(frac)
+        return frac.numerator
     return str(frac)
 
 

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cycles import _check_enum_guard, cycle_bound_rhs, enumerate_cycles
+from .cycles import _check_enum_guard, enumerate_cycles
 from .model import CrossCheckError, InputError, Network, StrengthMatrix, as_rational
 from .optimize import (_cutting_plane_lp, _cycle_blocks, _heaviest_cycle_covers,
                        _scaled_entries, _subset_sums)
@@ -67,12 +67,31 @@ def tin_region(matrix: StrengthMatrix) -> tuple:
     This describes the sub-channel's exact achievable region when the TIN
     condition holds (together with d >= 0); otherwise the constraints are
     still valid outer bounds for what TIN itself can do.
+
+    The bounds come from one pass over the cached ``enumerate_cycles(K)``
+    in its order: every entry is scaled to an int once (``_scaled_entries``:
+    InputError past MAX_RATIONAL_DIGITS digits of common denominator), a
+    cycle's bound is its users' desired sum minus the ints of the edges it
+    traverses, and only the result becomes a Fraction.  Equal to
+    ``cycles.cycle_bound_rhs`` cycle by cycle; GuardError above K = 9.
     """
+    k = matrix.users
+    cycles = enumerate_cycles(k)
+    scale, (flat,) = _scaled_entries((matrix,))
+    desired = _subset_sums(flat[::k + 1])
     out = []
-    for cyc in enumerate_cycles(matrix.users):
+    for cyc in cycles:
+        users = cyc.users
+        mask = weight = 0
+        for u in users:
+            mask |= 1 << (u - 1)
+        if len(users) > 1:
+            # Cycle.edges(): e_ij for consecutive (i, j), closing the cycle
+            for i, j in zip(users, users[1:] + users[:1]):
+                weight += flat[(i - 1) * k + j - 1]
         out.append(RegionConstraint(
-            users=tuple(sorted(cyc.users)),
-            rhs=cycle_bound_rhs(cyc, matrix),
+            users=tuple(sorted(users)),
+            rhs=Fraction(desired[mask] - weight, scale),
             cycle=cyc,
         ))
     return tuple(out)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 
 from .model import rational_str
 
@@ -55,8 +54,7 @@ def dumps_canonical(obj) -> str:
     return "".join(parts)
 
 
-def frac(value):
-    return rational_str(Fraction(value))
+frac = rational_str
 
 
 def point_repr(point) -> list:

@@ -15,9 +15,9 @@ from oracles import (
     random_tin_network,
     subset_bounds,
 )
-from tinopt.cycles import cycle_count, enumerate_cycles
+from tinopt.cycles import cycle_bound_rhs, cycle_count, enumerate_cycles
 from tinopt.fixtures import example1, gap_network, gap_point
-from tinopt.model import InputError, Network, StrengthMatrix
+from tinopt.model import ClampWarning, InputError, Network, StrengthMatrix
 from tinopt.optimize import _heaviest_cycle_covers, _scaled_entries, network_sum
 from tinopt.region import (
     combined_sum_bounds,
@@ -44,6 +44,55 @@ def test_tin_region_has_one_constraint_per_cycle():
     assert by_users[(1,)] == [3]
     assert sorted(by_users[(1, 2, 3)]) == [6, 9]  # the two 3-cycles differ
     assert by_users[(1, 2)] == [5]
+
+
+def _region_matrices(rng, k, mode):
+    """A random K x K matrix in ``mode`` (gdof entries with denominators 1,
+    2, 3 and 7 mixed), the same without cross links, and the same with one
+    entry clamped from -1 (the desired link at K = 1)."""
+    if mode == "gdof":
+        draw = lambda: Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 7)))
+    else:
+        draw = lambda: rng.randint(0, 4)
+    rows = [[draw() for _ in range(k)] for _ in range(k)]
+    quiet = [[val if i == j else 0 for j, val in enumerate(row)]
+             for i, row in enumerate(rows)]
+    clamped = [row[:] for row in rows]
+    clamped[k - 1][0] = -1
+    with pytest.warns(ClampWarning):
+        clamped = StrengthMatrix.from_values(mode, clamped)
+    return [StrengthMatrix.from_values(mode, rows),
+            StrengthMatrix.from_values(mode, quiet), clamped]
+
+
+@pytest.mark.parametrize("mode", ["gdof", "deterministic"])
+@pytest.mark.parametrize("k", range(1, 8))
+def test_tin_region_matches_fraction_cycle_bounds(k, mode):
+    # the integer pass against the Fraction reference, cycle by cycle: a
+    # traversal read backwards changes the rhs of most 3-or-more cycles
+    rng = random.Random("region/%s/%d" % (mode, k))
+    for mat in _region_matrices(rng, k, mode):
+        cons = tin_region(mat)
+        assert [c.cycle for c in cons] == list(enumerate_cycles(k))
+        for c in cons:
+            assert type(c.rhs) is Fraction
+            assert c.rhs == cycle_bound_rhs(c.cycle, mat)
+            assert c.users == tuple(sorted(c.cycle.users))
+
+
+def test_tin_region_rejects_an_oversized_common_denominator():
+    # each entry is under MAX_RATIONAL_DIGITS, their common denominator
+    # (about 2,000 digits) is not; load_network rejects such a network
+    # before any analysis, so only library callers reach this
+    big = 10 ** 999
+    mat = StrengthMatrix(mode="gdof", entries=(
+        (Fraction(3), Fraction(1, big + 1)),
+        (Fraction(1, big + 2), Fraction(3)),
+    ))
+    with pytest.raises(InputError, match="common denominator"):
+        tin_region(mat)
+    with pytest.raises(InputError, match="common denominator"):
+        combined_sum_bounds(Network(mode="gdof", matrices=(mat,)))
 
 
 def test_region_constraint_str_and_eval():
