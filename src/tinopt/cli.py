@@ -205,38 +205,25 @@ def cmd_gap(net, args) -> tuple:
 
 def _expect(condition: bool, message: str) -> None:
     if not condition:
-        raise AssertionError("demo expectation failed: %s" % message)
+        raise CrossCheckError("demo expectation failed: %s" % message)
 
 
 def cmd_demo(net, args) -> tuple:
-    """A narrated walkthrough, not a report: it prints its text as it runs
-    and returns a payload for ``--json`` only."""
+    """Replay the bundled analyses, assert their outcomes, and report them."""
     eps = as_rational(args.epsilon)
-    net = gap_network(eps)  # rejects a bad epsilon before demo 1 prints
-    results = {}
+    gap = gap_network(eps)  # rejects a bad epsilon before any analysis
 
-    def say(line=""):
-        if not args.json:
-            print(line)
-
-    say(report.banner("demo 1: fully invertible parallel network"))
     ex1 = example1()
     nsum1 = network_sum(ex1)
     sep1 = separability_verdict(ex1)
     for m, res in enumerate(nsum1.per_channel, start=1):
         _expect(res.tin.satisfied, "example1 sub-channel %d TIN" % m)
         _expect(res.value == 6, "example1 sub-channel %d capacity 6" % m)
-        say("sub-channel %d: TIN optimal, sum-capacity %s, partition %s"
-            % (m, res.value, res.partition))
     _expect(nsum1.total == 18, "example1 total 18")
     _expect(sep1.certified, "example1 separable")
     _expect(all(leg.status == "invertible" for leg in sep1.legs),
             "example1 invertibility on every sub-channel")
-    say("total 18; separable (certified): every sub-channel invertible")
-    results["example1"] = {"total": report.frac(nsum1.total),
-                           "certified": sep1.certified}
 
-    say(report.banner("demo 2: invertibility failure on one sub-channel"))
     ex2 = example2()
     sep2 = separability_verdict(ex2)
     statuses = [leg.status for leg in sep2.legs]
@@ -244,19 +231,10 @@ def cmd_demo(net, args) -> tuple:
             "example2 sub-channels 1-2 invertible")
     _expect(statuses[2] == "non-invertible", "example2 sub-channel 3 singular")
     _expect(not sep2.certified, "example2 not certified")
-    bad = sep2.legs[2].detail
-    kernels = [c.kernel for c in bad.certificates]
+    kernels = [c.kernel for c in sep2.legs[2].detail.certificates]
     _expect(all(k for k in kernels), "kernel witnesses on all tied partitions")
-    say("sub-channels 1-2 invertible; sub-channel 3 NON-invertible")
-    for cert in bad.certificates:
-        for line in report.certificate_lines(report.certificate_repr(cert)):
-            say(line)
-    say("verdict: not certified")
-    results["example2"] = {"certified": sep2.certified,
-                           "statuses": statuses}
 
-    say(report.banner("demo 3: combined region exceeds the per-sub-channel sum"))
-    bounds = combined_sum_bounds(net)
+    bounds = combined_sum_bounds(gap)
     pairs_rhs = Fraction(5, 2) + eps
     for subset, rhs in bounds.bounds.items():
         if len(subset) == 1:
@@ -268,45 +246,38 @@ def cmd_demo(net, args) -> tuple:
     point = gap_point()
     inside = bounds.contains(point)
     _expect(inside.inside, "gap point inside the combined region")
-    split = separate_tin_decomposable(net, point)
+    split = separate_tin_decomposable(gap, point)
     _expect(not split.feasible, "gap point not decomposable")
-    ones = (1, 1, 1)
-    ok = separate_tin_decomposable(net, ones)
+    ok = separate_tin_decomposable(gap, (1, 1, 1))
     _expect(ok.feasible, "(1,1,1) decomposable")
-    say("epsilon = %s" % eps)
-    say("combined bounds: singletons 2, pairs %s, all 3" % pairs_rhs)
-    say("point (2, 1/2, 1/2): inside the combined region, yet NOT "
-        "decomposable per sub-channel:")
-    for cap in report.decomposition_repr(split)["caps"]:
-        say("  " + report.cap_line(cap))
-    say("point (1, 1, 1): decomposable, e.g. %s"
-        % (tuple(tuple(str(x) for x in chan) for chan in ok.allocation),))
-    results["gap"] = {
-        "epsilon": report.frac(eps),
-        "inside": inside.inside,
-        "decomposable": split.feasible,
-    }
 
-    say(report.banner("demo 4: nonnegativity matters in general LPs"))
     sol_pos = solve_lp(caution_lp(nonneg=True))
     sol_free = solve_lp(caution_lp(nonneg=False))
     _expect(sol_pos.value == 20 and sol_pos.point == (0, 10, 10),
             "caution LP with R >= 0: 20 at (0, 10, 10)")
     _expect(sol_free.value == 25 and sol_free.point == (-5, 15, 15),
             "caution LP free: 25 at (-5, 15, 15)")
-    say("max R1+R2+R3 s.t. R1+R2<=10, R1+R3<=10, R2+R3<=30")
-    say("  with R >= 0 : %s at (%s)"
-        % (sol_pos.value, ", ".join(str(x) for x in sol_pos.point)))
-    say("  free        : %s at (%s)"
-        % (sol_free.value, ", ".join(str(x) for x in sol_free.point)))
-    say("no strictly-TIN-optimal sub-channel generates such bounds: there,")
-    say("dropping nonnegativity never changes the cycle-LP optimum.")
-    results["caution_lp"] = {
-        "nonneg": report.frac(sol_pos.value),
-        "free": report.frac(sol_free.value),
-    }
 
-    return ({"command": "demo", "results": results} if args.json else None), 0
+    results = {
+        "example1": report.separability_repr(sep1),
+        "example2": dict(report.separability_repr(sep2), statuses=statuses),
+        "gap": {
+            "epsilon": report.frac(eps),
+            "inside": inside.inside,
+            "decomposable": split.feasible,
+            "bounds": report.combined_repr(bounds)["bounds"],
+            "membership": report.membership_repr(inside),
+            "split": report.decomposition_repr(split),
+            "ones": report.decomposition_repr(ok),
+        },
+        "caution_lp": {
+            "nonneg": report.frac(sol_pos.value),
+            "nonneg_point": report.point_repr(sol_pos.point),
+            "free": report.frac(sol_free.value),
+            "free_point": report.point_repr(sol_free.point),
+        },
+    }
+    return {"command": "demo", "results": results}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +372,8 @@ def main(argv=None) -> int:
         try:
             net = load_network(args.network) if "network" in args else None
             payload, code = args.func(net, args)
-            if payload is not None:
-                sys.stdout.write(report.dumps_canonical(payload) if args.json
-                                 else report.render_text(payload))
+            sys.stdout.write(report.dumps_canonical(payload) if args.json
+                             else report.render_text(payload))
             return code
         except (InputError, GuardError) as exc:
             print("error: %s" % exc, file=sys.stderr)

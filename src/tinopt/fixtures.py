@@ -1,16 +1,15 @@
 """Bundled example networks and the cautionary LP.
 
-Builders are the source of truth; the JSON files under ``tinopt/data`` are
-generated from them and kept byte-equal by the test suite.
+The builders are the one source of these networks: ``tinopt gap`` writes
+the parametric one as a file, and the tests write any other they need
+with ``dumps_canonical(network_to_dict(builder()))``.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from importlib import resources
 
-from .model import InputError, Network, StrengthMatrix, parse_network
+from .model import InputError, Network, StrengthMatrix
 from .optimize import LinearProgram
 
 __all__ = [
@@ -22,8 +21,6 @@ __all__ = [
     "acyclic4",
     "cyclic_dominant4",
     "builtin_networks",
-    "fixture_json",
-    "load_bundled",
 ]
 
 
@@ -151,7 +148,7 @@ def cyclic_dominant4() -> Network:
 
 
 def builtin_networks() -> dict:
-    """Name -> builder for the bundled JSON fixtures."""
+    """Name -> builder for the bundled networks."""
     return {
         "example1": example1,
         "example2": example2,
@@ -159,15 +156,3 @@ def builtin_networks() -> dict:
         "acyclic4": acyclic4,
         "cyclic_dominant4": cyclic_dominant4,
     }
-
-
-def fixture_json(name: str) -> str:
-    """Raw text of a bundled fixture file."""
-    try:
-        return (resources.files("tinopt") / "data" / (name + ".json")).read_text()
-    except (FileNotFoundError, ModuleNotFoundError) as exc:
-        raise InputError("no bundled fixture named %r" % name) from exc
-
-
-def load_bundled(name: str) -> Network:
-    return parse_network(json.loads(fixture_json(name)))

@@ -25,8 +25,9 @@ engine solves the decomposition LPs of ``region``.
 A cycle bound's left side depends only on its members, so per user subset
 only the heaviest cycle binds: ``_heaviest_cycles`` (integer Held-Karp,
 O(2^K K^2)) gives it for every subset, and both cutting-plane LPs read their
-rows from it; ``_heaviest_cycle_covers`` adds every subset's heaviest cyclic
-partition (O(3^K)) for ``region``.  All arithmetic is exact; no floats.
+rows from it; ``_partition_bounds`` turns those into every subset's least
+cyclic partition bound (O(3^K)) for ``region``.  All arithmetic is exact; no
+floats.
 """
 
 from __future__ import annotations
@@ -447,26 +448,24 @@ def _heaviest_cycle(flat, k, paths, mask) -> Cycle:
     return Cycle(tuple(u + 1 for u in reversed(order)))
 
 
-def _heaviest_cycle_covers(flat, k):
-    """(cycles, covers): ``cycles`` of ``_heaviest_cycles``, and per mask
-    the weight of the heaviest cyclic partition of its users, from a pass
-    over the submasks holding the lowest member (its cover's cycle through
-    it), in O(3^K)."""
-    cycles, _ = _heaviest_cycles(flat, k)
-    covers = [0] * (1 << k)
-    for mask in range(1, 1 << k):
+def _partition_bounds(block) -> list:
+    """Per mask, the least bound of a cyclic partition of its users, given a
+    ``_cycle_blocks`` block of one bound per cycle: a partition's bound is
+    the sum of its cycles' (desired sums add over disjoint parts), so one
+    pass over the submasks holding the lowest member (its part's cycle
+    through it) gives every mask's, in O(3^K)."""
+    bounds = [0] * len(block)
+    for mask in range(1, len(block)):
         low = mask & -mask
         rest = mask ^ low
-        best, sub = 0, rest
-        while True:
-            weight = cycles[sub | low] + covers[rest ^ sub]
-            if weight > best:
-                best = weight
-            if not sub:
-                break
+        best, sub = block[mask], rest
+        while sub:
             sub = (sub - 1) & rest
-        covers[mask] = best
-    return cycles, covers
+            bound = block[sub | low] + bounds[rest ^ sub]
+            if bound < best:
+                best = bound
+        bounds[mask] = best
+    return bounds
 
 
 def _cutting_plane_lp(blocks, scale, objective, equalities=(), nonneg=True):

@@ -5,8 +5,8 @@ per cycle of the interference graph (plus nonnegativity).  For a parallel
 network the tightest bound on any subset's *total* (across sub-channels) rate
 is the subset's best cyclic partition bound summed over sub-channels; these
 "combined" bounds are valid for the parallel network as a whole.  One
-subset DP per sub-channel (``optimize._heaviest_cycle_covers``) gives the
-heaviest cyclic partition of every subset at once.
+subset DP per sub-channel (``optimize._partition_bounds``) gives the
+least cyclic partition bound of every subset at once.
 
 A point in the combined region need not decompose into per-sub-channel
 points of the individual regions -- ``separate_tin_decomposable`` settles
@@ -20,9 +20,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cycles import _check_enum_guard, enumerate_cycles
+from .cycles import enumerate_cycles
 from .model import CrossCheckError, InputError, Network, StrengthMatrix, as_rational
-from .optimize import (_cutting_plane_lp, _cycle_blocks, _heaviest_cycle_covers,
+from .optimize import (_cutting_plane_lp, _cycle_blocks, _partition_bounds,
                        _scaled_entries, _subset_sums)
 
 __all__ = [
@@ -158,19 +158,15 @@ def combined_sum_bounds(network: Network) -> CombinedSumBounds:
     Restricting to a subset simply silences the other users, so a subset's
     bound on one sub-channel is its desired strengths minus the heaviest
     cyclic partition of its users (and a restricted TIN-optimal sub-channel
-    stays TIN optimal).  One subset DP per sub-channel,
-    ``optimize._heaviest_cycle_covers`` on integer-scaled entries, yields
-    every subset's heaviest partition at once in O(3^K); guarded by
-    MAX_ENUM_USERS (GuardError above K = 9) before any of it runs.
+    stays TIN optimal).  ``optimize._cycle_blocks`` gives every subset's
+    heaviest-cycle bound on integer-scaled entries and one subset DP per
+    sub-channel, ``optimize._partition_bounds``, the least partition bound
+    of every subset at once in O(3^K); guarded by MAX_ENUM_USERS
+    (GuardError above K = 9) before any of it runs.
     """
     k = network.users
-    _check_enum_guard(k)
-    scale, flats = _scaled_entries(network.matrices)
-    totals = [0] * (1 << k)
-    for flat in flats:
-        _, covers = _heaviest_cycle_covers(flat, k)
-        desired = _subset_sums(flat[::k + 1])
-        totals = [t + d - c for t, d, c in zip(totals, desired, covers)]
+    scale, blocks, _ = _cycle_blocks(network.matrices)
+    totals = [sum(col) for col in zip(*map(_partition_bounds, blocks))]
     bounds = {}
     for size in range(1, k + 1):
         for subset in itertools.combinations(range(1, k + 1), size):

@@ -3,7 +3,8 @@
 Every value rendered here is an int, string, bool, list, or dict -- never a
 float -- so a report dumped with :func:`dumps_canonical` survives a
 parse/re-dump round trip byte for byte.  :func:`render_text` reads nothing
-but such a payload, so a report's text is a function of its JSON.
+but such a payload, so every subcommand's text, the ``demo`` walkthrough's
+included, is a function of its JSON.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ from .model import rational_str
 __all__ = [
     "dumps_canonical",
     "render_text",
-    "banner",
-    "certificate_lines",
-    "cap_line",
     "frac",
     "point_repr",
     "partition_repr",
@@ -32,7 +30,6 @@ __all__ = [
     "certificate_repr",
     "invertibility_repr",
     "sufficient_repr",
-    "scheme_repr",
     "separability_repr",
 ]
 
@@ -178,14 +175,6 @@ def sufficient_repr(verdict) -> dict:
     return out
 
 
-def scheme_repr(scheme) -> dict:
-    out = {"found": scheme.found, "sum_rate": scheme.sum_rate}
-    if scheme.found:
-        out["rates"] = list(scheme.rates)
-        out["powers"] = list(scheme.powers)
-    return out
-
-
 def separability_repr(verdict) -> dict:
     legs = []
     for leg in verdict.legs:
@@ -212,7 +201,7 @@ def separability_repr(verdict) -> dict:
 # text rendering
 # ---------------------------------------------------------------------------
 
-def banner(title: str) -> str:
+def _banner(title: str) -> str:
     return ("== %s " % title).ljust(66, "=")
 
 
@@ -232,12 +221,12 @@ def _bound(con) -> str:
     return "%s <= %s" % (" + ".join("d%d" % u for u in con["users"]), con["rhs"])
 
 
-def cap_line(cap) -> str:
+def _cap_line(cap) -> str:
     return ("user %d cannot exceed %s < %s once the other users hit "
             "their targets" % (cap["user"], cap["cap"], cap["target"]))
 
 
-def certificate_lines(cert) -> list:
+def _certificate_lines(cert) -> list:
     lines = ["  partition %s: %d bits, rank %d -> %s"
              % (_partition(cert["partition"]), cert["participating_bits"],
                 cert["rank"], "invertible" if cert["invertible"] else "singular")]
@@ -249,7 +238,7 @@ def certificate_lines(cert) -> list:
 
 
 def _check_tin_lines(p) -> list:
-    lines = [banner("TIN optimality")]
+    lines = [_banner("TIN optimality")]
     for m, v in enumerate(p["subchannels"], start=1):
         if v["satisfied"]:
             lines.append("sub-channel %d: TIN optimal%s"
@@ -265,7 +254,7 @@ def _check_tin_lines(p) -> list:
 
 
 def _sum_lines(p) -> list:
-    lines = [banner(p["quantity"])]
+    lines = [_banner(p["quantity"])]
     for m, res in enumerate(p["per_subchannel"], start=1):
         methods = res["methods"]
         lines += [
@@ -283,8 +272,8 @@ def _sum_lines(p) -> list:
 def _region_lines(p) -> list:
     lines = []
     for m, cons in enumerate(p["subchannels"], start=1):
-        lines.append(banner("sub-channel %d cycle bounds (%d constraints)"
-                            % (m, len(cons))))
+        lines.append(_banner("sub-channel %d cycle bounds (%d constraints)"
+                             % (m, len(cons))))
         lines += ["  %s    [cycle %s]" % (_bound(c), _cycle(c["cycle"]))
                   for c in cons]
     return lines
@@ -292,7 +281,7 @@ def _region_lines(p) -> list:
 
 def _member_lines(p) -> list:
     result = p["membership"]
-    lines = [banner("combined-region membership"), "point: %s" % _point(p["point"])]
+    lines = [_banner("combined-region membership"), "point: %s" % _point(p["point"])]
     if result["inside"]:
         lines.append("inside the combined-bound region")
     else:
@@ -304,12 +293,12 @@ def _member_lines(p) -> list:
 
 
 def _combined_bounds_lines(p) -> list:
-    return [banner("combined sum bounds")] + ["  " + _bound(b) for b in p["bounds"]]
+    return [_banner("combined sum bounds")] + ["  " + _bound(b) for b in p["bounds"]]
 
 
 def _decompose_lines(p) -> list:
     result = p["decomposition"]
-    lines = [banner("per-sub-channel decomposition"),
+    lines = [_banner("per-sub-channel decomposition"),
              "target: %s" % _point(result["target"])]
     if result["feasible"]:
         lines.append("decomposable; one valid split:")
@@ -317,7 +306,7 @@ def _decompose_lines(p) -> list:
                   for m, chan in enumerate(result["allocation"], start=1)]
     else:
         lines.append("NOT decomposable into per-sub-channel points")
-        lines += ["  " + cap_line(c) for c in result["caps"]]
+        lines += ["  " + _cap_line(c) for c in result["caps"]]
         if not result["caps"]:
             lines.append("  no per-user cap: fixing any K-1 users at their "
                          "targets is already infeasible")
@@ -339,26 +328,26 @@ def _subchannel_invertibility_lines(entries) -> list:
             lines.append("sub-channel %d: %s (%s; %d optimal partition(s) checked)"
                          % (m, word, entry["method"], len(entry["certificates"])))
             for cert in entry["certificates"]:
-                lines += certificate_lines(cert)
+                lines += _certificate_lines(cert)
         else:
             lines.append("sub-channel %d under %s: %s"
                          % (m, _partition(entry["partition"]), word))
-            lines += certificate_lines(entry)
+            lines += _certificate_lines(entry)
     return lines
 
 
 def _invertibility_lines(p) -> list:
-    lines = [banner("invertibility (%s mode)" % p["mode"])]
+    lines = [_banner("invertibility (%s mode)" % p["mode"])]
     lines += _subchannel_invertibility_lines(p["subchannels"])
     if "quantized" in p:
-        lines.append(banner("quantized at log2(P) = %s" % p["quantized"]["log2P"]))
+        lines.append(_banner("quantized at log2(P) = %s" % p["quantized"]["log2P"]))
         lines += _subchannel_invertibility_lines(p["quantized"]["subchannels"])
     return lines
 
 
 def _separability_lines(p) -> list:
     quantity = "sum-capacity" if p["mode"] == "deterministic" else "sum-GDoF"
-    lines = [banner("separability")]
+    lines = [_banner("separability")]
     for m, (res, leg) in enumerate(zip(p["per_subchannel"], p["invertibility"]),
                                    start=1):
         lines.append("sub-channel %d: %s = %s [%s]; TIN %s; invertibility: %s (%s)"
@@ -373,9 +362,50 @@ def _separability_lines(p) -> list:
         lines += ["  - %s" % reason for reason in p["reasons"]]
     if "quantized" in p:
         quantized = p["quantized"]
-        lines += [banner("quantized at log2(P) = %s" % quantized["log2P"]),
+        lines += [_banner("quantized at log2(P) = %s" % quantized["log2P"]),
                   "certified: %s, total %s"
                   % (quantized["certified"], quantized["total"])]
+    return lines
+
+
+def _demo_lines(p) -> list:
+    """The walkthrough's narration; a demo payload exists only once every
+    outcome it states has been checked."""
+    ex1, ex2 = p["results"]["example1"], p["results"]["example2"]
+    gap, lp = p["results"]["gap"], p["results"]["caution_lp"]
+    lines = [_banner("demo 1: fully invertible parallel network")]
+    lines += ["sub-channel %d: TIN optimal, sum-capacity %s, partition %s"
+              % (m, res["value"], _partition(res["optimal_partition"]))
+              for m, res in enumerate(ex1["per_subchannel"], start=1)]
+    lines += ["total %s; separable (certified): every sub-channel invertible"
+              % ex1["total"],
+              _banner("demo 2: invertibility failure on one sub-channel")]
+    *good, bad = ex2["invertibility"]
+    lines.append("sub-channels 1-%d invertible; sub-channel %d NON-invertible"
+                 % (len(good), bad["subchannel"]))
+    for cert in bad["detail"]["certificates"]:
+        lines += _certificate_lines(cert)
+    rhs = {len(b["users"]): b["rhs"] for b in gap["bounds"]}
+    split, ones = gap["split"], gap["ones"]
+    lines += [
+        "verdict: not certified",
+        _banner("demo 3: combined region exceeds the per-sub-channel sum"),
+        "epsilon = %s" % gap["epsilon"],
+        "combined bounds: singletons %s, pairs %s, all %s" % (rhs[1], rhs[2], rhs[3]),
+        "point %s: inside the combined region, yet NOT decomposable per "
+        "sub-channel:" % _point(split["target"]),
+    ]
+    lines += ["  " + _cap_line(cap) for cap in split["caps"]]
+    allocation = tuple(tuple(str(x) for x in chan) for chan in ones["allocation"])
+    lines += [
+        "point %s: decomposable, e.g. %s" % (_point(ones["target"]), allocation),
+        _banner("demo 4: nonnegativity matters in general LPs"),
+        "max R1+R2+R3 s.t. R1+R2<=10, R1+R3<=10, R2+R3<=30",
+        "  with R >= 0 : %s at %s" % (lp["nonneg"], _point(lp["nonneg_point"])),
+        "  free        : %s at %s" % (lp["free"], _point(lp["free_point"])),
+        "no strictly-TIN-optimal sub-channel generates such bounds: there,",
+        "dropping nonnegativity never changes the cycle-LP optimum.",
+    ]
     return lines
 
 
@@ -388,6 +418,7 @@ _RENDERERS = {
     "decompose": _decompose_lines,
     "invertibility": _invertibility_lines,
     "separability": _separability_lines,
+    "demo": _demo_lines,
     "gap": lambda p: ["wrote gap network (epsilon = %s) to %s"
                       % (p["epsilon"], p["out"])],
 }

@@ -1,4 +1,5 @@
-"""The bundled networks: builders, JSON copies, and their stated properties."""
+"""The bundled networks: builders, their JSON round trip, and their stated
+properties."""
 
 from __future__ import annotations
 
@@ -14,33 +15,20 @@ from tinopt.fixtures import (
     cyclic_dominant4,
     example1,
     example2,
-    fixture_json,
     gap_network,
     gap_point,
-    load_bundled,
 )
 from tinopt.model import InputError, check_tin, network_to_dict, parse_network
 from tinopt.optimize import solve_lp
 from tinopt.report import dumps_canonical
 
-def test_bundled_json_matches_builders_byte_for_byte():
-    for name, builder in builtin_networks().items():
-        expected = dumps_canonical(network_to_dict(builder()))
-        assert fixture_json(name) == expected, name
 
-
-def test_load_bundled_equals_builder():
-    for name, builder in builtin_networks().items():
-        assert load_bundled(name) == builder()
-    with pytest.raises(InputError):
-        load_bundled("does-not-exist")
-
-
-def test_fixture_json_is_valid_canonical_json():
-    for name in builtin_networks():
-        text = fixture_json(name)
-        assert dumps_canonical(json.loads(text)) == text
-        parse_network(json.loads(text))  # must be a loadable network
+@pytest.mark.parametrize("name", list(builtin_networks()))
+def test_builder_json_round_trips(name):
+    builder = builtin_networks()[name]
+    text = dumps_canonical(network_to_dict(builder()))
+    assert parse_network(json.loads(text)) == builder()
+    assert dumps_canonical(json.loads(text)) == text
 
 
 def test_example_fixtures_share_their_first_two_subchannels():
@@ -72,7 +60,7 @@ def test_gap_network_structure():
 
 
 def test_default_gap_epsilon_matches_bundled_fixture():
-    assert gap_network() == load_bundled("gap_eps_1_10")
+    assert gap_network() == gap_network("1/10")
 
 
 def test_caution_lp_shape_and_optima():

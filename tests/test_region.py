@@ -18,7 +18,7 @@ from oracles import (
 from tinopt.cycles import cycle_bound_rhs, cycle_count, enumerate_cycles
 from tinopt.fixtures import example1, gap_network, gap_point
 from tinopt.model import ClampWarning, InputError, Network, StrengthMatrix
-from tinopt.optimize import _heaviest_cycle_covers, _scaled_entries, network_sum
+from tinopt.optimize import _heaviest_cycles, _scaled_entries, network_sum
 from tinopt.region import (
     combined_sum_bounds,
     region_contains,
@@ -220,7 +220,7 @@ def test_combined_bounds_match_partition_oracle(k, kind):
 def test_subset_dp_cycles_match_cycle_enumeration(k, kind):
     mat = _dp_matrix(random.Random("cycles/%s/%d" % (kind, k)), k, kind)
     scale, (flat,) = _scaled_entries((mat,))
-    cycles, _ = _heaviest_cycle_covers(flat, k)
+    cycles, _ = _heaviest_cycles(flat, k)
     heaviest = {}
     for cyc in enumerate_cycles(k):
         mask = sum(1 << (u - 1) for u in cyc.users)

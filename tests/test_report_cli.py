@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -18,8 +19,8 @@ import pytest
 import tinopt
 from tinopt.cli import main
 from tinopt.cycles import Cycle, CyclicPartition
-from tinopt.fixtures import fixture_json
-from tinopt.model import CrossCheckError, load_network
+from tinopt.fixtures import builtin_networks
+from tinopt.model import CrossCheckError, load_network, network_to_dict
 from tinopt.report import (
     dumps_canonical,
     frac,
@@ -99,7 +100,7 @@ def nets(tmp_path):
     paths = {}
     for name in BUNDLED:
         p = tmp_path / (name + ".json")
-        p.write_text(fixture_json(name))
+        p.write_text(dumps_canonical(network_to_dict(builtin_networks()[name]())))
         paths[name] = str(p)
 
     sym = {
@@ -363,20 +364,52 @@ def test_demo_runs_and_asserts(capsys):
 
     code, out, _ = run_cli(capsys, "demo", "--json")
     assert code == 0
-    doc = assert_canonical(out)
-    assert doc["results"]["example1"] == {"total": 18, "certified": True}
-    assert doc["results"]["gap"]["decomposable"] is False
+    results = assert_canonical(out)["results"]
+    ex1 = results["example1"]
+    assert ex1["total"] == 18 and ex1["certified"] is True
+    assert [res["value"] for res in ex1["per_subchannel"]] == [6, 6, 6]
+    assert all(leg["status"] == "invertible" for leg in ex1["invertibility"])
+    ex2 = results["example2"]
+    assert ex2["certified"] is False
+    assert ex2["statuses"] == ["invertible", "invertible", "non-invertible"]
+    assert all(cert["kernel"] for cert
+               in ex2["invertibility"][2]["detail"]["certificates"])
+    gap = results["gap"]
+    assert gap["epsilon"] == "1/10"
+    assert gap["inside"] is True and gap["decomposable"] is False
+    assert {b["rhs"] for b in gap["bounds"]} == {2, "13/5", 3}
+    assert gap["membership"]["inside"] and not gap["split"]["feasible"]
+    assert [cap["user"] for cap in gap["split"]["caps"]] == [1, 2, 3]
+    assert gap["ones"]["feasible"] and gap["ones"]["target"] == [1, 1, 1]
+    assert results["caution_lp"] == {"nonneg": 20, "nonneg_point": [0, 10, 10],
+                                     "free": 25, "free_point": [-5, 15, 15]}
 
-    # a bad epsilon stops the demo before demo 1 prints anything
+    # a bad epsilon stops the demo before any analysis runs
     for eps in ("0", "1/4"):
         code, out, err = run_cli(capsys, "demo", "--epsilon", eps)
         assert code == 2 and out == ""
         assert "epsilon" in err and err.count("\n") == 1
 
 
+def test_failed_demo_expectation_exits_4_before_any_output(capsys, monkeypatch):
+    real = tinopt.cli.separability_verdict
+
+    def certify_everything(network):
+        return dataclasses.replace(real(network), certified=True)
+
+    monkeypatch.setattr("tinopt.cli.separability_verdict", certify_everything)
+    for argv in (("demo",), ("demo", "--json")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: internal cross-check failed in demo "
+                              "(no input file): demo expectation failed: "
+                              "example2 not certified")
+
+
 def _report_calls(nets, tmp_path):
     """Every report subcommand on every bundled fixture."""
-    calls = [("gap", "--out", str(tmp_path / "gap.json"))]
+    calls = [("gap", "--out", str(tmp_path / "gap.json")), ("demo",)]
     for name in BUNDLED:
         path = nets[name]
         net = load_network(path)
