@@ -214,12 +214,11 @@ def cmd_demo(net, args) -> tuple:
     gap = gap_network(eps)  # rejects a bad epsilon before any analysis
 
     ex1 = example1()
-    nsum1 = network_sum(ex1)
     sep1 = separability_verdict(ex1)
-    for m, res in enumerate(nsum1.per_channel, start=1):
+    for m, res in enumerate(sep1.sums.per_channel, start=1):
         _expect(res.tin.satisfied, "example1 sub-channel %d TIN" % m)
         _expect(res.value == 6, "example1 sub-channel %d capacity 6" % m)
-    _expect(nsum1.total == 18, "example1 total 18")
+    _expect(sep1.sums.total == 18, "example1 total 18")
     _expect(sep1.certified, "example1 separable")
     _expect(all(leg.status == "invertible" for leg in sep1.legs),
             "example1 invertibility on every sub-channel")

@@ -5,9 +5,8 @@ sub-channel, which for TIN-optimal sub-channels equals the sum-GDoF
 (sum-capacity in deterministic mode):
 
 * ``solve_cycle_lp``   -- the LP maximizing the rate sum under *all* cycle
-                          bounds, solved exactly by cutting planes on a
-                          persistent simplex tableau (dual simplex after
-                          each batch of cuts);
+                          bounds, solved exactly by cutting planes (dual
+                          simplex after each batch of cuts);
 * ``best_partition_assignment`` -- the heaviest cyclic partition found as a
                           min-cost assignment (Hungarian method) over
                           predecessor permutations;
@@ -20,7 +19,9 @@ also counts the tied permutations, so one pass per sub-channel yields the
 reported partition (``optimal_partition``, the canonical tie, by a greedy
 O(K^2) pass) and the tie set (``all_optimal_partitions``, a walk of the
 tight branches only, guarded by TIE_GUARD).  The same cutting-plane
-engine solves the decomposition LPs of ``region``.
+engine solves the decomposition LPs of ``region``.  Every LP, ``solve_lp``
+included, runs on one exact simplex driver, ``_simplex``; the engine adds
+only the cycle separation, as the driver's oracle of cuts.
 
 A cycle bound's left side depends only on its members, so per user subset
 only the heaviest cycle binds: ``_heaviest_cycles`` (integer Held-Karp,
@@ -119,17 +120,6 @@ class LpSolution:
     status: str                # "optimal" | "infeasible" | "unbounded"
     value: "Fraction | None"
     point: "tuple | None"
-
-
-def _split_free(nonneg) -> list:
-    """Structural columns as (variable, sign): a free variable x is split
-    into x+ - x-, both nonnegative."""
-    struct = []
-    for j, sign_restricted in enumerate(nonneg):
-        struct.append((j, 1))
-        if not sign_restricted:
-            struct.append((j, -1))
-    return struct
 
 
 class _Tableau:
@@ -318,26 +308,49 @@ class _Tableau:
         return vals
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve exactly.  Frees are split x = x+ - x-; two-phase handles >= and ==."""
-    if not isinstance(lp, LinearProgram):
-        lp = LinearProgram.build(*lp)
-    struct = _split_free(lp.nonneg)
+def _simplex(rows, objective, nonneg, cuts=None):
+    """Maximize ``objective`` . x subject to the (coefficients, relation,
+    rhs) ``rows`` by two-phase simplex on one ``_Tableau``, each free
+    variable (``nonneg[j]`` False) split into x+ - x-.  While the oracle
+    ``cuts(point)`` returns rows (coefficients, rhs), meaning coefficients
+    . x <= rhs, append them and re-optimize by dual simplex.  Returns
+    (status, value, point, pivots), value and point exact (ints where
+    integral) and None unless status is "optimal"."""
+    struct = []                 # structural columns as (variable, sign)
+    for j, sign_restricted in enumerate(nonneg):
+        struct.append((j, 1))
+        if not sign_restricted:
+            struct.append((j, -1))
     tab = _Tableau(
         [([coeffs[j] * s for j, s in struct], rel, rhs)
-         for coeffs, rel, rhs in lp.constraints],
+         for coeffs, rel, rhs in rows],
         len(struct),
     )
     if not tab.phase_one():
-        return LpSolution(status="infeasible", value=None, point=None)
-    if tab.primal([lp.objective[j] * s for j, s in struct]) == "unbounded":
-        return LpSolution(status="unbounded", value=None, point=None)
-    vals = tab.values()
-    point = [Fraction(0)] * len(lp.objective)
-    for c, (j, s) in enumerate(struct):
-        point[j] += vals[c] * s
-    return LpSolution(status="optimal", value=Fraction(-tab.obj[-1]),
-                      point=tuple(point))
+        return "infeasible", None, None, tab.pivots
+    if tab.primal([objective[j] * s for j, s in struct]) == "unbounded":
+        return "unbounded", None, None, tab.pivots
+    while True:
+        vals = tab.values()
+        point = [0] * len(nonneg)
+        for c, (j, s) in enumerate(struct):
+            point[j] += vals[c] * s
+        new = cuts(point) if cuts else ()
+        if not new:
+            return "optimal", -tab.obj[-1], point, tab.pivots
+        for coeffs, rhs in new:
+            tab.add_row({c: coeffs[j] * s for c, (j, s) in enumerate(struct)},
+                        rhs)
+        if tab.dual() == "infeasible":
+            return "infeasible", None, None, tab.pivots
+
+
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Solve exactly by the two-phase simplex of ``_simplex``."""
+    status, value, point, _ = _simplex(lp.constraints, lp.objective, lp.nonneg)
+    if status == "optimal":
+        value, point = Fraction(value), tuple(map(Fraction, point))
+    return LpSolution(status=status, value=value, point=point)
 
 
 # ---------------------------------------------------------------------------
@@ -470,21 +483,20 @@ def _partition_bounds(block) -> list:
 
 def _cutting_plane_lp(blocks, scale, objective, equalities=(), nonneg=True):
     """Maximize ``objective`` . x subject to every cycle bound of every block,
-    by cutting planes on one persistent tableau.
+    by cutting planes: ``_simplex`` with a subset scan as its oracle.
 
     Variable x[m*K + u] is user u+1's rate on block m, and
     ``blocks[m][mask]`` is ``scale`` times the bound on the users of
     ``mask`` on that block (see ``_cycle_blocks``).  Each (u, t) in
     ``equalities`` fixes user u+1's total over all blocks to t / scale.
-    The tableau works in the scaled variables y = scale * x, where every
+    The LP is solved in the scaled variables y = scale * x, where every
     constraint has integer data.
 
     The working set starts with the singleton subsets (trivial cycles) of
     every block only.  Each round scans the 2^K - 1 subsets with integer
-    arithmetic, appends the max(3, K) most violated subsets per block as
-    rows in the current basis, and restores optimality from the previous
-    optimal basis by dual simplex.  The final point obeys every cycle bound
-    and is optimal for a relaxation, hence optimal.
+    arithmetic and returns the max(3, K) most violated subsets per block as
+    cuts.  The final point obeys every cycle bound and is optimal for a
+    relaxation, hence optimal.
 
     Returns (status, value, point, working, rounds, pivots), where
     ``working[m]`` lists block m's working subset masks in the order added.
@@ -492,42 +504,25 @@ def _cutting_plane_lp(blocks, scale, objective, equalities=(), nonneg=True):
     nvars = len(objective)
     k = nvars // len(blocks)
     batch = max(3, k)
-    struct = _split_free([nonneg] * nvars)
-    nstruct = len(struct)
-    cols = [[] for _ in range(nvars)]
-    for c, (v, s) in enumerate(struct):
-        cols[v].append((c, s))
 
-    def coeffs(variables):
-        return {c: s for v in variables for c, s in cols[v]}
-
-    def dense(variables):
-        row = [0] * nstruct
-        for c, s in coeffs(variables).items():
-            row[c] = s
-        return row
+    def subset_row(m, mask):
+        return ([0] * (m * k) + [mask >> u & 1 for u in range(k)]
+                + [0] * (nvars - (m + 1) * k))
 
     working = [[1 << u for u in range(k)] for _ in blocks]
     rows = [
-        (dense(m * k + u for u in range(k) if mask >> u & 1), "<=", rhs[mask])
+        (subset_row(m, mask), "<=", rhs[mask])
         for m, rhs in enumerate(blocks) for mask in working[m]
     ]
     rows += [
-        (dense(m * k + u for m in range(len(blocks))), "==", total)
+        ([int(v % k == u) for v in range(nvars)], "==", total)
         for u, total in equalities
     ]
-    tab = _Tableau(rows, nstruct)
     rounds = 1
-    feasible = tab.phase_one()
-    cost = [objective[v] * s for v, s in struct]
-    if feasible and tab.primal(cost) == "unbounded":
-        raise CrossCheckError(
-            "restricted cycle LP cannot be unbounded (trivial cycles seed it)"
-        )
-    while feasible:
-        vals = tab.values()
-        point = [sum(vals[c] * s for c, s in cols[v]) for v in range(nvars)]
-        added = False
+
+    def separate(point):
+        nonlocal rounds
+        cuts = []
         for m, rhs in enumerate(blocks):
             part = point[m * k:(m + 1) * k]
             escale = lcm(*(p.denominator for p in part))
@@ -542,16 +537,21 @@ def _cutting_plane_lp(blocks, scale, objective, equalities=(), nonneg=True):
             )
             for _, mask in violated[:batch]:
                 working[m].append(mask)
-                tab.add_row(coeffs(m * k + u for u in range(k) if mask >> u & 1),
-                            rhs[mask])
-                added = True
-        if not added:
-            return ("optimal", Fraction(-tab.obj[-1], scale),
-                    tuple(Fraction(p, scale) for p in point),
-                    working, rounds, tab.pivots)
-        rounds += 1
-        feasible = tab.dual() == "optimal"
-    return "infeasible", None, None, working, rounds, tab.pivots
+                cuts.append((subset_row(m, mask), rhs[mask]))
+        if cuts:
+            rounds += 1
+        return cuts
+
+    status, value, point, pivots = _simplex(
+        rows, objective, [nonneg] * nvars, separate)
+    if status == "unbounded":
+        raise CrossCheckError(
+            "restricted cycle LP cannot be unbounded (trivial cycles seed it)"
+        )
+    if status == "optimal":
+        value = Fraction(value, scale)
+        point = tuple(Fraction(p, scale) for p in point)
+    return status, value, point, working, rounds, pivots
 
 
 def solve_cycle_lp(matrix: StrengthMatrix, nonneg: bool = True) -> CycleLpResult:

@@ -6,6 +6,12 @@ permutation scans instead of the Hungarian method, literal channel
 simulation instead of GF(2) elimination, and one from-scratch ``solve_lp``
 over every cycle bound instead of warm-started cutting planes.  Slow is
 fine; these only run on small instances.
+
+``solve_lp`` shares its simplex driver with the cutting-plane engine, so
+the vertex-enumeration oracle (``vertex_lp_oracle``, used by the
+``test_simplex_matches_vertex_enumeration*`` tests) stays the driver's
+independent check, and ``full_cycle_lp`` checks what the engine adds on
+top of it: the cycle separation and the cuts.
 """
 
 from __future__ import annotations

@@ -403,6 +403,15 @@ def test_cycle_lp_counters_are_pinned():
     free = solve_cycle_lp(mat, nonneg=False)
     assert free.value == 6
     assert (free.rounds, free.pivots) == (3, 5)
+    # the dual-infeasible path: the first cut empties the region with d >= 0;
+    # without it the pair bound d1 + d2 <= 2 - 10 sets the optimum
+    mat = StrengthMatrix.from_values("deterministic", [[1, 5], [5, 1]])
+    res = solve_cycle_lp(mat)
+    assert res.status == "infeasible"
+    assert (res.rounds, res.pivots) == (2, 4)
+    free = solve_cycle_lp(mat, nonneg=False)
+    assert free.status == "optimal" and free.value == -8
+    assert (free.rounds, free.pivots) == (2, 4)
 
 
 def _lp_matrix(rng, k, kind):

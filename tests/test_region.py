@@ -18,7 +18,8 @@ from oracles import (
 from tinopt.cycles import cycle_bound_rhs, cycle_count, enumerate_cycles
 from tinopt.fixtures import example1, gap_network, gap_point
 from tinopt.model import ClampWarning, InputError, Network, StrengthMatrix
-from tinopt.optimize import _heaviest_cycles, _scaled_entries, network_sum
+from tinopt.optimize import (_cutting_plane_lp, _cycle_blocks, _heaviest_cycles,
+                             _scaled_entries, network_sum)
 from tinopt.region import (
     combined_sum_bounds,
     region_contains,
@@ -254,6 +255,24 @@ def test_gap_point_is_not_decomposable_but_ones_are():
         assert point_obeys_cycle_bounds(mat, chan, enumerate_cycles(3))
     totals = [sum(chan[u] for chan in ok.allocation) for u in range(3)]
     assert totals == [1, 1, 1]
+
+
+@pytest.mark.parametrize("point, status, working, rounds, pivots", [
+    (gap_point(), "infeasible", [[1, 2, 4, 7], [1, 2, 4, 3, 5]], 4, 8),
+    ((1, 1, 1), "optimal", [[1, 2, 4, 7, 3, 5], [1, 2, 4, 3, 5]], 4, 10),
+], ids=["gap-point", "ones"])
+def test_decomposition_lp_counters_are_pinned(point, status, working, rounds,
+                                              pivots):
+    # the joint LP of a decomposition is the one LP with equality rows (the
+    # user totals), hence phase 1, and cuts; pin its path on gap_network
+    net = gap_network()
+    target = tuple(Fraction(t) for t in point)
+    scale, blocks, _ = _cycle_blocks(net.matrices, target)
+    fixed = [(u, t.numerator * (scale // t.denominator))
+             for u, t in enumerate(target)]
+    res = _cutting_plane_lp(blocks, scale, [0] * 6, fixed)
+    assert res[0] == status
+    assert res[3:] == (working, rounds, pivots)
 
 
 def test_decompose_single_channel_reduces_to_membership():
