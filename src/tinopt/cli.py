@@ -45,7 +45,7 @@ from .region import combined_sum_bounds, separate_tin_decomposable, tin_region
 
 
 def _parse_point(text: str, users: int) -> tuple:
-    point = tuple(as_rational(p) for p in text.split(",") if p.strip())
+    point = tuple(as_rational(p) for p in text.split(","))
     if len(point) != users:
         raise InputError("point has %d coordinates, expected %d" % (len(point), users))
     return point
@@ -65,8 +65,6 @@ def _parse_partition(text: str, users: int) -> CyclicPartition:
     pred = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if not chunk:
-            continue
         if ":" not in chunk:
             raise InputError("partition entries look like user:predecessor, got %r"
                              % chunk)

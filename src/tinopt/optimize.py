@@ -70,7 +70,7 @@ TIE_GUARD = 10_000
 
 
 # ---------------------------------------------------------------------------
-# general-purpose exact linear programming (two-phase simplex, Bland's rule)
+# general-purpose exact linear programming (dual, then primal simplex; Bland)
 # ---------------------------------------------------------------------------
 
 _RELS = ("<=", ">=", "==")
@@ -137,36 +137,43 @@ class _Tableau:
 
     def __init__(self, rows, nstruct):
         """``rows`` are (coefficients over the ``nstruct`` structural
-        columns, relation, rhs).  Every inequality row gets a slack column
-        and every ">=" or "==" row an artificial one, in that order after
-        the structural columns; ``phase_one`` removes the artificials."""
-        flip = {"<=": ">=", ">=": "<=", "==": "=="}
-        norm = []
-        for coeffs, rel, rhs in rows:
-            if rhs < 0:
-                coeffs, rel, rhs = [-c for c in coeffs], flip[rel], -rhs
-            norm.append((coeffs, rel, rhs))
-        nslack = sum(rel != "==" for _, rel, _ in norm)
-        nart = sum(rel != "<=" for _, rel, _ in norm)
-        self.real = nstruct + nslack        # the columns phase 1 keeps
-        self.ncols = self.real + nart
+        columns, relation, rhs).  A ">=" row is negated into a "<=" row, and
+        every "<=" row gets a slack column, basic in it, after the
+        structural columns.  Every "==" row is made basic by one pivot on
+        its first nonzero structural entry; a row left with none is dropped
+        when its rhs is 0 and makes ``feasible`` False otherwise.  Right-hand
+        sides may be negative: the objective starts all zero, so any basis
+        is dual feasible and ``dual`` restores primal feasibility."""
+        self.ncols = nstruct + sum(rel != "==" for _, rel, _ in rows)
         self.rows = []
         self.basis = []
-        self.obj = None
+        self.obj = [0] * (self.ncols + 1)
         self.pivots = 0
-        slack, art = nstruct, self.real
-        for coeffs, rel, rhs in norm:
-            row = list(coeffs) + [0] * (nslack + nart) + [rhs]
-            if rel != "==":
-                row[slack] = 1 if rel == "<=" else -1
-                slack += 1
-            if rel == "<=":
-                self.basis.append(slack - 1)
+        self.feasible = True
+        slack = nstruct
+        for coeffs, rel, rhs in rows:
+            row = list(coeffs) + [0] * (self.ncols - nstruct) + [rhs]
+            if rel == "==":
+                self.basis.append(None)
             else:
-                row[art] = 1
-                self.basis.append(art)
-                art += 1
+                if rel == ">=":
+                    row = [-v for v in row]
+                row[slack] = 1
+                self.basis.append(slack)
+                slack += 1
             self.rows.append(row)
+        drop = []
+        for i, row in enumerate(self.rows):
+            if self.basis[i] is None:
+                col = next((j for j in range(nstruct) if row[j]), None)
+                if col is not None:
+                    self.pivot(i, col)
+                elif row[-1]:
+                    self.feasible = False
+                else:
+                    drop.append(i)
+        for i in reversed(drop):
+            del self.rows[i], self.basis[i]
 
     def pivot(self, row, col):
         """Make ``col`` basic in ``row``, updating only the entries in the
@@ -249,32 +256,6 @@ class _Tableau:
                 return "infeasible"
             self.pivot(leave, enter)
 
-    def phase_one(self) -> bool:
-        """Drive the artificial columns to zero and delete them, with any row
-        left redundant; False when the rows are infeasible."""
-        real = self.real
-        if self.ncols == real:
-            return True
-        if self.primal([0] * real + [-1] * (self.ncols - real)) != "optimal":
-            raise CrossCheckError("phase-1 simplex cannot be unbounded")
-        if self.obj[-1] != 0:
-            return False
-        drop = []
-        for i, row in enumerate(self.rows):
-            if self.basis[i] >= real:
-                col = next((j for j in range(real) if row[j]), None)
-                if col is None:
-                    drop.append(i)
-                else:
-                    self.pivot(i, col)
-        for i in reversed(drop):
-            del self.rows[i]
-            del self.basis[i]
-        for row in self.rows:
-            del row[real:-1]
-        self.ncols = real
-        return True
-
     def add_row(self, coeffs: dict, rhs):
         """Append the row coeffs . x <= rhs (``coeffs`` maps structural
         columns to values) with a new slack column basic in it, written in
@@ -310,10 +291,12 @@ class _Tableau:
 
 def _simplex(rows, objective, nonneg, cuts=None):
     """Maximize ``objective`` . x subject to the (coefficients, relation,
-    rhs) ``rows`` by two-phase simplex on one ``_Tableau``, each free
-    variable (``nonneg[j]`` False) split into x+ - x-.  While the oracle
-    ``cuts(point)`` returns rows (coefficients, rhs), meaning coefficients
-    . x <= rhs, append them and re-optimize by dual simplex.  Returns
+    rhs) ``rows`` on one ``_Tableau``, each free variable (``nonneg[j]``
+    False) split into x+ - x-: dual simplex under the all-zero objective
+    reaches a feasible basis, then primal simplex an optimal one.  While
+    the oracle ``cuts(point)`` returns rows (coefficients, rhs), meaning
+    coefficients . x <= rhs, append them and regain feasibility by the same
+    dual simplex, now from the optimal basis.  Returns
     (status, value, point, pivots), value and point exact (ints where
     integral) and None unless status is "optimal"."""
     struct = []                 # structural columns as (variable, sign)
@@ -326,7 +309,7 @@ def _simplex(rows, objective, nonneg, cuts=None):
          for coeffs, rel, rhs in rows],
         len(struct),
     )
-    if not tab.phase_one():
+    if not tab.feasible or tab.dual() == "infeasible":
         return "infeasible", None, None, tab.pivots
     if tab.primal([objective[j] * s for j, s in struct]) == "unbounded":
         return "unbounded", None, None, tab.pivots
@@ -346,7 +329,7 @@ def _simplex(rows, objective, nonneg, cuts=None):
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve exactly by the two-phase simplex of ``_simplex``."""
+    """Solve exactly by the simplex driver ``_simplex``, without cuts."""
     status, value, point, _ = _simplex(lp.constraints, lp.objective, lp.nonneg)
     if status == "optimal":
         value, point = Fraction(value), tuple(map(Fraction, point))

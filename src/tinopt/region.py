@@ -110,8 +110,10 @@ class MembershipResult:
 def region_contains(constraints, point, users: "int | None" = None) -> MembershipResult:
     """Exact membership of a rate point in {d >= 0} cut by ``constraints``."""
     pt = tuple(as_rational(x) for x in point)
-    if users is not None and len(pt) != users:
-        raise InputError("point has %d coordinates, expected %d" % (len(pt), users))
+    named = max((k for con in constraints for k in con.users), default=0)
+    if (users is not None and len(pt) != users) or len(pt) < named:
+        raise InputError("point has %d coordinates, expected %d"
+                         % (len(pt), named if users is None else users))
     negative = tuple(k + 1 for k, x in enumerate(pt) if x < 0)
     violated = tuple(con for con in constraints if not con.holds(pt))
     return MembershipResult(

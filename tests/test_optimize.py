@@ -102,14 +102,25 @@ def test_lp_equalities_and_negative_rhs():
     assert sol.value == 8 and sol.point == (0, 4)
 
 
-def test_lp_degenerate_redundant_equalities():
-    # the same equality twice: phase 1 must drop the redundant artificial row
-    lp = LinearProgram.build(
-        [1, 1],
-        [([1, 1], "==", 3), ([2, 2], "==", 6), ([1, 0], "<=", 2)],
-    )
+@pytest.mark.parametrize("objective, constraints, status", [
+    ([1, 1], [([1, 1], "==", 3), ([2, 2], "==", 6), ([1, 0], "<=", 2)],
+     "optimal"),
+    ([1, 1], [([1, 1], "==", 3), ([2, 2], "==", 7)], "infeasible"),
+    ([-1, -1, -1],
+     [([1, 1, 0], ">=", 2), ([1, 0, 1], ">=", 2), ([0, 1, 1], ">=", 2),
+      ([1, 1, 1], ">=", 3), ([1, 0, 0], "<=", 4), ([0, 1, 0], "<=", 4),
+      ([0, 0, 1], "<=", 4)],
+     "optimal"),
+], ids=["redundant", "contradicting", "degenerate-start"])
+def test_lp_degenerate_redundant_equalities(objective, constraints, status):
+    # a dependent "==" row has no structural entry left to pivot on: it is
+    # dropped when it agrees with the rows before it and makes the LP
+    # infeasible otherwise; four ">=" rows through (1, 1, 1), none of which
+    # the origin obeys, leave the dual simplex a degenerate start
+    lp = LinearProgram.build(objective, constraints)
     sol = solve_lp(lp)
-    assert sol.status == "optimal" and sol.value == 3
+    assert sol.status == status
+    assert (sol.status, sol.value) == vertex_lp_oracle(lp)
 
 
 def test_lp_exactness_no_floats():

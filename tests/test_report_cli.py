@@ -472,6 +472,18 @@ def test_bad_point_and_partition_exit_2(nets, capsys):
                            "--partition", "1:2,1:3,3:0")
     assert code == 2 and "twice" in err
 
+    # an empty field, a trailing comma included, is an error, not skipped
+    for argv in (("member", nets["gap_eps_1_10"], "--point", "1,,1,1"),
+                 ("member", nets["gap_eps_1_10"], "--point", "1,,1"),
+                 ("member", nets["gap_eps_1_10"], "--point", "1,1,1,"),
+                 ("invertibility", nets["symmetric3"], "--partition",
+                  "1:2,,2:3,3:1"),
+                 ("invertibility", nets["symmetric3"], "--partition",
+                  "1:2,2:3,3:1,")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 @pytest.mark.parametrize("entry", ["1e5000", "1e3000000", "7" * 5000],
                          ids=["1e5000", "1e3000000", "5000-digit-integer"])
