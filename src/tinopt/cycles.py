@@ -15,16 +15,18 @@ predecessor makes cyclic partitions the same thing as permutations of
 Enumeration is exhaustive and therefore guarded: K is capped at
 MAX_ENUM_USERS for the operations that walk all cycles or partitions.  The
 LPs in ``optimize`` read per-subset heaviest cycles from a subset DP instead,
-and ``region.tin_region`` walks ``enumerate_cycles`` but sums each cycle's
-edges as integer-scaled entries rather than calling ``cycle_bound_rhs``;
-``cycle_weight`` and ``cycle_bound_rhs`` are the Fraction reference that
-the tests and oracles compare against.
+and ``region.tin_region`` reads ``_cycle_table(K)``, the cycles of
+``enumerate_cycles(K)`` as flat arrays of user masks and edge indices, so
+each bound is an integer sum over integer-scaled entries rather than a call
+of ``cycle_bound_rhs``; ``cycle_weight`` and ``cycle_bound_rhs`` are the
+Fraction reference that the tests and oracles compare against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -277,6 +279,32 @@ def enumerate_cycles(k: int) -> tuple:
             for tail in itertools.permutations(rest):
                 cycles.append(Cycle((head,) + tail))
     return tuple(cycles)
+
+
+@lru_cache(maxsize=None)
+def _cycle_table(k: int) -> tuple:
+    """``enumerate_cycles(k)`` as flat arrays, for summing cycle bounds:
+    (masks, edges, offsets, users_of).  Cycle c covers the users of the
+    bitmask ``masks[c]`` (bit u - 1 for user u) and traverses the entries
+    ``edges[offsets[c]:offsets[c + 1]]`` of a row-major K x K matrix, e_ij
+    at (i - 1) * K + j - 1, none for a trivial cycle;
+    ``users_of[mask]`` is the sorted tuple of the users of a mask.  Built
+    once per K, after the cycles' own guard, and read-only, since every
+    caller shares it.
+    """
+    cycles = enumerate_cycles(k)
+    masks, edges, offsets = array("H"), bytearray(), array("I", [0])
+    for cyc in cycles:
+        users = cyc.users
+        masks.append(sum(1 << (u - 1) for u in users))
+        if len(users) > 1:
+            edges += bytes((i - 1) * k + j - 1
+                           for i, j in zip(users, users[1:] + users[:1]))
+        offsets.append(len(edges))
+    users_of = tuple(tuple(u + 1 for u in range(k) if mask >> u & 1)
+                     for mask in range(1 << k))
+    return (memoryview(masks).toreadonly(), bytes(edges),
+            memoryview(offsets).toreadonly(), users_of)
 
 
 @lru_cache(maxsize=None)

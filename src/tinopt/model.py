@@ -15,6 +15,7 @@ converted through their decimal string form, so a JSON value ``0.1`` means
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -38,6 +39,7 @@ __all__ = [
     "quantize",
     "parse_network",
     "load_network",
+    "dumps_canonical",
     "network_to_dict",
     "save_network",
 ]
@@ -496,6 +498,103 @@ def load_network(path) -> Network:
     return parse_network(obj)
 
 
+# ---------------------------------------------------------------------------
+# canonical JSON
+# ---------------------------------------------------------------------------
+
+_escape = json.encoder.encode_basestring_ascii
+_INTS = {int}
+_CONTAINERS = (dict, list, tuple)
+
+
+def _key(key) -> str:
+    if type(key) is not str:
+        raise TypeError("keys must be str, not %s" % type(key).__name__)
+    return _escape(key)
+
+
+def _encode(obj, nl: str) -> str:
+    """``obj`` as one string whose nested lines start with ``nl`` plus two
+    spaces per level; a list of ints is one join."""
+    kind = type(obj)
+    if kind is str:
+        return _escape(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        return "{%s%s%s}" % (inner, ("," + inner).join(
+            [_key(k) + ": " + _encode(v, inner) for k, v in obj.items()]), nl)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        items = (map(int.__repr__, obj) if {*map(type, obj)} == _INTS
+                 else [_encode(v, inner) for v in obj])
+        return "[%s%s%s]" % (inner, ("," + inner).join(items), nl)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
+
+
+def _flat(obj) -> bool:
+    """Whether ``obj`` is a dict holding no container but lists of scalars."""
+    return type(obj) is dict and not any(
+        type(v) is dict and v
+        or type(v) in (list, tuple) and v and type(v[0]) in _CONTAINERS
+        for v in obj.values())
+
+
+def _chunks(obj, nl: str):
+    """``_encode(obj, nl)`` in pieces: a dict streams its values and a list
+    of containers its items, except that a list whose first item is a flat
+    dict (``_flat``) gives each of its dicts as one piece."""
+    inner = nl + "  "
+    kind = type(obj)
+    if kind is dict and obj:
+        head = "{" + inner
+        for key, val in obj.items():
+            yield head + _key(key) + ": "
+            yield from _chunks(val, inner)
+            head = "," + inner
+        yield nl + "}"
+    elif (kind is list or kind is tuple) and obj and type(obj[0]) in _CONTAINERS:
+        whole = _flat(obj[0])
+        head = "[" + inner
+        for val in obj:
+            if whole and type(val) is dict:
+                yield head + _encode(val, inner)
+            else:
+                yield head
+                yield from _chunks(val, inner)
+            head = "," + inner
+        yield nl + "]"
+    else:
+        yield _encode(obj, nl)
+
+
+def dumps_canonical(obj) -> str:
+    """The one JSON writer: exactly ``json.dumps(obj, indent=2) + "\\n"``
+    (two-space indent, insertion order, ASCII escapes, one trailing
+    newline) for trees of ``str``, ``int``, ``bool``, ``None``, ``list``,
+    ``tuple`` and ``dict`` with ``str`` keys, matched on exact type; any
+    other value or key raises TypeError.
+
+    Its pieces (``_chunks``) are joined 1,024 at a time, so they never all
+    live at once: the peak stays near twice the output.
+    """
+    chunks = _chunks(obj, "\n")
+    parts = []
+    while batch := list(itertools.islice(chunks, 1024)):
+        parts.append("".join(batch))
+    parts.append("\n")
+    return "".join(parts)
+
+
 def network_to_dict(network: Network) -> dict:
     """Canonical JSON-ready dict for a network (nested rows, exact rationals)."""
     return {
@@ -511,7 +610,7 @@ def network_to_dict(network: Network) -> dict:
 
 def save_network(network: Network, path) -> None:
     """Write a network as JSON (the inverse of :func:`load_network`)."""
-    text = json.dumps(network_to_dict(network), indent=2) + "\n"
+    text = dumps_canonical(network_to_dict(network))
     try:
         Path(path).write_text(text)
     except OSError as exc:

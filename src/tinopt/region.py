@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cycles import enumerate_cycles
+from .cycles import _cycle_table, enumerate_cycles
 from .model import CrossCheckError, InputError, Network, StrengthMatrix, as_rational
 from .optimize import (_cutting_plane_lp, _cycle_blocks, _partition_bounds,
                        _scaled_entries, _subset_sums)
@@ -68,33 +68,26 @@ def tin_region(matrix: StrengthMatrix) -> tuple:
     condition holds (together with d >= 0); otherwise the constraints are
     still valid outer bounds for what TIN itself can do.
 
-    The bounds come from one pass over the cached ``enumerate_cycles(K)``
-    in its order: every entry is scaled to an int once (``_scaled_entries``:
-    InputError past MAX_RATIONAL_DIGITS digits of common denominator), a
-    cycle's bound is its users' desired sum minus the ints of the edges it
-    traverses, and only the result becomes a Fraction.  Equal to
-    ``cycles.cycle_bound_rhs`` cycle by cycle; GuardError above K = 9.
+    The bounds are read off the per-K table ``cycles._cycle_table``, cached
+    beside ``enumerate_cycles(K)`` and in its order: every entry is scaled
+    to an int once (``_scaled_entries``: InputError past MAX_RATIONAL_DIGITS
+    digits of common denominator), a cycle's bound is its users' desired
+    sum minus the ints at its edge indices, and only the result becomes a
+    Fraction.  Equal to ``cycles.cycle_bound_rhs`` cycle by cycle;
+    GuardError above K = 9, before any table is built.
     """
     k = matrix.users
     cycles = enumerate_cycles(k)
+    masks, edges, offsets, users_of = _cycle_table(k)
     scale, (flat,) = _scaled_entries((matrix,))
     desired = _subset_sums(flat[::k + 1])
-    out = []
-    for cyc in cycles:
-        users = cyc.users
-        mask = weight = 0
-        for u in users:
-            mask |= 1 << (u - 1)
-        if len(users) > 1:
-            # Cycle.edges(): e_ij for consecutive (i, j), closing the cycle
-            for i, j in zip(users, users[1:] + users[:1]):
-                weight += flat[(i - 1) * k + j - 1]
-        out.append(RegionConstraint(
-            users=tuple(sorted(users)),
-            rhs=Fraction(desired[mask] - weight, scale),
-            cycle=cyc,
-        ))
-    return tuple(out)
+    entry = flat.__getitem__
+    return tuple(
+        RegionConstraint(users_of[mask],
+                         Fraction(desired[mask] - sum(map(entry, edges[a:b])), scale),
+                         cyc)
+        for cyc, mask, (a, b) in zip(cycles, masks, itertools.pairwise(offsets))
+    )
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,16 @@
 
 Every value rendered here is an int, string, bool, list, or dict -- never a
 float -- so a report dumped with :func:`dumps_canonical` survives a
-parse/re-dump round trip byte for byte.  :func:`render_text` reads nothing
-but such a payload, so every subcommand's text, the ``demo`` walkthrough's
+parse/re-dump round trip byte for byte.  That writer lives in ``model``,
+which saves networks through it too, and is re-exported here; it refuses
+any other type with TypeError.  :func:`render_text` reads nothing but such
+a payload, so every subcommand's text, the ``demo`` walkthrough's
 included, is a function of its JSON.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
-
-from .model import rational_str
+from .model import dumps_canonical, rational_str
 
 __all__ = [
     "dumps_canonical",
@@ -32,23 +31,6 @@ __all__ = [
     "sufficient_repr",
     "separability_repr",
 ]
-
-
-def dumps_canonical(obj) -> str:
-    """The one true serialization: two-space indent, insertion order, one
-    trailing newline, exactly ``json.dumps(obj, indent=2) + "\n"``.
-
-    The encoder's small chunks are joined a batch at a time, so they never
-    all live at once: ``json.dumps`` joins one list of all of them, which
-    peaks near 7x the output size where indented encoding is pure Python
-    (CPython before 3.13).
-    """
-    chunks = json.JSONEncoder(indent=2).iterencode(obj)
-    parts = []
-    while batch := list(itertools.islice(chunks, 1024)):
-        parts.append("".join(batch))
-    parts.append("\n")
-    return "".join(parts)
 
 
 frac = rational_str
@@ -210,7 +192,7 @@ def _point(values) -> str:
 
 
 def _cycle(users) -> str:
-    return "(%s)" % ",".join(str(u) for u in users)
+    return "(%s)" % ",".join(map(str, users))
 
 
 def _partition(part) -> str:
@@ -218,7 +200,7 @@ def _partition(part) -> str:
 
 
 def _bound(con) -> str:
-    return "%s <= %s" % (" + ".join("d%d" % u for u in con["users"]), con["rhs"])
+    return "%s <= %s" % (" + ".join(map("d%d".__mod__, con["users"])), con["rhs"])
 
 
 def _cap_line(cap) -> str:

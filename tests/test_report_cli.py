@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -18,9 +19,10 @@ import pytest
 
 import tinopt
 from tinopt.cli import main
-from tinopt.cycles import Cycle, CyclicPartition
-from tinopt.fixtures import builtin_networks
-from tinopt.model import CrossCheckError, load_network, network_to_dict
+from tinopt.cycles import (Cycle, CyclicPartition, _cycle_table, cycle_bound_rhs,
+                           enumerate_cycles)
+from tinopt.fixtures import builtin_networks, gap_network
+from tinopt.model import CrossCheckError, load_network, network_to_dict, parse_network
 from tinopt.report import (
     dumps_canonical,
     frac,
@@ -84,6 +86,55 @@ def test_dumps_canonical_peak_memory_is_bounded(tmp_path, capsys):
         tracemalloc.stop()
     assert text == out
     assert peak <= 3 * len(text)
+
+
+def _region_reference(net) -> tuple:
+    """(--json, text) of ``region`` built from enumerate_cycles,
+    cycle_bound_rhs and json.dumps alone."""
+    def rational(x):
+        return x.numerator if x.denominator == 1 else "%d/%d" % (
+            x.numerator, x.denominator)
+
+    subchannels = [
+        [{"users": sorted(cyc.users), "rhs": rational(cycle_bound_rhs(cyc, mat)),
+          "cycle": list(cyc.users)} for cyc in enumerate_cycles(net.users)]
+        for mat in net.matrices
+    ]
+    doc = {"command": "region", "mode": net.mode, "subchannels": subchannels}
+    lines = []
+    for m, cons in enumerate(subchannels, start=1):
+        lines.append(("== sub-channel %d cycle bounds (%d constraints) "
+                      % (m, len(cons))).ljust(66, "="))
+        lines += ["  %s <= %s    [cycle (%s)]"
+                  % (" + ".join("d%d" % u for u in c["users"]), c["rhs"],
+                     ",".join("%d" % u for u in c["cycle"])) for c in cons]
+    return json.dumps(doc, indent=2) + "\n", "".join(x + "\n" for x in lines)
+
+
+@pytest.mark.parametrize("mode", ("gdof", "deterministic"))
+@pytest.mark.parametrize("k", range(1, 8))
+def test_region_report_equals_cycle_by_cycle_reference(tmp_path, capsys, mode, k):
+    rng = random.Random("%s/%d" % (mode, k))
+    entry = ((lambda: Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 7))))
+             if mode == "gdof" else (lambda: rng.randint(0, 9)))
+    doc = {"mode": mode, "users": k, "subchannels": 2,
+           "matrices": [[[str(entry()) for _ in range(k)] for _ in range(k)]
+                        for _ in range(2)]}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    want_json, want_text = _region_reference(parse_network(doc))
+    assert run_cli(capsys, "region", "--json", str(path)) == (0, want_json, "")
+    assert run_cli(capsys, "region", str(path)) == (0, want_text, "")
+
+
+def test_region_guard_exits_3_before_any_cycle_table(nets, capsys):
+    tables, cycles = _cycle_table.cache_info(), enumerate_cycles.cache_info()
+    for argv in (["region"], ["region", "--json"]):
+        code, out, err = run_cli(capsys, *argv, nets["huge"])
+        assert code == 3 and out == ""
+        assert "exhaustive enumeration limit exceeded" in err
+    assert _cycle_table.cache_info().misses == tables.misses
+    assert enumerate_cycles.cache_info().currsize == cycles.currsize
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +406,23 @@ def test_gap_subcommand(tmp_path, capsys):
                              str(tmp_path / "missing" / "gap.json"))
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("epsilon, sha256", (
+    (None, "c7f1dd0a7329aa97dcc0d88722187bc53c8de00f9f68becfe2bb145658bcdc9c"),
+    ("1/8", "940d5f6cfef5549c1bd95e0a72a0da763282d12098caca4a1dc2ed09ad37f127"),
+))
+def test_gap_out_file_is_unchanged(tmp_path, capsys, epsilon, sha256):
+    # saved networks stay the bytes of json.dumps(..., indent=2), which
+    # the digests pin independently of the json module
+    target = tmp_path / "gap.json"
+    argv = ["gap", "--out", str(target)]
+    argv += ["--epsilon", epsilon] if epsilon else []
+    assert run_cli(capsys, *argv)[0] == 0
+    text = target.read_text()
+    net = gap_network(Fraction(epsilon or "1/10"))
+    assert text == json.dumps(network_to_dict(net), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_demo_runs_and_asserts(capsys):
