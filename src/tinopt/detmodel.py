@@ -21,9 +21,9 @@ TIN coding attains the combined optimum, so the parallel network separates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .cycles import CyclicPartition
 from .model import (
@@ -492,20 +492,40 @@ class BestTinScheme:
 
 
 def best_tin_scheme(matrix: StrengthMatrix) -> BestTinScheme:
-    """Exhaustive search over integer backoff vectors for the best TIN sum.
+    """Exact search over integer backoff vectors for the best TIN sum.
 
     Backoff k is capped at min(n_kk, max_j n_jk): backing off past your own
     link kills your rate, and past your strongest outgoing interference it
     stops helping anyone.  An integer optimum always exists because the
     feasibility constraints are difference constraints with integer data.
+    The box of capped backoffs is guarded at ``SCHEME_CELL_GUARD`` cells,
+    counted before any cell is visited.
+
+    The box is walked depth first in lexicographic order (user 1's backoff
+    varies slowest), iteratively, carrying each receiver's interference
+    from the backoffs fixed so far, max(0, n_uj - delta_j), at O(K) per
+    node.  Fixing more backoffs only raises that interference, so a subtree
+    is skipped exactly when it cannot change the answer:
+
+    - the user being fixed already has a negative rate: every larger
+      backoff for it fails too, so its remaining values are skipped;
+    - some user already has a negative rate, counting each open backoff as
+      0: every cell below is infeasible;
+    - the rates so far, with each open backoff counted as 0, add up to at
+      most the best sum found: no cell below beats it.
+
+    The best scheme is replaced only by a strictly greater sum, so the
+    answer is the first optimum in lexicographic backoff order, as a
+    cell-by-cell scan of the box would report.
     """
     _require_deterministic(matrix, "best_tin_scheme")
     k = matrix.users
     ent = [[int(v) for v in row] for row in matrix.entries]
+    diag = [ent[u][u] for u in range(k)]
     caps = []
     for u in range(k):
         colmax = max((ent[j][u] for j in range(k) if j != u), default=0)
-        caps.append(min(colmax, ent[u][u]))
+        caps.append(min(colmax, diag[u]))
     cells = 1
     for c in caps:
         cells *= c + 1
@@ -514,31 +534,50 @@ def best_tin_scheme(matrix: StrengthMatrix) -> BestTinScheme:
             "exhaustive enumeration limit exceeded: %d backoff cells (max %d)"
             % (cells, SCHEME_CELL_GUARD)
         )
-    best_sum = None
+    # links[d]: (u, n_ud) for every receiver u that user d reaches
+    links = [[(u, ent[u][d]) for u in range(k) if u != d and ent[u][d] > 0]
+             for d in range(k)]
+    head = diag[:]                   # n_uu - delta_u, open backoffs as 0
+    inter = [[0] * k] + [None] * k   # inter[d]: after fixing users 0..d-1
+    bound = [sum(diag)] + [None] * k  # bound[d] = sum(head) - sum(inter[d])
+    delta = [-1] * k
+    best_sum = -1                    # a feasible cell sums to at least 0
     best = None
-    for delta in itertools.product(*(range(c + 1) for c in caps)):
-        rates = []
-        for u in range(k):
-            interference = 0
-            row = ent[u]
-            for j in range(k):
-                if j == u:
-                    continue
-                residue = row[j] - delta[j]
-                if residue > interference:
-                    interference = residue
-            r = ent[u][u] - delta[u] - interference
-            if r < 0:
-                rates = None
-                break
-            rates.append(r)
-        if rates is None:
+    last = k - 1
+    d = 0
+    while d >= 0:
+        x = delta[d] + 1
+        prev = inter[d]
+        if x > caps[d] or diag[d] - x < prev[d]:
+            # the box, or user d's own rate, ends this level
+            delta[d] = -1
+            head[d] = diag[d]
+            d -= 1
             continue
-        s = sum(rates)
-        if best_sum is None or s > best_sum:
-            best_sum = s
-            best = (tuple(rates), delta)
-    if best_sum is None:
+        delta[d] = x
+        head[d] = diag[d] - x
+        # every rate was nonnegative one level up; only the receivers that
+        # user d's residual link now dominates lose rate
+        total = bound[d] - x
+        cur = prev[:]
+        for u, n in links[d]:
+            v = n - x
+            if v > cur[u]:
+                if v > head[u]:
+                    break                # user u's rate is negative
+                total -= v - cur[u]
+                cur[u] = v
+        else:
+            if total <= best_sum:
+                continue
+            if d == last:
+                best_sum = total
+                best = (tuple(map(sub, head, cur)), tuple(delta))
+            else:
+                d += 1
+                inter[d] = cur
+                bound[d] = total
+    if best is None:
         return BestTinScheme(found=False, sum_rate=0, rates=None, powers=None)
     return BestTinScheme(found=True, sum_rate=best_sum,
                          rates=best[0], powers=best[1])

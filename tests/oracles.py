@@ -3,9 +3,10 @@
 Everything in this module is deliberately written with a *different*
 algorithm than the code under test: vertex enumeration instead of simplex,
 permutation scans instead of the Hungarian method, literal channel
-simulation instead of GF(2) elimination, and one from-scratch ``solve_lp``
-over every cycle bound instead of warm-started cutting planes.  Slow is
-fine; these only run on small instances.
+simulation instead of GF(2) elimination, one from-scratch ``solve_lp``
+over every cycle bound instead of warm-started cutting planes, and every
+cell of the backoff box instead of a pruned walk.  Slow is fine; these
+only run on small instances.
 
 ``solve_lp`` shares its simplex driver with the cutting-plane engine, so
 the vertex-enumeration oracle (``vertex_lp_oracle``, used by the
@@ -21,8 +22,13 @@ from fractions import Fraction
 from math import lcm
 
 from tinopt.cycles import enumerate_cycles, enumerate_partitions, partition_bound
-from tinopt.detmodel import channel_output, participating_levels
-from tinopt.model import Network, StrengthMatrix
+from tinopt.detmodel import (
+    SCHEME_CELL_GUARD,
+    BestTinScheme,
+    channel_output,
+    participating_levels,
+)
+from tinopt.model import GuardError, Network, StrengthMatrix
 from tinopt.optimize import LinearProgram, solve_lp
 
 
@@ -268,6 +274,59 @@ def full_decomposition(network, point):
         if best.status == "optimal":
             caps[user] = best.value
     return False, caps
+
+
+# ---------------------------------------------------------------------------
+# TIN scheme oracle (every cell of the backoff box)
+# ---------------------------------------------------------------------------
+
+def best_tin_scheme_sweep(matrix):
+    """``best_tin_scheme`` by visiting every cell of the capped backoff box
+    in ``itertools.product`` order, recomputing every receiver's
+    interference per cell and keeping the first maximum: the depth-first
+    walk's reference, with the same caps and guard."""
+    k = matrix.users
+    ent = [[int(v) for v in row] for row in matrix.entries]
+    caps = []
+    for u in range(k):
+        colmax = max((ent[j][u] for j in range(k) if j != u), default=0)
+        caps.append(min(colmax, ent[u][u]))
+    cells = 1
+    for c in caps:
+        cells *= c + 1
+    if cells > SCHEME_CELL_GUARD:
+        raise GuardError(
+            "exhaustive enumeration limit exceeded: %d backoff cells (max %d)"
+            % (cells, SCHEME_CELL_GUARD)
+        )
+    best_sum = None
+    best = None
+    for delta in itertools.product(*(range(c + 1) for c in caps)):
+        rates = []
+        for u in range(k):
+            interference = 0
+            row = ent[u]
+            for j in range(k):
+                if j == u:
+                    continue
+                residue = row[j] - delta[j]
+                if residue > interference:
+                    interference = residue
+            r = ent[u][u] - delta[u] - interference
+            if r < 0:
+                rates = None
+                break
+            rates.append(r)
+        if rates is None:
+            continue
+        s = sum(rates)
+        if best_sum is None or s > best_sum:
+            best_sum = s
+            best = (tuple(rates), delta)
+    if best_sum is None:
+        return BestTinScheme(found=False, sum_rate=0, rates=None, powers=None)
+    return BestTinScheme(found=True, sum_rate=best_sum,
+                         rates=best[0], powers=best[1])
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    best_tin_scheme_sweep,
     exhaustive_injectivity,
     kernel_maps_to_zero,
     random_det_matrix,
@@ -356,6 +357,82 @@ def test_best_tin_scheme_guard():
     with pytest.raises(GuardError):
         best_tin_scheme(big)
     assert SCHEME_CELL_GUARD == 2_000_000
+
+
+def test_best_tin_scheme_guard_boundary():
+    # (999 + 1) * (1999 + 1) is exactly the guard: answered
+    mat = _det([[999, 1999], [999, 1999]])
+    scheme = best_tin_scheme(mat)
+    assert scheme.found
+    assert tin_feasible(mat, scheme.rates, scheme.powers)
+    # no cell sums above 0; the first that reaches it backs user 2 off
+    # just far enough to leave user 1 a rate of 0
+    assert scheme.sum_rate == 0 and scheme.powers == (0, 1000)
+    # (1000 + 1) * (1999 + 1) is one row of cells over it
+    with pytest.raises(GuardError):
+        best_tin_scheme(_det([[1000, 1999], [1000, 1999]]))
+
+
+def test_best_tin_scheme_walk_is_not_recursive():
+    # one level per user: a recursive walk would pass Python's stack limit
+    k = 1500
+    zero = Fraction(0)
+    diag = [Fraction(1 + u % 7) for u in range(k)]
+    mat = StrengthMatrix(mode="deterministic", entries=tuple(
+        tuple(diag[u] if j == u else zero for j in range(k)) for u in range(k)
+    ))
+    scheme = best_tin_scheme(mat)
+    assert scheme.found
+    assert scheme.powers == (0,) * k
+    assert scheme.rates == tuple(int(n) for n in diag)
+    assert scheme.sum_rate == sum(scheme.rates)
+
+
+def _assert_scheme_matches_sweep(mat):
+    got, want = best_tin_scheme(mat), best_tin_scheme_sweep(mat)
+    assert got.found == want.found
+    assert got.sum_rate == want.sum_rate
+    assert got.rates == want.rates
+    assert got.powers == want.powers
+
+
+@st.composite
+def _det_matrices(draw):
+    """Any deterministic matrix, K 1..5, entries 0..6: TIN-violating and
+    scheme-less ones (found=False) included."""
+    k = draw(st.integers(1, 5))
+    return _det([[draw(st.integers(0, 6)) for _ in range(k)]
+                 for _ in range(k)])
+
+
+@st.composite
+def _tied_matrices(draw, k):
+    """Strict-TIN matrices with cross links in {0, 1, 2} and slack 1: many
+    backoff cells share the best sum."""
+    rows = [[0 if i == j else draw(st.integers(0, 2)) for j in range(k)]
+            for i in range(k)]
+    for i in range(k):
+        incoming = max(rows[i][j] for j in range(k) if j != i)
+        outgoing = max(rows[j][i] for j in range(k) if j != i)
+        rows[i][i] = incoming + outgoing + 1
+    return _det(rows)
+
+
+_PINNED = dict(derandomize=True, deadline=None, database=None,
+               suppress_health_check=[HealthCheck.too_slow])
+
+
+@settings(max_examples=300, **_PINNED)
+@given(_det_matrices())
+def test_best_tin_scheme_matches_sweep_oracle(mat):
+    _assert_scheme_matches_sweep(mat)
+
+
+@pytest.mark.parametrize("k", range(5, 9))
+@settings(max_examples=8, **_PINNED)
+@given(data=st.data())
+def test_best_tin_scheme_matches_sweep_oracle_on_ties(k, data):
+    _assert_scheme_matches_sweep(data.draw(_tied_matrices(k)))
 
 
 @settings(max_examples=60, deadline=None)
