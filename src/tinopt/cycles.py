@@ -245,14 +245,19 @@ class CyclicPartition:
         return cls(tuple(cycles))
 
 
-def partition_bound(partition: CyclicPartition, matrix: StrengthMatrix) -> Fraction:
-    """Sum bound implied by a cyclic partition: all desired strengths minus
-    the total interference weight the partition accumulates."""
+def _check_covers(partition: CyclicPartition, matrix: StrengthMatrix) -> None:
+    """InputError unless the partition covers exactly the matrix's users."""
     if partition.users != matrix.users:
         raise InputError(
             "partition covers %d users but the matrix has %d"
             % (partition.users, matrix.users)
         )
+
+
+def partition_bound(partition: CyclicPartition, matrix: StrengthMatrix) -> Fraction:
+    """Sum bound implied by a cyclic partition: all desired strengths minus
+    the total interference weight the partition accumulates."""
+    _check_covers(partition, matrix)
     total = Fraction(0)
     for k in range(1, matrix.users + 1):
         total += matrix.desired(k)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
-from .cycles import CyclicPartition
+from .cycles import CyclicPartition, _check_covers
 from .model import (
     GuardError,
     InputError,
@@ -113,11 +113,7 @@ def participating_levels(matrix: StrengthMatrix, partition: CyclicPartition) -> 
     participate with nothing.
     """
     _require_deterministic(matrix, "participating_levels")
-    if partition.users != matrix.users:
-        raise InputError(
-            "partition covers %d users but the matrix has %d"
-            % (partition.users, matrix.users)
-        )
+    _check_covers(partition, matrix)
     widths = []
     for user in range(1, matrix.users + 1):
         pred = partition.predecessor(user)
@@ -368,11 +364,7 @@ def dominant_partition_check(matrix: StrengthMatrix, partition: CyclicPartition)
 
     A dominant partition's participating levels sit strictly above every
     competing interference level, so they can be recovered top-down."""
-    if partition.users != matrix.users:
-        raise InputError(
-            "partition covers %d users but the matrix has %d"
-            % (partition.users, matrix.users)
-        )
+    _check_covers(partition, matrix)
     for user in range(1, matrix.users + 1):
         pred = partition.predecessor(user)
         if pred is None:

@@ -8,6 +8,11 @@ Strengths are exact rationals (``fractions.Fraction``); in ``"deterministic"``
 mode they must be nonnegative integers (bit levels), in ``"gdof"`` mode any
 nonnegative rational is allowed.
 
+Each check has one home.  The ``StrengthMatrix`` and ``Network``
+constructors check their own fields, on every way of building them;
+``StrengthMatrix.from_values`` only reads raw values, and ``parse_network``
+checks only the JSON document's own fields.
+
 All arithmetic in this package is exact.  Floats are accepted on input but are
 converted through their decimal string form, so a JSON value ``0.1`` means
 1/10, not the nearest binary float.
@@ -169,8 +174,11 @@ def rational_str(value) -> "int | str":
 class StrengthMatrix:
     """A single sub-channel's K x K strength matrix (rows = receivers).
 
-    Instances are immutable and always hold validated Fraction entries.
-    Build from raw user values with :meth:`from_values`.
+    The constructor is the one gate for a matrix's fields: a known mode, a
+    non-empty sequence of K rows, each a sequence of K ``Fraction`` entries,
+    all nonnegative, and integers in deterministic mode.  It stores
+    ``entries`` as a tuple of tuples, so instances are immutable and
+    hashable.  Build from raw user values with :meth:`from_values`.
     """
 
     mode: str
@@ -180,46 +188,47 @@ class StrengthMatrix:
         if self.mode not in MODES:
             raise InputError("mode must be one of %s, got %r" % (MODES, self.mode))
         rows = self.entries
-        if not rows:
+        if not isinstance(rows, (list, tuple)) or not rows:
             raise InputError("strength matrix must have at least one user")
         k = len(rows)
-        for row in rows:
-            if len(row) != k:
-                raise InputError(
-                    "strength matrix must be square: %d rows but a row of length %d"
-                    % (k, len(row))
-                )
-            for val in row:
-                if not isinstance(val, Fraction):
-                    raise InputError("matrix entries must be Fractions, got %r" % (val,))
-                if val < 0:
-                    raise InputError("matrix entries must be nonnegative")
-                if self.mode == "deterministic" and val.denominator != 1:
-                    raise InputError(
-                        "deterministic bit levels must be integers, got %s" % (val,)
-                    )
-
-    @classmethod
-    def from_values(cls, mode: str, values, subchannel: int | None = None) -> "StrengthMatrix":
-        """Coerce raw values (flat K^2 or nested K x K) into a StrengthMatrix.
-
-        Negative entries are clamped to zero with a ClampWarning; clamping
-        happens before the deterministic integrality check so that e.g. -3.5
-        clamps cleanly to 0.
-        """
-        rows = _as_rows(values)
-        k = len(rows)
-        out = []
+        det = self.mode == "deterministic"
         for j, row in enumerate(rows, start=1):
+            if not isinstance(row, (list, tuple)):
+                _bad_row(row)
             if len(row) != k:
                 raise InputError(
                     "strength matrix must be square (K=%d but row %d has %d entries)"
                     % (k, j, len(row))
                 )
+            for i, val in enumerate(row, start=1):
+                if not isinstance(val, Fraction):
+                    raise InputError(
+                        "matrix entries must be Fractions, got %s "
+                        "(receiver %d, transmitter %d)" % (type(val).__name__, j, i))
+                if val.numerator < 0:
+                    raise InputError(
+                        "matrix entries must be nonnegative, got %s "
+                        "(receiver %d, transmitter %d)" % (_shown(val), j, i))
+                if det and val.denominator != 1:
+                    raise InputError(
+                        "deterministic bit levels must be integers, got %s "
+                        "(receiver %d, transmitter %d)" % (_shown(val), j, i))
+        object.__setattr__(self, "entries", tuple(map(tuple, rows)))
+
+    @classmethod
+    def from_values(cls, mode: str, values, subchannel: int | None = None) -> "StrengthMatrix":
+        """Coerce raw values (flat K^2 or nested K x K) into a StrengthMatrix.
+
+        This only reads values (``as_rational``); the constructor checks the
+        result.  Negative entries are clamped to zero with a ClampWarning
+        first, so that e.g. -3.5 clamps cleanly to 0 in deterministic mode.
+        """
+        out = []
+        for j, row in enumerate(_as_rows(values), start=1):
             new_row = []
             for i, raw in enumerate(row, start=1):
                 val = as_rational(raw)
-                if val < 0:
+                if val.numerator < 0:
                     where = "receiver %d, transmitter %d" % (j, i)
                     if subchannel is not None:
                         where += ", sub-channel %d" % subchannel
@@ -229,14 +238,9 @@ class StrengthMatrix:
                         stacklevel=3,
                     )
                     val = Fraction(0)
-                if mode == "deterministic" and val.denominator != 1:
-                    raise InputError(
-                        "deterministic bit levels must be integers, got %s "
-                        "(receiver %d, transmitter %d)" % (val, j, i)
-                    )
                 new_row.append(val)
-            out.append(tuple(new_row))
-        return cls(mode=mode, entries=tuple(out))
+            out.append(new_row)
+        return cls(mode=mode, entries=out)
 
     @property
     def users(self) -> int:
@@ -280,13 +284,11 @@ class StrengthMatrix:
 
 
 def _as_rows(values):
-    """Normalize flat-K^2 or nested lists into a list of row lists."""
+    """Normalize flat-K^2 or nested lists into a list of rows."""
     if not isinstance(values, (list, tuple)):
         raise InputError("matrix must be a list, got %r" % type(values).__name__)
-    if not values:
-        raise InputError("matrix must be non-empty")
-    if isinstance(values[0], (list, tuple)):
-        return [list(row) if isinstance(row, (list, tuple)) else _bad_row(row)
+    if values and isinstance(values[0], (list, tuple)):
+        return [row if isinstance(row, (list, tuple)) else _bad_row(row)
                 for row in values]
     # flat: length must be a perfect square
     n = len(values)
@@ -295,7 +297,14 @@ def _as_rows(values):
         raise InputError(
             "flat matrix length %d is not a perfect square K*K" % n
         )
-    return [list(values[j * k:(j + 1) * k]) for j in range(k)]
+    return [values[j * k:(j + 1) * k] for j in range(k)]
+
+
+def _shown(val: Fraction) -> str:
+    # str() of an int past Python's 4300-digit limit raises ValueError
+    if abs(val.numerator) < _RATIONAL_LIMIT and val.denominator < _RATIONAL_LIMIT:
+        return str(val)
+    return "a rational of over %d digits" % MAX_RATIONAL_DIGITS
 
 
 def _bad_row(row):
@@ -308,18 +317,22 @@ def _bad_row(row):
 
 @dataclass(frozen=True)
 class Network:
-    """A K-user network observed over M parallel sub-channels."""
+    """A K-user network observed over M parallel sub-channels.
+
+    The constructor checks a non-empty sequence of StrengthMatrix items,
+    whose constructors checked their mode, all of the network's mode and of
+    one K.  It stores ``matrices`` as a tuple, so instances are immutable
+    and hashable.
+    """
 
     mode: str
     matrices: tuple  # tuple of M StrengthMatrix, all K x K, same mode
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise InputError("mode must be one of %s, got %r" % (MODES, self.mode))
-        if not self.matrices:
+        mats = self.matrices
+        if not isinstance(mats, (list, tuple)) or not mats:
             raise InputError("a network needs at least one sub-channel (M >= 1 required)")
-        k = self.matrices[0].users
-        for idx, mat in enumerate(self.matrices, start=1):
+        for idx, mat in enumerate(mats, start=1):
             if not isinstance(mat, StrengthMatrix):
                 raise InputError("sub-channel %d is not a StrengthMatrix" % idx)
             if mat.mode != self.mode:
@@ -327,10 +340,10 @@ class Network:
                     "sub-channel %d has mode %r, network is %r"
                     % (idx, mat.mode, self.mode)
                 )
-            if mat.users != k:
-                raise InputError(
-                    "sub-channel %d has %d users, expected %d" % (idx, mat.users, k)
-                )
+            if mat.users != mats[0].users:
+                raise InputError("sub-channel %d has %d users, expected %d"
+                                 % (idx, mat.users, mats[0].users))
+        object.__setattr__(self, "matrices", tuple(mats))
 
     @property
     def users(self) -> int:
@@ -450,6 +463,8 @@ def parse_network(obj) -> Network:
          "subchannels": M,
          "matrices": [matrix, ...]}       # M matrices, each flat K^2 or K rows
 
+    Only the document's own fields are checked here; the matrices and the
+    network are checked by their constructors.
     """
     if not isinstance(obj, dict):
         raise InputError("network document must be a JSON object")
@@ -458,8 +473,6 @@ def parse_network(obj) -> Network:
     if missing:
         raise InputError("network document missing keys: %s" % ", ".join(missing))
     mode = obj["mode"]
-    if mode not in MODES:
-        raise InputError("mode must be one of %s, got %r" % (MODES, mode))
     users = obj["users"]
     subch = obj["subchannels"]
     if isinstance(users, bool) or not isinstance(users, int) or users < 1:
@@ -482,7 +495,7 @@ def parse_network(obj) -> Network:
             )
         mats.append(mat)
     _common_denominator(val for mat in mats for row in mat.entries for val in row)
-    return Network(mode=mode, matrices=tuple(mats))
+    return Network(mode=mode, matrices=mats)
 
 
 def load_network(path) -> Network:

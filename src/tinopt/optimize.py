@@ -16,9 +16,10 @@ sub-channel, which for TIN-optimal sub-channels equals the sum-GDoF
 ``sum_gdof`` runs all three and refuses to return values on which they
 disagree.  The DP (``_heaviest_permutations``, guarded by MAX_ENUM_USERS)
 also counts the tied permutations, so one pass per sub-channel yields the
-reported partition (``optimal_partition``, the canonical tie, by a greedy
-O(K^2) pass) and the tie set (``all_optimal_partitions``, a walk of the
-tight branches only, guarded by TIE_GUARD).  The same cutting-plane
+reported partition and the tie set from one walk of the tight branches,
+``_ties``: ``optimal_partition`` reads the canonical tie as its first tie
+when each user tries itself first, and ``all_optimal_partitions`` lists
+every tie, guarded by TIE_GUARD.  The same cutting-plane
 engine solves the decomposition LPs of ``region``.  Every LP, ``solve_lp``
 included, runs on one exact simplex driver, ``_simplex``; the engine adds
 only the cycle separation, as the driver's oracle of cuts.
@@ -696,46 +697,34 @@ def _heaviest_permutations(matrix: StrengthMatrix):
     return scale, incoming, suf, cnt
 
 
-def _tied_permutations(incoming, suf) -> list:
-    """Every permutation attaining ``suf[0]``, 0-based (perm[u] is user
-    u+1's predecessor), in lexicographic order: a depth-first walk that
-    tries predecessors in increasing order and takes only tight branches,
-    each of which ends in a tie, so its cost grows with the ties, not K!."""
+def _ties(incoming, suf, self_first=False):
+    """Yield the permutations attaining ``suf[0]``, 0-based (perm[u] is
+    user u+1's predecessor), by a depth-first walk of the tight branches
+    only.  Every tight choice extends to a tie, so the walk never
+    backtracks before a leaf and costs O(K^2) per tie, not K!.  Users try
+    predecessors in increasing order, so the ties come lexicographically;
+    with ``self_first`` user u tries itself first, and the first tie is
+    the one with the smallest predecessor vector, trivial cycles keyed 0.
+    """
     k = len(incoming)
-    tied, prefix = [], []
+    orders = [(u, *range(u), *range(u + 1, k)) if self_first else range(k)
+              for u in range(k)]
+    prefix = []
 
     def walk(used):
-        if len(prefix) == k:
-            tied.append(tuple(prefix))
+        u = len(prefix)
+        if u == k:
+            yield tuple(prefix)
             return
-        row, target = incoming[len(prefix)], suf[used]
-        for p in range(k):
+        row, target = incoming[u], suf[used]
+        for p in orders[u]:
             nxt = used | 1 << p
             if nxt != used and row[p] + suf[nxt] == target:
                 prefix.append(p)
-                walk(nxt)
+                yield from walk(nxt)
                 prefix.pop()
 
-    walk(0)
-    return tied
-
-
-def _canonical_tie(incoming, suf) -> tuple:
-    """The tie with the smallest predecessor vector, trivial cycles keyed
-    0 (0-based, as ``_tied_permutations``), by one greedy O(K^2) pass:
-    every tight choice extends to a tie, so taking the smallest tight key
-    at each user is the lexicographic minimum."""
-    k = len(incoming)
-    perm, used = [], 0
-    for u, row in enumerate(incoming):
-        target = suf[used]
-        for p in (u, *range(k)):
-            nxt = used | 1 << p
-            if nxt != used and row[p] + suf[nxt] == target:
-                break
-        perm.append(p)
-        used = nxt
-    return tuple(perm)
+    return walk(0)
 
 
 def brute_force_best_weight(matrix: StrengthMatrix):
@@ -747,7 +736,7 @@ def brute_force_best_weight(matrix: StrengthMatrix):
     smallest predecessor vector, trivial cycles keyed 0.
     """
     scale, incoming, suf, _ = _heaviest_permutations(matrix)
-    best = _canonical_tie(incoming, suf)
+    best = next(_ties(incoming, suf, self_first=True))
     return Fraction(suf[0], scale), tuple(p + 1 for p in best)
 
 
@@ -764,7 +753,7 @@ def all_optimal_partitions(matrix: StrengthMatrix) -> tuple:
         )
     return tuple(
         CyclicPartition.from_permutation([p + 1 for p in perm])
-        for perm in _tied_permutations(incoming, suf)
+        for perm in _ties(incoming, suf)
     )
 
 

@@ -82,6 +82,11 @@ def test_from_values_flat_and_nested_agree():
     assert flat == nested
     assert flat.users == 2
     assert flat.entry(1, 2) == 2 and flat.entry(2, 1) == 3
+    # built from lists, the matrix still stores tuples: equal and hashable
+    listed = StrengthMatrix(mode="gdof", entries=[[Fraction(v) for v in row]
+                                                  for row in ([1, 2], [3, 4])])
+    assert listed == flat and hash(listed) == hash(flat)
+    assert listed.entries == ((1, 2), (3, 4))
 
 
 def test_from_values_rejects_non_square():
@@ -113,6 +118,52 @@ def test_deterministic_mode_requires_integers():
 def test_bad_mode_rejected():
     with pytest.raises(InputError):
         StrengthMatrix.from_values("analog", [[1]])
+
+
+F = Fraction
+
+# (mode, entries for the constructor, the same as raw values, message): one
+# gate checks each property.  Raw values are None where none reaches the gate
+# with the fault: reading clamps negatives and rejects oversized rationals.
+_BAD_MATRICES = [
+    pytest.param("analog", ((F(1),),), [[1]], "mode must be one of", id="mode"),
+    pytest.param("gdof", (), [], "at least one user", id="no-rows"),
+    pytest.param("gdof", 5, 5, "at least one user|must be a list",
+                 id="not-a-sequence"),
+    pytest.param("gdof", ((F(1), F(0)), (F(0),)), [[1, 0], [0]],
+                 r"square \(K=2 but row 2 has 1 entries\)", id="ragged-row"),
+    pytest.param("gdof", ((F(1), F(0)), 5), [[1, 0], 5], "rows must be lists",
+                 id="non-sequence-row"),
+    pytest.param("gdof", ((F(1), 0), (F(0), F(1))), [[1, None], [0, 1]],
+                 r"must be Fractions, got int \(receiver 1, transmitter 2\)"
+                 "|cannot interpret None", id="non-fraction"),
+    pytest.param("gdof", ((F(1), F(0)), (F(-1, 2), F(1))), None,
+                 r"nonnegative, got -1/2 \(receiver 2, transmitter 1\)",
+                 id="negative"),
+    pytest.param("gdof", ((F(-10 ** 5000),),), None,
+                 r"nonnegative, got a rational of over 1000 digits", id="huge-negative"),
+    pytest.param("deterministic", ((F(1), F(1, 2)), (F(0), F(1))),
+                 [[1, "1/2"], [0, 1]],
+                 r"integers, got 1/2 \(receiver 1, transmitter 2\)",
+                 id="non-integral"),
+    pytest.param("deterministic", ((F(1, 10 ** 5000 + 1),),), None,
+                 r"integers, got a rational of over 1000 digits "
+                 r"\(receiver 1, transmitter 1\)", id="huge-non-integral"),
+]
+
+
+@pytest.mark.parametrize("mode, entries, raw, match", _BAD_MATRICES)
+def test_every_construction_path_rejects_bad_matrices(mode, entries, raw, match):
+    builds = [lambda: StrengthMatrix(mode=mode, entries=entries)]
+    if raw is not None:
+        users = len(raw) if isinstance(raw, list) and raw else 1
+        doc = {"mode": mode, "users": users, "subchannels": 1, "matrices": [raw]}
+        builds += [lambda: StrengthMatrix.from_values(mode, raw),
+                   lambda: parse_network(doc)]
+    for build in builds:
+        with pytest.raises(InputError, match=match) as exc:
+            build()
+        assert "\n" not in str(exc.value)
 
 
 def test_entry_desired_edge_weight():
@@ -164,6 +215,17 @@ def test_network_validation():
         Network(mode="gdof", matrices=(a, b))  # user count mismatch
     with pytest.raises(InputError):
         Network(mode="deterministic", matrices=(a,))  # mode mismatch
+    with pytest.raises(InputError, match="network is 'analog'"):
+        Network(mode="analog", matrices=(a,))
+    with pytest.raises(InputError, match="sub-channel 1 is not a StrengthMatrix"):
+        Network(mode="gdof", matrices=([[Fraction(1)]],))
+    with pytest.raises(InputError, match="sub-channel 2 is not a StrengthMatrix"):
+        Network(mode="gdof", matrices=(a, None))
+    with pytest.raises(InputError):
+        Network(mode="gdof", matrices=a)  # a matrix, not a sequence of them
+    # built from a list, the network still stores a tuple: equal and hashable
+    listed = Network(mode="gdof", matrices=[a, a])
+    assert listed == net and hash(listed) == hash(net)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from tinopt.optimize import (
     TIE_GUARD,
     LinearProgram,
     _heaviest_permutations,
-    _tied_permutations,
+    _ties,
     all_optimal_partitions,
     best_partition_assignment,
     brute_force_best_weight,
@@ -298,7 +298,7 @@ def test_subset_dp_matches_permutation_scan_oracle(k, kind):
         assert Fraction(suf[0], scale) == weight
         assert cnt[0] == len(tied)
         # the walk lists every tie, tuple for tuple, in the scan's order
-        assert _tied_permutations(incoming, suf) == tied
+        assert list(_ties(incoming, suf)) == tied
         lexmin = tuple(p + 1 for p in canonical)
         assert brute_force_best_weight(mat) == (weight, lexmin)
         assert optimal_partition(mat) == CyclicPartition.from_permutation(lexmin)
@@ -317,13 +317,14 @@ def test_tie_guard_trips_before_the_walk(monkeypatch):
     rows = [[3 if r == c else 1 for c in range(k)] for r in range(k)]
     mat = StrengthMatrix.from_values("deterministic", rows)
     walked = []
-    monkeypatch.setattr("tinopt.optimize._tied_permutations",
-                        lambda *args: walked.append(args))
+    monkeypatch.setattr("tinopt.optimize._ties",
+                        lambda *args, **kw: walked.append(args) or _ties(*args, **kw))
     with pytest.raises(GuardError, match="133496 tied partitions"):
         all_optimal_partitions(mat)
     assert walked == []
-    # the value and the canonical tie never walk ties
+    # the value and the canonical tie are read from one walk's first tie
     assert brute_force_best_weight(mat) == (9, (2, 1, 4, 3, 6, 5, 8, 9, 7))
+    assert len(walked) == 1
 
 
 def test_all_equal_cross_links_tie_every_derangement():
