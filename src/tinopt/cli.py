@@ -348,10 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _warning_line(message, *_):
-    print("warning: %s" % message, file=sys.stderr)
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a separate value such as "-1,0,0" as an option and stops
@@ -360,15 +356,17 @@ def main(argv=None) -> int:
         if argv[i - 1] == "--point" and re.match(r"-[\d.]", argv[i]):
             argv[i - 1:i + 1] = ["--point=" + argv[i]]
     args = _parser().parse_args(argv)
-    with warnings.catch_warnings():
-        # one stderr line per clamped entry, on every run: the default
-        # format takes two lines and a source path, and the default filter
-        # shows a repeat only once per process
+    with warnings.catch_warnings(record=True) as clamps:
+        # every clamped entry, on every run: the default filter shows a
+        # repeat only once per process
         warnings.simplefilter("always", ClampWarning)
-        warnings.showwarning = _warning_line
         try:
             net = load_network(args.network) if "network" in args else None
             payload, code = args.func(net, args)
+            # one stderr line per clamped entry, printed only with a report:
+            # a run that stops with an error prints that one line alone
+            for clamp in clamps:
+                print("warning: %s" % clamp.message, file=sys.stderr)
             sys.stdout.write(report.dumps_canonical(payload) if args.json
                              else report.render_text(payload))
             return code

@@ -21,8 +21,9 @@ TIN coding attains the combined optimum, so the parallel network separates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from operator import sub
 
 from .cycles import CyclicPartition, _check_covers
@@ -105,6 +106,21 @@ def channel_output(matrix: StrengthMatrix, inputs) -> tuple:
     return tuple(out)
 
 
+def _int_entries(matrix: StrengthMatrix) -> list:
+    """The matrix's entries as ints, rows by receiver (deterministic mode,
+    where the constructor made every entry an integer)."""
+    return [[v.numerator for v in row] for row in matrix.entries]
+
+
+def _widths(rows, predecessors) -> tuple:
+    """w_u = rows[pred(u)][u] for each user u, 0 on a trivial cycle: the
+    participating widths of the partition whose predecessor vector
+    (``CyclicPartition.predecessors``, 0 marking a trivial cycle) is given.
+    A partition's GF(2) system, rank, kernel and dominance depend on it
+    only through these widths."""
+    return tuple(rows[p - 1][u] if p else 0 for u, p in enumerate(predecessors))
+
+
 def participating_levels(matrix: StrengthMatrix, partition: CyclicPartition) -> tuple:
     """Per-user count of participating bits under the partition.
 
@@ -114,11 +130,7 @@ def participating_levels(matrix: StrengthMatrix, partition: CyclicPartition) -> 
     """
     _require_deterministic(matrix, "participating_levels")
     _check_covers(partition, matrix)
-    widths = []
-    for user in range(1, matrix.users + 1):
-        pred = partition.predecessor(user)
-        widths.append(0 if pred is None else int(matrix.entry(pred, user)))
-    return tuple(widths)
+    return _widths(_int_entries(matrix), partition.predecessors())
 
 
 # ---------------------------------------------------------------------------
@@ -141,37 +153,37 @@ class Gf2System:
 
 
 def build_gf2_system(matrix: StrengthMatrix, partition: CyclicPartition) -> Gf2System:
-    widths = participating_levels(matrix, partition)
+    _require_deterministic(matrix, "build_gf2_system")
+    _check_covers(partition, matrix)
+    ints = _int_entries(matrix)
+    widths = _widths(ints, partition.predecessors())
     total_bits = sum(widths)
     if total_bits > GF2_BIT_GUARD:
         raise GuardError(
             "exhaustive enumeration limit exceeded: %d participating bits "
             "(max %d)" % (total_bits, GF2_BIT_GUARD)
         )
-    k = matrix.users
+    # variables run user by user: bit b of user u + 1 is offset[u] + b - 1
+    offset = tuple(accumulate(widths, initial=0))
     variables = []
-    var_index = {}
-    for user in range(1, k + 1):
-        for b in range(1, widths[user - 1] + 1):
-            var_index[(user, b)] = len(variables)
-            variables.append((user, b))
+    for u, w in enumerate(widths, start=1):
+        for b in range(1, w + 1):
+            variables.append((u, b))
 
     rows = []
     labels = []
-    for rx in range(1, k + 1):
+    for rx, row in enumerate(ints):
         by_level = {}
-        for tx in range(1, k + 1):
+        for tx, n in enumerate(row):
             if tx == rx:
                 continue  # the desired link is not part of the interference map
-            n = int(matrix.entry(rx, tx))
-            for b in range(1, min(widths[tx - 1], n) + 1):
-                level = n - b
-                by_level[level] = by_level.get(level, 0) | (
-                    1 << var_index[(tx, b)]
-                )
+            var = offset[tx]
+            for level in range(n - 1, n - 1 - min(widths[tx], n), -1):
+                by_level[level] = by_level.get(level, 0) | 1 << var
+                var += 1
         for level in sorted(by_level, reverse=True):
             rows.append(by_level[level])
-            labels.append((rx, level))
+            labels.append((rx + 1, level))
     return Gf2System(
         partition=partition,
         variables=tuple(variables),
@@ -267,15 +279,30 @@ def invertibility_verdict(matrix: StrengthMatrix) -> InvertibilityVerdict:
     The sum-capacity argument only needs *some* optimal partition whose
     participating levels are recoverable, so ties are enumerated and the
     verdict is positive when any of them passes the exact GF(2) test.
+
+    A partition's system depends on it only through its participating
+    widths, and many ties share them, so the elimination runs once per
+    distinct width vector: the first tie with a vector gets
+    ``invertible_gf2``'s certificate, every later one a copy of it naming
+    its own partition.  The verdict keeps one certificate per tie, in tie
+    order.
     """
     _require_deterministic(matrix, "invertibility_verdict")
-    certs = tuple(
-        invertible_gf2(matrix, part) for part in all_optimal_partitions(matrix)
-    )
+    ints = _int_entries(matrix)
+    by_widths = {}   # width vector -> certificate of its first tie
+    certs = []
+    for part in all_optimal_partitions(matrix):
+        widths = _widths(ints, part.predecessors())
+        cert = by_widths.get(widths)
+        if cert is None:
+            cert = by_widths[widths] = invertible_gf2(matrix, part)
+        else:
+            cert = replace(cert, partition=part)
+        certs.append(cert)
     witness = next((c for c in certs if c.invertible), None)
     return InvertibilityVerdict(
         invertible=witness is not None,
-        certificates=certs,
+        certificates=tuple(certs),
         witness=witness,
     )
 
@@ -365,16 +392,12 @@ def dominant_partition_check(matrix: StrengthMatrix, partition: CyclicPartition)
     A dominant partition's participating levels sit strictly above every
     competing interference level, so they can be recovered top-down."""
     _check_covers(partition, matrix)
-    for user in range(1, matrix.users + 1):
-        pred = partition.predecessor(user)
-        if pred is None:
-            continue
-        strength = matrix.entry(pred, user)
-        for rx in range(1, matrix.users + 1):
-            if rx in (user, pred):
-                continue
-            if matrix.entry(rx, user) >= strength:
-                return False
+    rows = matrix.entries
+    preds = partition.predecessors()
+    for user, (pred, strength) in enumerate(zip(preds, _widths(rows, preds))):
+        if pred and any(rows[rx][user] >= strength for rx in range(len(rows))
+                        if rx not in (user, pred - 1)):
+            return False
     return True
 
 

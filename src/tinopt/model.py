@@ -102,7 +102,7 @@ def as_rational(value) -> Fraction:
     elif isinstance(value, str):
         frac = _parse_rational(value.strip())
     else:
-        raise InputError("cannot interpret %r as a rational strength" % (value,))
+        raise InputError("cannot interpret %s as a rational strength" % _shown(value))
     if abs(frac.numerator) >= _RATIONAL_LIMIT or frac.denominator >= _RATIONAL_LIMIT:
         raise _too_large(value)
     return frac
@@ -186,7 +186,7 @@ class StrengthMatrix:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise InputError("mode must be one of %s, got %r" % (MODES, self.mode))
+            raise InputError("mode must be one of %s, got %s" % (MODES, _shown(self.mode)))
         rows = self.entries
         if not isinstance(rows, (list, tuple)) or not rows:
             raise InputError("strength matrix must have at least one user")
@@ -300,11 +300,18 @@ def _as_rows(values):
     return [values[j * k:(j + 1) * k] for j in range(k)]
 
 
-def _shown(val: Fraction) -> str:
-    # str() of an int past Python's 4300-digit limit raises ValueError
-    if abs(val.numerator) < _RATIONAL_LIMIT and val.denominator < _RATIONAL_LIMIT:
-        return str(val)
-    return "a rational of over %d digits" % MAX_RATIONAL_DIGITS
+def _shown(val) -> str:
+    """A value as an error message shows it: str() of a Fraction, repr() of
+    anything else.  str() and repr() of an int past Python's 4300-digit
+    limit raise ValueError, so an oversized value is described instead."""
+    if isinstance(val, Fraction):
+        if abs(val.numerator) < _RATIONAL_LIMIT and val.denominator < _RATIONAL_LIMIT:
+            return str(val)
+        return "a rational of over %d digits" % MAX_RATIONAL_DIGITS
+    try:
+        return repr(val)
+    except ValueError:
+        return "an oversized %s" % type(val).__name__
 
 
 def _bad_row(row):
@@ -337,8 +344,8 @@ class Network:
                 raise InputError("sub-channel %d is not a StrengthMatrix" % idx)
             if mat.mode != self.mode:
                 raise InputError(
-                    "sub-channel %d has mode %r, network is %r"
-                    % (idx, mat.mode, self.mode)
+                    "sub-channel %d has mode %r, network is %s"
+                    % (idx, mat.mode, _shown(self.mode))
                 )
             if mat.users != mats[0].users:
                 raise InputError("sub-channel %d has %d users, expected %d"
@@ -476,10 +483,10 @@ def parse_network(obj) -> Network:
     users = obj["users"]
     subch = obj["subchannels"]
     if isinstance(users, bool) or not isinstance(users, int) or users < 1:
-        raise InputError("users must be a positive integer, got %r" % (users,))
+        raise InputError("users must be a positive integer, got %s" % _shown(users))
     if isinstance(subch, bool) or not isinstance(subch, int) or subch < 1:
-        raise InputError("subchannels must be a positive integer (M >= 1 required), got %r"
-                         % (subch,))
+        raise InputError("subchannels must be a positive integer (M >= 1 required), got %s"
+                         % _shown(subch))
     raw_mats = obj["matrices"]
     if not isinstance(raw_mats, list):
         raise InputError("matrices must be a list")

@@ -26,10 +26,11 @@ from tinopt.detmodel import (
     SCHEME_CELL_GUARD,
     BestTinScheme,
     channel_output,
+    invertible_gf2,
     participating_levels,
 )
 from tinopt.model import GuardError, Network, StrengthMatrix
-from tinopt.optimize import LinearProgram, solve_lp
+from tinopt.optimize import LinearProgram, all_optimal_partitions, solve_lp
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +379,14 @@ def exhaustive_injectivity(matrix, partition):
     return True
 
 
+def per_tie_certificates(matrix):
+    """One exact GF(2) elimination per tied optimal partition, in tie order:
+    what ``invertibility_verdict`` reports, without sharing a certificate
+    between ties with the same participating widths."""
+    return tuple(invertible_gf2(matrix, part)
+                 for part in all_optimal_partitions(matrix))
+
+
 def kernel_maps_to_zero(matrix, partition, kernel):
     """Check a claimed kernel witness: nonzero input, all-zero interference."""
     if not kernel:
@@ -421,6 +430,19 @@ def random_strict_tin_matrix(rng, k, mode="gdof"):
                        default=Fraction(0))
         rows[i][i] = incoming + outgoing + slack()
     return StrengthMatrix(mode=mode, entries=tuple(tuple(r) for r in rows))
+
+
+def random_tied_matrix(rng, k):
+    """Deterministic strict-TIN matrix with cross links in {0, 1, 2} and
+    slack 1: many cyclic partitions tie for the maximum weight, often with
+    the same participating widths."""
+    rows = [[0 if i == j else rng.randint(0, 2) for j in range(k)]
+            for i in range(k)]
+    for i in range(k):
+        incoming = max((rows[i][j] for j in range(k) if j != i), default=0)
+        outgoing = max((rows[j][i] for j in range(k) if j != i), default=0)
+        rows[i][i] = incoming + outgoing + 1
+    return StrengthMatrix.from_values("deterministic", rows)
 
 
 def random_tin_network(rng, k, m, mode="gdof"):

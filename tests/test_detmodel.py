@@ -13,10 +13,13 @@ from oracles import (
     best_tin_scheme_sweep,
     exhaustive_injectivity,
     kernel_maps_to_zero,
+    per_tie_certificates,
     random_det_matrix,
     random_partition,
     random_strict_tin_matrix,
+    random_tied_matrix,
 )
+from tinopt import detmodel
 from tinopt.cycles import Cycle, CyclicPartition, enumerate_partitions
 from tinopt.detmodel import (
     GF2_BIT_GUARD,
@@ -201,6 +204,57 @@ def test_invertibility_verdict_negative_and_existential():
 
     with pytest.raises(InputError):
         invertibility_verdict(StrengthMatrix.from_values("gdof", [[1]]))
+
+
+def _fields(cert):
+    return (cert.partition, cert.num_bits, cert.rank, cert.invertible,
+            cert.kernel)
+
+
+_TIED = [random_tied_matrix(random.Random(k * 100 + i), k)
+         for k in range(1, 9) for i in range(12)]
+
+
+@pytest.mark.parametrize("mat", _TIED + [MIXED_TIES4, SYMMETRIC3])
+def test_invertibility_verdict_matches_per_tie_reference(mat):
+    verdict = invertibility_verdict(mat)
+    want = per_tie_certificates(mat)
+    assert [_fields(c) for c in verdict.certificates] == [_fields(c) for c in want]
+    assert verdict.invertible == any(c.invertible for c in want)
+    assert verdict.witness == next((c for c in want if c.invertible), None)
+    for cert in verdict.certificates:
+        if not cert.invertible:
+            assert kernel_maps_to_zero(mat, cert.partition, cert.kernel)
+
+
+def test_invertibility_verdict_eliminates_once_per_width_vector(monkeypatch):
+    seen = []
+    original = detmodel.invertible_gf2
+
+    def counting(mat, part):
+        seen.append(participating_levels(mat, part))
+        return original(mat, part)
+
+    monkeypatch.setattr(detmodel, "invertible_gf2", counting)
+    calls = ties = 0
+    for mat in _TIED:
+        seen.clear()
+        invertibility_verdict(mat)
+        widths = [participating_levels(mat, p) for p in all_optimal_partitions(mat)]
+        assert seen == list(dict.fromkeys(widths))
+        calls += len(seen)
+        ties += len(widths)
+    assert calls < ties     # the corpus has ties that share a width vector
+
+
+def test_invertibility_verdict_guard_trips_before_elimination(monkeypatch):
+    def fail(*args):
+        raise AssertionError("elimination ran past the bit guard")
+
+    monkeypatch.setattr(detmodel, "_gf2_rank_and_kernel", fail)
+    mat = _det([[5000, 4096], [4096, 5000]])
+    with pytest.raises(GuardError, match="8192 participating bits"):
+        invertibility_verdict(mat)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Golden reports: the --json output of every report subcommand is pinned.
 
-Each case runs the CLI (on a bundled network, written as a file, where the
-subcommand reads one) and compares its exit code and stdout byte for byte
-against ``tests/golden/<case>.json`` (exit codes in
+Each case runs the CLI (on a bundled or test-local network, written as a
+file, where the subcommand reads one) and compares its exit code and stdout
+byte for byte against ``tests/golden/<case>.json`` (exit codes in
 ``tests/golden/exit_codes.json``).  A change to the solvers may change how
 a result is found, never what is reported.
 
@@ -30,9 +30,27 @@ GOLDEN = Path(__file__).parent / "golden"
 PLAIN = ("check-tin", "sum", "region", "combined-bounds", "invertibility",
          "separability")
 
+# Test-local networks, as network documents.  tied6x2's first sub-channel has
+# 21 tied optimal partitions with 4 distinct participating width vectors, 3
+# of the ties invertible; its second has 6 ties, 4 vectors, 2 invertible.
+# Their reports pin one certificate per tie, in tie order.
+LITERAL = {
+    "tied6x2": {
+        "mode": "deterministic",
+        "users": 6,
+        "subchannels": 2,
+        "matrices": [
+            [[5, 0, 2, 2, 0, 1], [2, 5, 2, 2, 1, 1], [2, 2, 5, 2, 2, 0],
+             [2, 2, 1, 5, 0, 1], [0, 2, 0, 2, 5, 0], [1, 0, 1, 0, 1, 3]],
+            [[4, 0, 1, 2, 1, 0], [0, 5, 2, 1, 0, 0], [1, 1, 5, 2, 0, 0],
+             [1, 2, 0, 5, 0, 1], [0, 2, 1, 1, 4, 1], [0, 1, 0, 0, 0, 3]],
+        ],
+    },
+}
+
 
 def golden_cases() -> dict:
-    """Case name -> (subcommand, fixture or None, extra arguments)."""
+    """Case name -> (subcommand, network name or None, extra arguments)."""
     cases = {"demo": ("demo", None, ())}
     for name, builder in builtin_networks().items():
         for sub in PLAIN:
@@ -46,6 +64,8 @@ def golden_cases() -> dict:
         "decompose", "gap_eps_1_10", ("--point", "1,1,1"))
     cases["decompose.gap_eps_1_10.gap_point"] = (
         "decompose", "gap_eps_1_10", ("--point", "2,1/2,1/2"))
+    for sub in ("invertibility", "separability"):
+        cases["%s.tied6x2" % sub] = (sub, "tied6x2", ())
     return cases
 
 
@@ -55,8 +75,9 @@ def run_case(case, workdir) -> tuple:
     if name is not None:
         path = Path(workdir) / (name + ".json")
         if not path.exists():
-            builder = builtin_networks()[name]
-            path.write_text(dumps_canonical(network_to_dict(builder())))
+            doc = (LITERAL[name] if name in LITERAL
+                   else network_to_dict(builtin_networks()[name]()))
+            path.write_text(dumps_canonical(doc))
         files.append(str(path))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -166,6 +166,24 @@ def test_every_construction_path_rejects_bad_matrices(mode, entries, raw, match)
         assert "\n" not in str(exc.value)
 
 
+# str() and repr() of an int past Python's 4300-digit limit raise ValueError;
+# a message must describe such a value instead of echoing it
+
+
+def test_oversized_mode_raises_input_error():
+    with pytest.raises(InputError, match="mode must be one of") as exc:
+        StrengthMatrix(mode=10 ** 5000, entries=((Fraction(1),),))
+    assert "\n" not in str(exc.value)
+
+
+def test_oversized_users_raises_input_error():
+    doc = {"mode": "gdof", "users": -10 ** 5000, "subchannels": 1,
+           "matrices": [[1]]}
+    with pytest.raises(InputError, match="users must be") as exc:
+        parse_network(doc)
+    assert "\n" not in str(exc.value)
+
+
 def test_entry_desired_edge_weight():
     mat = StrengthMatrix.from_values("gdof", [[5, 2], [3, 7]])
     assert mat.desired(1) == 5 and mat.desired(2) == 7

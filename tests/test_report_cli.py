@@ -693,6 +693,33 @@ def test_clamped_entries_warn_in_one_line_each_run(tmp_path, capsys):
         assert assert_canonical(out)["total"] == 6
 
 
+def test_input_error_after_a_clamp_prints_one_line(tmp_path, capsys):
+    # the clamp is read before the ragged row is found: exit 2 prints the
+    # error alone; a valid document with a negative entry still warns
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(json.dumps({
+        "mode": "gdof", "users": 2, "subchannels": 1,
+        "matrices": [[[1, -1], [0]]],
+    }))
+    code, out, err = run_cli(capsys, "check-tin", str(ragged))
+    assert code == 2 and out == ""
+    assert err == ("error: strength matrix must be square "
+                   "(K=2 but row 2 has 1 entries)\n")
+    valid = tmp_path / "valid.json"
+    valid.write_text(json.dumps({
+        "mode": "gdof", "users": 2, "subchannels": 1,
+        "matrices": [[[1, -1], [0, 1]]],
+    }))
+    code, out, err = run_cli(capsys, "check-tin", str(valid))
+    assert code == 0 and out
+    assert err == ("warning: clamped negative strength -1 to 0 "
+                   "(receiver 1, transmitter 2, sub-channel 1)\n")
+    # an error raised by the subcommand, after the network is built
+    code, out, err = run_cli(capsys, "member", str(valid), "--point", "1")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ")
+
+
 def test_unknown_subcommand_is_argparse_error(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
