@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .model import GuardError, InputError, StrengthMatrix
+from .model import GuardError, InputError, StrengthMatrix, _shown
 
 __all__ = [
     "MAX_ENUM_USERS",
@@ -80,10 +80,10 @@ class Cycle:
         if not users:
             raise InputError("a cycle needs at least one user")
         if len(set(users)) != len(users):
-            raise InputError("cycle repeats a user: %s" % (users,))
+            raise InputError("cycle repeats a user: %s" % _shown(users))
         if any((not isinstance(u, int)) or isinstance(u, bool) or u < 1
                for u in users):
-            raise InputError("cycle users must be positive integers: %s" % (users,))
+            raise InputError("cycle users must be positive integers: %s" % _shown(users))
         pivot = users.index(min(users))
         object.__setattr__(self, "users", users[pivot:] + users[:pivot])
 
@@ -118,14 +118,11 @@ class Cycle:
         try:
             pos = users.index(k)
         except ValueError:
-            raise InputError("user %d is not on cycle %s" % (k, self)) from None
+            raise InputError("user %s is not on cycle %s" % (_shown(k), self)) from None
         return users[pos - 1]
 
     def weight(self, matrix: StrengthMatrix) -> Fraction:
-        total = Fraction(0)
-        for i, j in self.edges():
-            total += matrix.edge_weight(i, j)
-        return total
+        return sum((matrix.edge_weight(i, j) for i, j in self.edges()), Fraction(0))
 
 
 def cycle_weight(cycle: Cycle, matrix: StrengthMatrix) -> Fraction:
@@ -135,10 +132,7 @@ def cycle_weight(cycle: Cycle, matrix: StrengthMatrix) -> Fraction:
 
 def cycle_bound_rhs(cycle: Cycle, matrix: StrengthMatrix) -> Fraction:
     """Right-hand side of the cycle's sum bound: desired strengths minus weight."""
-    total = Fraction(0)
-    for k in cycle.users:
-        total += matrix.desired(k)
-    return total - cycle.weight(matrix)
+    return sum(map(matrix.desired, cycle.users), Fraction(0)) - cycle.weight(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +155,12 @@ class CyclicPartition:
         for cyc in cycles:
             for u in cyc.users:
                 if u in seen:
-                    raise InputError("partition cycles are not disjoint at user %d" % u)
+                    raise InputError("partition cycles are not disjoint at user %s"
+                                     % _shown(u))
                 seen.add(u)
         if seen != set(range(1, len(seen) + 1)):
-            raise InputError(
-                "partition must cover users 1..K exactly once, got %s" % sorted(seen)
-            )
+            raise InputError("partition must cover users 1..K exactly once, got %s"
+                             % _shown(sorted(seen)))
         object.__setattr__(self, "cycles", cycles)
 
     @property
@@ -183,7 +177,7 @@ class CyclicPartition:
                 if cyc.trivial:
                     return None
                 return cyc.predecessor(k)
-        raise InputError("user %d is not covered by %s" % (k, self))
+        raise InputError("user %s is not covered by %s" % (_shown(k), self))
 
     def predecessors(self) -> tuple:
         """Predecessor vector (index k-1 for user k); 0 marks trivial cycles."""
@@ -204,10 +198,7 @@ class CyclicPartition:
         return tuple(sorted(out))
 
     def weight(self, matrix: StrengthMatrix) -> Fraction:
-        total = Fraction(0)
-        for cyc in self.cycles:
-            total += cyc.weight(matrix)
-        return total
+        return sum((cyc.weight(matrix) for cyc in self.cycles), Fraction(0))
 
     def to_permutation(self) -> tuple:
         """The predecessor map as a permutation (fixed point = trivial cycle)."""
@@ -224,7 +215,7 @@ class CyclicPartition:
         perm = tuple(perm)
         k = len(perm)
         if sorted(perm) != list(range(1, k + 1)):
-            raise InputError("not a permutation of 1..%d: %s" % (k, (perm,)))
+            raise InputError("not a permutation of 1..%d: %s" % (k, _shown(perm)))
         # Walk each orbit in traversal order: the user after u on its cycle
         # is the one whose predecessor is u, i.e. the preimage of u.
         succ = [0] * (k + 1)
@@ -258,10 +249,8 @@ def partition_bound(partition: CyclicPartition, matrix: StrengthMatrix) -> Fract
     """Sum bound implied by a cyclic partition: all desired strengths minus
     the total interference weight the partition accumulates."""
     _check_covers(partition, matrix)
-    total = Fraction(0)
-    for k in range(1, matrix.users + 1):
-        total += matrix.desired(k)
-    return total - partition.weight(matrix)
+    desired = sum(map(matrix.desired, range(1, matrix.users + 1)), Fraction(0))
+    return desired - partition.weight(matrix)
 
 
 # ---------------------------------------------------------------------------

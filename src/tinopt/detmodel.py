@@ -93,12 +93,11 @@ def channel_output(matrix: StrengthMatrix, inputs) -> tuple:
         if any(b not in (0, 1) for b in bits):
             raise InputError("transmitter %d input must be 0/1 bits" % i)
         streams.append(bits)
+    _, flat = matrix.scaled
     out = []
-    for rx in range(1, k + 1):
+    for rx in range(k):
         y = 0
-        for tx in range(1, k + 1):
-            n = int(matrix.entry(rx, tx))
-            bits = streams[tx - 1]
+        for n, bits in zip(flat[rx * k:(rx + 1) * k], streams):
             for t in range(1, min(n, len(bits)) + 1):
                 if bits[t - 1]:
                     y ^= 1 << (n - t)
@@ -106,19 +105,15 @@ def channel_output(matrix: StrengthMatrix, inputs) -> tuple:
     return tuple(out)
 
 
-def _int_entries(matrix: StrengthMatrix) -> list:
-    """The matrix's entries as ints, rows by receiver (deterministic mode,
-    where the constructor made every entry an integer)."""
-    return [[v.numerator for v in row] for row in matrix.entries]
-
-
-def _widths(rows, predecessors) -> tuple:
-    """w_u = rows[pred(u)][u] for each user u, 0 on a trivial cycle: the
+def _widths(flat, predecessors) -> tuple:
+    """w_u = n_{pred(u),u} for each user u, read from the row-major integer
+    view ``flat`` (``StrengthMatrix.scaled``), 0 on a trivial cycle: the
     participating widths of the partition whose predecessor vector
     (``CyclicPartition.predecessors``, 0 marking a trivial cycle) is given.
     A partition's GF(2) system, rank, kernel and dominance depend on it
     only through these widths."""
-    return tuple(rows[p - 1][u] if p else 0 for u, p in enumerate(predecessors))
+    k = len(predecessors)
+    return tuple(flat[(p - 1) * k + u] if p else 0 for u, p in enumerate(predecessors))
 
 
 def participating_levels(matrix: StrengthMatrix, partition: CyclicPartition) -> tuple:
@@ -130,7 +125,7 @@ def participating_levels(matrix: StrengthMatrix, partition: CyclicPartition) -> 
     """
     _require_deterministic(matrix, "participating_levels")
     _check_covers(partition, matrix)
-    return _widths(_int_entries(matrix), partition.predecessors())
+    return _widths(matrix.scaled[1], partition.predecessors())
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +150,9 @@ class Gf2System:
 def build_gf2_system(matrix: StrengthMatrix, partition: CyclicPartition) -> Gf2System:
     _require_deterministic(matrix, "build_gf2_system")
     _check_covers(partition, matrix)
-    ints = _int_entries(matrix)
-    widths = _widths(ints, partition.predecessors())
+    k = matrix.users
+    _, flat = matrix.scaled
+    widths = _widths(flat, partition.predecessors())
     total_bits = sum(widths)
     if total_bits > GF2_BIT_GUARD:
         raise GuardError(
@@ -172,9 +168,9 @@ def build_gf2_system(matrix: StrengthMatrix, partition: CyclicPartition) -> Gf2S
 
     rows = []
     labels = []
-    for rx, row in enumerate(ints):
+    for rx in range(k):
         by_level = {}
-        for tx, n in enumerate(row):
+        for tx, n in enumerate(flat[rx * k:(rx + 1) * k]):
             if tx == rx:
                 continue  # the desired link is not part of the interference map
             var = offset[tx]
@@ -288,11 +284,11 @@ def invertibility_verdict(matrix: StrengthMatrix) -> InvertibilityVerdict:
     order.
     """
     _require_deterministic(matrix, "invertibility_verdict")
-    ints = _int_entries(matrix)
+    _, flat = matrix.scaled
     by_widths = {}   # width vector -> certificate of its first tie
     certs = []
     for part in all_optimal_partitions(matrix):
-        widths = _widths(ints, part.predecessors())
+        widths = _widths(flat, part.predecessors())
         cert = by_widths.get(widths)
         if cert is None:
             cert = by_widths[widths] = invertible_gf2(matrix, part)
@@ -392,10 +388,11 @@ def dominant_partition_check(matrix: StrengthMatrix, partition: CyclicPartition)
     A dominant partition's participating levels sit strictly above every
     competing interference level, so they can be recovered top-down."""
     _check_covers(partition, matrix)
-    rows = matrix.entries
+    _, flat = matrix.scaled
     preds = partition.predecessors()
-    for user, (pred, strength) in enumerate(zip(preds, _widths(rows, preds))):
-        if pred and any(rows[rx][user] >= strength for rx in range(len(rows))
+    k = len(preds)
+    for user, (pred, strength) in enumerate(zip(preds, _widths(flat, preds))):
+        if pred and any(flat[rx * k + user] >= strength for rx in range(k)
                         if rx not in (user, pred - 1)):
             return False
     return True
@@ -535,11 +532,11 @@ def best_tin_scheme(matrix: StrengthMatrix) -> BestTinScheme:
     """
     _require_deterministic(matrix, "best_tin_scheme")
     k = matrix.users
-    ent = [[int(v) for v in row] for row in matrix.entries]
-    diag = [ent[u][u] for u in range(k)]
+    _, flat = matrix.scaled
+    diag = list(flat[::k + 1])
     caps = []
     for u in range(k):
-        colmax = max((ent[j][u] for j in range(k) if j != u), default=0)
+        colmax = max((flat[j * k + u] for j in range(k) if j != u), default=0)
         caps.append(min(colmax, diag[u]))
     cells = 1
     for c in caps:
@@ -550,7 +547,7 @@ def best_tin_scheme(matrix: StrengthMatrix) -> BestTinScheme:
             % (cells, SCHEME_CELL_GUARD)
         )
     # links[d]: (u, n_ud) for every receiver u that user d reaches
-    links = [[(u, ent[u][d]) for u in range(k) if u != d and ent[u][d] > 0]
+    links = [[(u, n) for u, n in enumerate(flat[d::k]) if u != d and n > 0]
              for d in range(k)]
     head = diag[:]                   # n_uu - delta_u, open backoffs as 0
     inter = [[0] * k] + [None] * k   # inter[d]: after fixing users 0..d-1

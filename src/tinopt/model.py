@@ -26,6 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 __all__ = [
@@ -139,14 +140,14 @@ def _too_large(value) -> InputError:
     )
 
 
-def _common_denominator(values) -> int:
-    """Least common multiple of the denominators of ``values`` (Fractions),
-    built up one value at a time; InputError as soon as it exceeds
-    MAX_RATIONAL_DIGITS digits, so that no sum of the values can render
+def _common_denominator(denominators) -> int:
+    """Least common multiple of ``denominators`` (positive ints), built up
+    one at a time; InputError as soon as it exceeds MAX_RATIONAL_DIGITS
+    digits, so that no sum of the rationals they come from can render
     past Python's int-to-str limit."""
     denom = 1
-    for val in values:
-        denom = math.lcm(denom, val.denominator)
+    for val in denominators:
+        denom = math.lcm(denom, val)
         if denom >= _RATIONAL_LIMIT:
             raise InputError(
                 "the common denominator of the input rationals is too large: "
@@ -246,11 +247,23 @@ class StrengthMatrix:
     def users(self) -> int:
         return len(self.entries)
 
+    @cached_property
+    def scaled(self) -> tuple:
+        """The integer view every integer route reads, built on first use
+        and no field (``==``, ``hash`` and ``repr`` ignore it): (D, flat),
+        D the least common denominator of the entries (InputError past
+        MAX_RATIONAL_DIGITS digits) and ``flat`` D times each entry as an
+        int, row-major: entry (rx, tx) at (rx - 1) * K + tx - 1."""
+        vals = [val for row in self.entries for val in row]
+        scale = _common_denominator({val.denominator for val in vals})
+        return scale, tuple(val.numerator * (scale // val.denominator) for val in vals)
+
     def entry(self, rx: int, tx: int) -> Fraction:
         """Strength from transmitter tx at receiver rx (1-based indices)."""
         k = self.users
         if not (1 <= rx <= k and 1 <= tx <= k):
-            raise InputError("user index out of range 1..%d: (%d, %d)" % (k, rx, tx))
+            raise InputError("user index out of range 1..%d: (%s, %s)"
+                             % (k, _shown(rx), _shown(tx)))
         return self.entries[rx - 1][tx - 1]
 
     def desired(self, k: int) -> Fraction:
@@ -276,7 +289,7 @@ class StrengthMatrix:
         if not sel:
             raise InputError("submatrix needs at least one user")
         if sel[0] < 1 or sel[-1] > self.users:
-            raise InputError("submatrix users out of range: %s" % (sel,))
+            raise InputError("submatrix users out of range: %s" % _shown(sel))
         rows = tuple(
             tuple(self.entries[j - 1][i - 1] for i in sel) for j in sel
         )
@@ -318,6 +331,18 @@ def _bad_row(row):
     raise InputError("matrix rows must be lists, got %r" % type(row).__name__)
 
 
+def _rescaled(matrices, extra=()) -> tuple:
+    """(D, flats, ints): the ``scaled`` views of ``matrices`` and the
+    rationals ``extra`` at their least common denominator D (InputError
+    past MAX_RATIONAL_DIGITS digits), as D times each entry and each of
+    ``extra``; a view already at D is returned as it is."""
+    views = [mat.scaled for mat in matrices]
+    scale = _common_denominator([d for d, _ in views] + [v.denominator for v in extra])
+    flats = [flat if d == scale else tuple(v * (scale // d) for v in flat)
+             for d, flat in views]
+    return scale, flats, [v.numerator * (scale // v.denominator) for v in extra]
+
+
 # ---------------------------------------------------------------------------
 # networks (M parallel sub-channels)
 # ---------------------------------------------------------------------------
@@ -328,8 +353,9 @@ class Network:
 
     The constructor checks a non-empty sequence of StrengthMatrix items,
     whose constructors checked their mode, all of the network's mode and of
-    one K.  It stores ``matrices`` as a tuple, so instances are immutable
-    and hashable.
+    one K; their ``scaled`` views must share a common denominator within
+    MAX_RATIONAL_DIGITS digits.  It stores ``matrices`` as a tuple, so
+    instances are immutable and hashable.
     """
 
     mode: str
@@ -350,6 +376,7 @@ class Network:
             if mat.users != mats[0].users:
                 raise InputError("sub-channel %d has %d users, expected %d"
                                  % (idx, mat.users, mats[0].users))
+        _common_denominator(mat.scaled[0] for mat in mats)
         object.__setattr__(self, "matrices", tuple(mats))
 
     @property
@@ -363,8 +390,8 @@ class Network:
     def matrix(self, m: int) -> StrengthMatrix:
         """The m-th sub-channel's matrix (1-based)."""
         if not (1 <= m <= self.subchannels):
-            raise InputError("sub-channel index out of range 1..%d: %d"
-                             % (self.subchannels, m))
+            raise InputError("sub-channel index out of range 1..%d: %s"
+                             % (self.subchannels, _shown(m)))
         return self.matrices[m - 1]
 
 
@@ -471,7 +498,8 @@ def parse_network(obj) -> Network:
          "matrices": [matrix, ...]}       # M matrices, each flat K^2 or K rows
 
     Only the document's own fields are checked here; the matrices and the
-    network are checked by their constructors.
+    network (their common denominator included) are checked by their
+    constructors.
     """
     if not isinstance(obj, dict):
         raise InputError("network document must be a JSON object")
@@ -501,7 +529,6 @@ def parse_network(obj) -> Network:
                 % (m, mat.users, mat.users, users)
             )
         mats.append(mat)
-    _common_denominator(val for mat in mats for row in mat.entries for val in row)
     return Network(mode=mode, matrices=mats)
 
 

@@ -34,7 +34,6 @@ floats.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -43,7 +42,7 @@ from operator import add
 
 from .cycles import Cycle, CyclicPartition, _check_enum_guard
 from .model import (CrossCheckError, GuardError, InputError, StrengthMatrix,
-                    _common_denominator, check_tin)
+                    _rescaled, _shown, check_tin)
 
 __all__ = [
     "TIE_GUARD",
@@ -105,7 +104,7 @@ class LinearProgram:
             if rel == "=":
                 rel = "=="
             if rel not in _RELS:
-                raise InputError("unknown relation %r" % (rel,))
+                raise InputError("unknown relation %s" % _shown(rel))
             rows.append((coeffs, rel, Fraction(rhs)))
         if isinstance(nonneg, bool):
             signs = tuple(nonneg for _ in range(n))
@@ -361,37 +360,25 @@ class CycleLpResult:
         return tuple(_heaviest_cycle(*self.table, mask) for mask in self.working)
 
 
-def _scaled_entries(matrices, extra=()):
-    """(D, flats): D is the least common denominator of every matrix entry
-    and of the rationals in ``extra`` (InputError past MAX_RATIONAL_DIGITS
-    digits), and ``flats[m]`` lists D times the entries of ``matrices[m]``
-    as ints, row-major (entry (i, j) at index i*K + j, 0-based)."""
-    scale = _common_denominator(itertools.chain(
-        (val for mat in matrices for row in mat.entries for val in row), extra))
-    return scale, [
-        [val.numerator * (scale // val.denominator)
-         for row in mat.entries for val in row]
-        for mat in matrices
-    ]
-
-
 def _cycle_blocks(matrices, extra=()):
     """One integer-scaled cycle bound per user subset (its heaviest
     cycle's: no other can bind) of sub-channels that share K users, as (D,
-    blocks, tables): D as in ``_scaled_entries``, ``blocks[m][mask]`` D
-    times the bound on the users of ``mask`` on ``matrices[m]``, and
-    ``tables[m]`` (flat, paths) for ``_heaviest_cycle``.  GuardError above
-    MAX_ENUM_USERS comes first."""
+    blocks, tables, ints).  ``model._rescaled`` brings the matrices'
+    ``scaled`` views and the rationals ``extra`` (a decompose target) to
+    their common denominator D, ``ints`` D times each of ``extra``;
+    ``blocks[m][mask]`` is D times the bound on the users of ``mask`` on
+    ``matrices[m]`` and ``tables[m]`` (flat, paths) serves
+    ``_heaviest_cycle``.  GuardError above MAX_ENUM_USERS comes first."""
     k = matrices[0].users
     _check_enum_guard(k)
-    scale, flats = _scaled_entries(matrices, extra)
+    scale, flats, ints = _rescaled(matrices, extra)
     blocks, tables = [], []
     for flat in flats:
         cycles, paths = _heaviest_cycles(flat, k)
         desired = _subset_sums(flat[::k + 1])
         blocks.append([d - c for d, c in zip(desired, cycles)])
         tables.append((flat, paths))
-    return scale, blocks, tables
+    return scale, blocks, tables, ints
 
 
 def _subset_sums(values) -> list:
@@ -546,7 +533,7 @@ def solve_cycle_lp(matrix: StrengthMatrix, nonneg: bool = True) -> CycleLpResult
     independent of the assignment and brute-force routes.
     """
     k = matrix.users
-    scale, blocks, ((flat, paths),) = _cycle_blocks((matrix,))
+    scale, blocks, ((flat, paths),), _ = _cycle_blocks((matrix,))
     status, value, point, working, rounds, pivots = _cutting_plane_lp(
         blocks, scale, [1] * k, nonneg=nonneg)
     return CycleLpResult(
@@ -642,13 +629,14 @@ def min_cost_assignment(cost) -> tuple:
 
 
 def best_partition_assignment(matrix: StrengthMatrix):
-    """Heaviest cyclic partition via min-cost assignment on scaled int entries.
+    """Heaviest cyclic partition via min-cost assignment on the matrix's
+    integer view (``StrengthMatrix.scaled``).
 
     Returns (max_weight, perm) where perm[k-1] is user k's predecessor in
     some maximizing partition (perm[k-1] == k marks a trivial cycle).
     """
     k = matrix.users
-    scale, (flat,) = _scaled_entries((matrix,))
+    scale, flat = matrix.scaled
     cost = [[0 if r == c else -flat[r * k + c] for c in range(k)]
             for r in range(k)]
     total, assign = min_cost_assignment(cost)
@@ -663,7 +651,7 @@ def best_partition_assignment(matrix: StrengthMatrix):
 def _heaviest_permutations(matrix: StrengthMatrix):
     """(D, incoming, suf, cnt): the predecessor-permutation DP of ``matrix``.
 
-    D is the ``_scaled_entries`` scale and ``incoming[u][p]`` D times user
+    D is the scale of ``matrix.scaled`` and ``incoming[u][p]`` D times user
     u's edge weight from predecessor p (0-based, 0 for p == u).  For a mask
     ``used`` of predecessors already given to users 0..n-1 (n its
     popcount), ``suf[used]`` is the heaviest way to give users n..K-1
@@ -674,7 +662,7 @@ def _heaviest_permutations(matrix: StrengthMatrix):
     """
     k = matrix.users
     _check_enum_guard(k)
-    scale, (flat,) = _scaled_entries((matrix,))
+    scale, flat = matrix.scaled
     incoming = [
         [0 if p == u else flat[p * k + u] for p in range(k)]
         for u in range(k)
@@ -705,26 +693,29 @@ def _ties(incoming, suf, self_first=False):
     predecessors in increasing order, so the ties come lexicographically;
     with ``self_first`` user u tries itself first, and the first tie is
     the one with the smallest predecessor vector, trivial cycles keyed 0.
+    ``levels[u]`` holds the rest of user u's predecessors to try: an
+    explicit stack, so the walk leaves no cyclic garbage behind.
     """
     k = len(incoming)
     orders = [(u, *range(u), *range(u + 1, k)) if self_first else range(k)
               for u in range(k)]
-    prefix = []
-
-    def walk(used):
-        u = len(prefix)
-        if u == k:
-            yield tuple(prefix)
-            return
-        row, target = incoming[u], suf[used]
-        for p in orders[u]:
-            nxt = used | 1 << p
-            if nxt != used and row[p] + suf[nxt] == target:
-                prefix.append(p)
-                yield from walk(nxt)
-                prefix.pop()
-
-    return walk(0)
+    prefix, used = [0] * k, [0] * k     # used[u]: predecessors of users < u
+    levels = [iter(orders[0])]
+    while levels:
+        u = len(levels) - 1
+        base, row, target = used[u], incoming[u], suf[used[u]]
+        for p in levels[u]:
+            nxt = base | 1 << p
+            if nxt != base and row[p] + suf[nxt] == target:
+                prefix[u] = p
+                if u + 1 == k:
+                    yield tuple(prefix)
+                else:
+                    used[u + 1] = nxt
+                    levels.append(iter(orders[u + 1]))
+                break
+        else:
+            levels.pop()
 
 
 def brute_force_best_weight(matrix: StrengthMatrix):
@@ -801,9 +792,7 @@ def sum_gdof(matrix: StrengthMatrix) -> SumGdofResult:
     required to agree, and the result is labeled a bound.
     """
     tin = check_tin(matrix)
-    diag_sum = sum(
-        (matrix.desired(i) for i in range(1, matrix.users + 1)), Fraction(0)
-    )
+    diag_sum = sum(map(matrix.desired, range(1, matrix.users + 1)), Fraction(0))
 
     lp = solve_cycle_lp(matrix, nonneg=True)
     aw, _ = best_partition_assignment(matrix)

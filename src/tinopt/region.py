@@ -22,8 +22,7 @@ from fractions import Fraction
 
 from .cycles import _cycle_table, enumerate_cycles
 from .model import CrossCheckError, InputError, Network, StrengthMatrix, as_rational
-from .optimize import (_cutting_plane_lp, _cycle_blocks, _partition_bounds,
-                       _scaled_entries, _subset_sums)
+from .optimize import _cutting_plane_lp, _cycle_blocks, _partition_bounds, _subset_sums
 
 __all__ = [
     "RegionConstraint",
@@ -69,9 +68,9 @@ def tin_region(matrix: StrengthMatrix) -> tuple:
     still valid outer bounds for what TIN itself can do.
 
     The bounds are read off the per-K table ``cycles._cycle_table``, cached
-    beside ``enumerate_cycles(K)`` and in its order: every entry is scaled
-    to an int once (``_scaled_entries``: InputError past MAX_RATIONAL_DIGITS
-    digits of common denominator), a cycle's bound is its users' desired
+    beside ``enumerate_cycles(K)`` and in its order, and the matrix's
+    integer view ``matrix.scaled`` (InputError past MAX_RATIONAL_DIGITS
+    digits of common denominator): a cycle's bound is its users' desired
     sum minus the ints at its edge indices, and only the result becomes a
     Fraction.  Equal to ``cycles.cycle_bound_rhs`` cycle by cycle;
     GuardError above K = 9, before any table is built.
@@ -79,9 +78,9 @@ def tin_region(matrix: StrengthMatrix) -> tuple:
     k = matrix.users
     cycles = enumerate_cycles(k)
     masks, edges, offsets, users_of = _cycle_table(k)
-    scale, (flat,) = _scaled_entries((matrix,))
+    scale, flat = matrix.scaled
     desired = _subset_sums(flat[::k + 1])
-    entry = flat.__getitem__
+    entry = list(flat).__getitem__  # a builtin, unlike a tuple's: twice as fast in map
     return tuple(
         RegionConstraint(users_of[mask],
                          Fraction(desired[mask] - sum(map(entry, edges[a:b])), scale),
@@ -160,7 +159,7 @@ def combined_sum_bounds(network: Network) -> CombinedSumBounds:
     (GuardError above K = 9) before any of it runs.
     """
     k = network.users
-    scale, blocks, _ = _cycle_blocks(network.matrices)
+    scale, blocks, *_ = _cycle_blocks(network.matrices)
     totals = [sum(col) for col in zip(*map(_partition_bounds, blocks))]
     bounds = {}
     for size in range(1, k + 1):
@@ -214,9 +213,8 @@ def separate_tin_decomposable(network: Network, point) -> DecompositionResult:
         raise InputError("point has %d coordinates, expected %d" % (len(target), k))
     if any(t < 0 for t in target):
         raise InputError("point coordinates must be nonnegative rates")
-    scale, blocks, _ = _cycle_blocks(network.matrices, target)
-    fixed = [(u, t.numerator * (scale // t.denominator))
-             for u, t in enumerate(target)]
+    scale, blocks, _, totals = _cycle_blocks(network.matrices, target)
+    fixed = list(enumerate(totals))
 
     status, _, sol, *_ = _cutting_plane_lp(blocks, scale, [0] * (k * m), fixed)
     if status == "optimal":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import random_det_matrix, random_strict_tin_matrix, tin_by_triples
+from oracles import (random_det_matrix, random_gdof_matrix, random_strict_tin_matrix,
+                     tin_by_triples)
+from tinopt.cycles import Cycle, CyclicPartition
 from tinopt.model import (
     MAX_RATIONAL_DIGITS,
     ClampWarning,
@@ -27,6 +30,7 @@ from tinopt.model import (
     rational_str,
     save_network,
 )
+from tinopt.optimize import LinearProgram
 
 # ---------------------------------------------------------------------------
 # rational coercion
@@ -184,6 +188,32 @@ def test_oversized_users_raises_input_error():
     assert "\n" not in str(exc.value)
 
 
+HUGE = 10 ** 5000
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Cycle((HUGE, HUGE)),
+    lambda: Cycle((-HUGE,)),
+    lambda: Cycle((1, 2)).predecessor(HUGE),
+    lambda: CyclicPartition(((1, 2),)).predecessor(HUGE),
+    lambda: CyclicPartition(((HUGE,),)),
+    lambda: CyclicPartition(((HUGE,), (HUGE,))),
+    lambda: CyclicPartition.from_permutation((HUGE, 1)),
+    lambda: StrengthMatrix.from_values("gdof", [[1]]).entry(HUGE, 1),
+    lambda: StrengthMatrix.from_values("gdof", [[1]]).submatrix([1, HUGE]),
+    lambda: Network(mode="gdof", matrices=(StrengthMatrix.from_values("gdof", [[1]]),)
+                    ).matrix(HUGE),
+    lambda: LinearProgram.build([1], [([1], HUGE, 1)]),
+], ids=["cycle-repeat", "cycle-negative", "cycle-predecessor",
+        "partition-predecessor", "partition-cover", "partition-disjoint",
+        "from-permutation", "entry",
+        "submatrix", "network-matrix", "lp-relation"])
+def test_oversized_int_arguments_raise_input_error(call):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert len(str(exc.value)) < 200
+
+
 def test_entry_desired_edge_weight():
     mat = StrengthMatrix.from_values("gdof", [[5, 2], [3, 7]])
     assert mat.desired(1) == 5 and mat.desired(2) == 7
@@ -208,6 +238,30 @@ def test_submatrix_reindexes_but_keeps_entries():
         mat.submatrix([])
     with pytest.raises(InputError):
         mat.submatrix([0, 1])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scaled_view_is_the_common_denominator_times_each_entry(seed):
+    rng = random.Random("scaled/%d" % seed)
+    k = rng.randint(1, 6)
+    for mat in (random_gdof_matrix(rng, k), random_det_matrix(rng, k)):
+        vals = [val for row in mat.entries for val in row]
+        scale = math.lcm(*(val.denominator for val in vals))
+        assert mat.scaled == (scale, tuple(val.numerator * scale // val.denominator
+                                           for val in vals))
+        assert all(type(v) is int for v in mat.scaled[1])
+        if mat.mode == "deterministic":
+            assert mat.scaled[0] == 1
+
+
+def test_reading_the_scaled_view_changes_no_field():
+    mat = random_gdof_matrix(random.Random("scaled/fields"), 4)
+    twin = StrengthMatrix(mode=mat.mode, entries=mat.entries)
+    before = (repr(mat), hash(mat))
+    view = mat.scaled
+    assert mat.scaled is view                   # built once
+    assert (repr(mat), hash(mat)) == before == (repr(twin), hash(twin))
+    assert mat == twin and "scaled" not in repr(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +298,17 @@ def test_network_validation():
     # built from a list, the network still stores a tuple: equal and hashable
     listed = Network(mode="gdof", matrices=[a, a])
     assert listed == net and hash(listed) == hash(net)
+
+
+def test_network_rejects_an_oversized_common_denominator():
+    # each matrix's own denominator has 601 digits, their common one 1,201:
+    # the constructor refuses it, as load_network does
+    a = StrengthMatrix(mode="gdof", entries=((Fraction(1, 10 ** 600 + 1),),))
+    b = StrengthMatrix(mode="gdof", entries=((Fraction(1, 10 ** 600 + 3),),))
+    assert Network(mode="gdof", matrices=(a, a)).matrix(2) is a
+    with pytest.raises(InputError, match="common denominator") as exc:
+        Network(mode="gdof", matrices=(a, b))
+    assert len(str(exc.value)) < 200
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ against the partition bounds (plus direct feasibility of its points).
 
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 
@@ -325,6 +326,23 @@ def test_tie_guard_trips_before_the_walk(monkeypatch):
     # the value and the canonical tie are read from one walk's first tie
     assert brute_force_best_weight(mat) == (9, (2, 1, 4, 3, 6, 5, 8, 9, 7))
     assert len(walked) == 1
+
+
+def test_tie_walks_leave_no_cyclic_garbage():
+    # the first sub-channel of tests/test_golden.py's tied6x2: 21 ties
+    mat = StrengthMatrix.from_values("deterministic", [
+        [5, 0, 2, 2, 0, 1], [2, 5, 2, 2, 1, 1], [2, 2, 5, 2, 2, 0],
+        [2, 2, 1, 5, 0, 1], [0, 2, 0, 2, 5, 0], [1, 0, 1, 0, 1, 3]])
+    gc.collect()
+    gc.disable()
+    try:
+        for call in (all_optimal_partitions, brute_force_best_weight):
+            gc.collect()
+            call(mat)
+            assert gc.collect() == 0, call.__name__
+    finally:
+        gc.enable()
+    assert len(all_optimal_partitions(mat)) == 21
 
 
 def test_all_equal_cross_links_tie_every_derangement():

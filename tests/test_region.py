@@ -19,7 +19,7 @@ from tinopt.cycles import cycle_bound_rhs, cycle_count, enumerate_cycles
 from tinopt.fixtures import example1, gap_network, gap_point
 from tinopt.model import ClampWarning, InputError, Network, StrengthMatrix
 from tinopt.optimize import (_cutting_plane_lp, _cycle_blocks, _heaviest_cycles,
-                             _scaled_entries, network_sum)
+                             network_sum)
 from tinopt.region import (
     combined_sum_bounds,
     region_contains,
@@ -222,7 +222,7 @@ def test_combined_bounds_match_partition_oracle(k, kind):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_subset_dp_cycles_match_cycle_enumeration(k, kind):
     mat = _dp_matrix(random.Random("cycles/%s/%d" % (kind, k)), k, kind)
-    scale, (flat,) = _scaled_entries((mat,))
+    scale, flat = mat.scaled
     cycles, _ = _heaviest_cycles(flat, k)
     heaviest = {}
     for cyc in enumerate_cycles(k):
@@ -270,9 +270,8 @@ def test_decomposition_lp_counters_are_pinned(point, status, working, rounds,
     # and cuts; pin its path on gap_network
     net = gap_network()
     target = tuple(Fraction(t) for t in point)
-    scale, blocks, _ = _cycle_blocks(net.matrices, target)
-    fixed = [(u, t.numerator * (scale // t.denominator))
-             for u, t in enumerate(target)]
+    scale, blocks, _, totals = _cycle_blocks(net.matrices, target)
+    fixed = list(enumerate(totals))
     res = _cutting_plane_lp(blocks, scale, [0] * 6, fixed)
     assert res[0] == status
     assert res[3:] == (working, rounds, pivots)
