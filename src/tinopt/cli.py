@@ -100,8 +100,7 @@ def cmd_check_tin(net, args) -> tuple:
 
 def cmd_sum(net, args) -> tuple:
     nsum = network_sum(net)
-    quantity = "sum-capacity" if net.mode == "deterministic" else "sum-GDoF"
-    payload = {"command": "sum", "mode": net.mode, "quantity": quantity}
+    payload = {"command": "sum", "mode": net.mode, "quantity": report.SUM_QUANTITY[net.mode]}
     payload.update(report.network_sum_repr(nsum))
     return payload, 0
 

@@ -52,11 +52,11 @@ MAX_ENUM_USERS = 9
 def _check_enum_guard(k: int) -> None:
     if k > MAX_ENUM_USERS:
         raise GuardError(
-            "exhaustive enumeration limit exceeded: K = %d (max %d)"
-            % (k, MAX_ENUM_USERS)
+            "exhaustive enumeration limit exceeded: K = %s (max %d)"
+            % (_shown(k), MAX_ENUM_USERS)
         )
     if k < 1:
-        raise InputError("need at least one user, got K = %d" % k)
+        raise InputError("need at least one user, got K = %s" % _shown(k))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +94,7 @@ class Cycle:
         return iter(self.users)
 
     def __str__(self):
-        return "(" + ",".join(str(u) for u in self.users) + ")"
+        return "(" + ",".join(map(_shown, self.users)) + ")"
 
     @property
     def trivial(self) -> bool:

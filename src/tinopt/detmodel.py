@@ -10,9 +10,9 @@ Under a cyclic partition, user i's *participating* bits are the ones its
 predecessor's receiver can see: X_{i,(1..n_{pred(i),i})}.  The partition is
 invertible when the participating output levels determine the participating
 input bits uniquely -- an exact GF(2) rank question, decided here by
-elimination over integer bitmasks, with several cheaper sufficient
-conditions (acyclic participating structure, dominant partitions, 3-user
-unequal cycle sums, cyclic topologies) available for both modes.
+elimination over integer bitmasks.  Cheaper sufficient conditions back it
+up: an acyclic participating structure (bit levels only), and dominant
+partitions, 3-user unequal cycle sums and cyclic topologies (both modes).
 
 The separability verdict ties everything together: when every sub-channel
 is TIN-optimal and its participating structure is recoverable, per-sub-channel

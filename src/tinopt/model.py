@@ -16,11 +16,13 @@ checks only the JSON document's own fields.
 All arithmetic in this package is exact.  Floats are accepted on input but are
 converted through their decimal string form, so a JSON value ``0.1`` means
 1/10, not the nearest binary float.
+
+``dumps_canonical`` is the package's one JSON writer: a recursive encoder
+that buffers its pieces and joins them ``_FLUSH`` at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import warnings
@@ -519,14 +521,14 @@ def parse_network(obj) -> Network:
     if not isinstance(raw_mats, list):
         raise InputError("matrices must be a list")
     if len(raw_mats) != subch:
-        raise InputError("expected %d matrices, got %d" % (subch, len(raw_mats)))
+        raise InputError("expected %s matrices, got %d" % (_shown(subch), len(raw_mats)))
     mats = []
     for m, raw in enumerate(raw_mats, start=1):
         mat = StrengthMatrix.from_values(mode, raw, subchannel=m)
         if mat.users != users:
             raise InputError(
-                "sub-channel %d matrix is %dx%d but users=%d"
-                % (m, mat.users, mat.users, users)
+                "sub-channel %d matrix is %dx%d but users=%s"
+                % (m, mat.users, mat.users, _shown(users))
             )
         mats.append(mat)
     return Network(mode=mode, matrices=mats)
@@ -551,7 +553,7 @@ def load_network(path) -> Network:
 
 _escape = json.encoder.encode_basestring_ascii
 _INTS = {int}
-_CONTAINERS = (dict, list, tuple)
+_FLUSH = 512   # pieces joined at a time
 
 
 def _key(key) -> str:
@@ -560,68 +562,45 @@ def _key(key) -> str:
     return _escape(key)
 
 
-def _encode(obj, nl: str) -> str:
-    """``obj`` as one string whose nested lines start with ``nl`` plus two
-    spaces per level; a list of ints is one join."""
+def _write(obj, nl: str, out: list, parts: list) -> None:
+    """Append the pieces of ``obj``, whose nested lines start with ``nl``
+    plus two spaces per level, to ``out``, and join ``out`` onto ``parts``
+    once it holds ``_FLUSH`` pieces."""
     kind = type(obj)
     if kind is str:
-        return _escape(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is dict:
+        out.append(_escape(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is dict or kind is list or kind is tuple:
         if not obj:
-            return "{}"
+            out.append("{}" if kind is dict else "[]")
+            return
         inner = nl + "  "
-        return "{%s%s%s}" % (inner, ("," + inner).join(
-            [_key(k) + ": " + _encode(v, inner) for k, v in obj.items()]), nl)
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        inner = nl + "  "
-        items = (map(int.__repr__, obj) if {*map(type, obj)} == _INTS
-                 else [_encode(v, inner) for v in obj])
-        return "[%s%s%s]" % (inner, ("," + inner).join(items), nl)
-    if kind is bool:
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
-
-
-def _flat(obj) -> bool:
-    """Whether ``obj`` is a dict holding no container but lists of scalars."""
-    return type(obj) is dict and not any(
-        type(v) is dict and v
-        or type(v) in (list, tuple) and v and type(v[0]) in _CONTAINERS
-        for v in obj.values())
-
-
-def _chunks(obj, nl: str):
-    """``_encode(obj, nl)`` in pieces: a dict streams its values and a list
-    of containers its items, except that a list whose first item is a flat
-    dict (``_flat``) gives each of its dicts as one piece."""
-    inner = nl + "  "
-    kind = type(obj)
-    if kind is dict and obj:
-        head = "{" + inner
-        for key, val in obj.items():
-            yield head + _key(key) + ": "
-            yield from _chunks(val, inner)
-            head = "," + inner
-        yield nl + "}"
-    elif (kind is list or kind is tuple) and obj and type(obj[0]) in _CONTAINERS:
-        whole = _flat(obj[0])
-        head = "[" + inner
-        for val in obj:
-            if whole and type(val) is dict:
-                yield head + _encode(val, inner)
-            else:
-                yield head
-                yield from _chunks(val, inner)
-            head = "," + inner
-        yield nl + "]"
+        if kind is dict:
+            head = "{" + inner
+            for key, val in obj.items():
+                out.append(head + _key(key) + ": ")
+                _write(val, inner, out, parts)
+                head = "," + inner
+            out.append(nl + "}")
+        elif {*map(type, obj)} == _INTS:
+            out.append("[%s%s%s]" % (inner, ("," + inner).join(map(int.__repr__, obj)), nl))
+        else:
+            head = "[" + inner
+            for val in obj:
+                out.append(head)
+                _write(val, inner, out, parts)
+                head = "," + inner
+            out.append(nl + "]")
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
     else:
-        yield _encode(obj, nl)
+        raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
+    if len(out) >= _FLUSH:
+        parts.append("".join(out))
+        out.clear()
 
 
 def dumps_canonical(obj) -> str:
@@ -631,14 +610,15 @@ def dumps_canonical(obj) -> str:
     ``tuple`` and ``dict`` with ``str`` keys, matched on exact type; any
     other value or key raises TypeError.
 
-    Its pieces (``_chunks``) are joined 1,024 at a time, so they never all
-    live at once: the peak stays near twice the output.
+    One recursive encoder (``_write``) appends its pieces to a buffer and
+    joins the buffer onto the output parts every ``_FLUSH`` pieces, so the
+    pieces never all live at once: the peak stays near twice the output.
+    A list of ints is one piece, built by a single join.
     """
-    chunks = _chunks(obj, "\n")
-    parts = []
-    while batch := list(itertools.islice(chunks, 1024)):
-        parts.append("".join(batch))
-    parts.append("\n")
+    out, parts = [], []
+    _write(obj, "\n", out, parts)
+    out.append("\n")
+    parts.append("".join(out))
     return "".join(parts)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cycles import _cycle_table, enumerate_cycles
-from .model import CrossCheckError, InputError, Network, StrengthMatrix, as_rational
+from .model import CrossCheckError, InputError, Network, StrengthMatrix, _shown, as_rational
 from .optimize import _cutting_plane_lp, _cycle_blocks, _partition_bounds, _subset_sums
 
 __all__ = [
@@ -133,7 +133,7 @@ class CombinedSumBounds:
     def bound(self, subset) -> Fraction:
         key = tuple(sorted(set(subset)))
         if key not in self.bounds:
-            raise InputError("no bound recorded for subset %s" % (key,))
+            raise InputError("no bound recorded for subset %s" % _shown(key))
         return self.bounds[key]
 
     def as_constraints(self) -> tuple:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from .model import dumps_canonical, rational_str
 
 __all__ = [
+    "SUM_QUANTITY",
     "dumps_canonical",
     "render_text",
     "frac",
@@ -34,6 +35,9 @@ __all__ = [
 
 
 frac = rational_str
+
+# what a sub-channel's or network's sum is called in each mode
+SUM_QUANTITY = {"gdof": "sum-GDoF", "deterministic": "sum-capacity"}
 
 
 def point_repr(point) -> list:
@@ -328,12 +332,11 @@ def _invertibility_lines(p) -> list:
 
 
 def _separability_lines(p) -> list:
-    quantity = "sum-capacity" if p["mode"] == "deterministic" else "sum-GDoF"
     lines = [_banner("separability")]
     for m, (res, leg) in enumerate(zip(p["per_subchannel"], p["invertibility"]),
                                    start=1):
         lines.append("sub-channel %d: %s = %s [%s]; TIN %s; invertibility: %s (%s)"
-                     % (m, quantity, res["value"], res["label"],
+                     % (m, SUM_QUANTITY[p["mode"]], res["value"], res["label"],
                         "optimal" if res["tin"]["satisfied"] else "NOT optimal",
                         leg["status"], leg["method"]))
     lines.append("separated total: %s" % p["total"])

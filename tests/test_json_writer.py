@@ -6,6 +6,7 @@ by the pinned hypothesis version.
 
 from __future__ import annotations
 
+import gc
 import json
 import tracemalloc
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinopt.model import dumps_canonical
+from tinopt.model import _FLUSH, dumps_canonical
 
 PINNED = settings(max_examples=150, derandomize=True, deadline=None,
                   database=None)
@@ -77,12 +78,50 @@ def test_writer_refuses_other_values_and_keys(obj):
         dumps_canonical(obj)
 
 
+# trees large enough that the writer joins its buffer at least once; the
+# hypothesis trees above hold at most 40 leaves and never reach a flush
+FLUSH_SHAPES = {
+    "dicts": [{"a": i, "b": [i, -i], "c": "x%d" % i} for i in range(3000)],
+    "int-lists": {"k%d" % i: list(range(i % 7)) for i in range(1500)},
+    "mixed-lists": [[i, None, True, "s", [], {}, (), -i] for i in range(600)],
+}
+
+
+def min_pieces(obj) -> int:
+    """A lower bound on the pieces the writer buffers for ``obj``: at least
+    one per item of a dict, or of a list that is not all ints."""
+    if type(obj) is dict:
+        return len(obj) + sum(map(min_pieces, obj.values()))
+    if type(obj) in (list, tuple) and {*map(type, obj)} != {int}:
+        return len(obj) + sum(map(min_pieces, obj))
+    return 1
+
+
 @pytest.mark.parametrize("obj", [
     [], {}, (), [[]], [{}], {"": []}, [[1, 2], [3]], [[1], 5, {"a": [True]}],
     [{"a": [1]}, [None], "x"], ("a", (1,)), -0, 10 ** 40, "\x00\U0001f600",
+    *(pytest.param(obj, id=name) for name, obj in FLUSH_SHAPES.items()),
 ])
 def test_writer_equals_json_dumps_on_edge_shapes(obj):
     assert dumps_canonical(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", FLUSH_SHAPES.values(), ids=FLUSH_SHAPES.keys())
+def test_flush_shapes_cross_a_flush(obj):
+    assert min_pieces(obj) > _FLUSH
+
+
+def test_writer_leaves_no_cyclic_garbage():
+    # an encoder that held its buffers in a cycle (say, a nested function
+    # calling itself through its closure) would keep a whole report alive
+    # until the next collection
+    gc.collect()
+    gc.disable()
+    try:
+        dumps_canonical(FLUSH_SHAPES["dicts"])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_writer_peak_memory_is_bounded_on_nested_items():

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from oracles import (random_det_matrix, random_gdof_matrix, random_strict_tin_matrix,
                      tin_by_triples)
-from tinopt.cycles import Cycle, CyclicPartition
+from tinopt.cycles import Cycle, CyclicPartition, enumerate_cycles
+from tinopt.fixtures import gap_network
 from tinopt.model import (
     MAX_RATIONAL_DIGITS,
     ClampWarning,
+    GuardError,
     InputError,
     Network,
     StrengthMatrix,
@@ -31,6 +33,7 @@ from tinopt.model import (
     save_network,
 )
 from tinopt.optimize import LinearProgram
+from tinopt.region import combined_sum_bounds
 
 # ---------------------------------------------------------------------------
 # rational coercion
@@ -204,13 +207,27 @@ HUGE = 10 ** 5000
     lambda: Network(mode="gdof", matrices=(StrengthMatrix.from_values("gdof", [[1]]),)
                     ).matrix(HUGE),
     lambda: LinearProgram.build([1], [([1], HUGE, 1)]),
+    lambda: Cycle((HUGE,)).predecessor(1),
+    lambda: combined_sum_bounds(gap_network("1/10")).bound((HUGE,)),
+    lambda: enumerate_cycles(-HUGE),
+    lambda: parse_network({"mode": "gdof", "users": HUGE, "subchannels": 1,
+                           "matrices": [[[1]]]}),
+    lambda: parse_network({"mode": "gdof", "users": 1, "subchannels": HUGE,
+                           "matrices": [[[1]]]}),
 ], ids=["cycle-repeat", "cycle-negative", "cycle-predecessor",
         "partition-predecessor", "partition-cover", "partition-disjoint",
         "from-permutation", "entry",
-        "submatrix", "network-matrix", "lp-relation"])
+        "submatrix", "network-matrix", "lp-relation", "cycle-str", "combined-bound",
+        "enumerate-negative", "document-users", "document-subchannels"])
 def test_oversized_int_arguments_raise_input_error(call):
     with pytest.raises(InputError) as exc:
         call()
+    assert len(str(exc.value)) < 200
+
+
+def test_oversized_user_count_raises_guard_error():
+    with pytest.raises(GuardError) as exc:
+        enumerate_cycles(HUGE)
     assert len(str(exc.value)) < 200
 
 

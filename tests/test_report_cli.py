@@ -65,8 +65,9 @@ def test_dumps_canonical_equals_json_dumps_on_every_golden_payload():
 
 
 def test_dumps_canonical_peak_memory_is_bounded(tmp_path, capsys):
-    # a K = 6, M = 2 region report (about 180 KB); one join of every encoder
-    # chunk peaks near 7x its size where indented encoding is pure Python
+    # a K = 6, M = 2 region report (about 180 KB); one join of every piece
+    # the encoder makes would peak near 7x its size, so the writer joins its
+    # buffer every _FLUSH pieces
     rng = random.Random(5)
     path = tmp_path / "region6.json"
     path.write_text(json.dumps({
