@@ -38,6 +38,7 @@ from .detmodel import (
     is_cyclic_topology,
     participating_levels,
     separability_verdict,
+    subchannel_invertibility,
     sufficient_invertibility,
     tin_feasible,
 )

@@ -22,10 +22,9 @@ from fractions import Fraction
 from . import report
 from .cycles import CyclicPartition
 from .detmodel import (
-    invertibility_verdict,
     invertible_gf2,
     separability_verdict,
-    sufficient_invertibility,
+    subchannel_invertibility,
 )
 from .fixtures import caution_lp, example1, example2, gap_network, gap_point
 from .model import (
@@ -144,16 +143,14 @@ def cmd_decompose(net, args) -> tuple:
 
 
 def _invertibility_report(net, part) -> dict:
-    """A deterministic network's sub-channel reports and their verdict: one
-    probed partition's certificates, or verdicts over every optimal one."""
+    """A network's sub-channel reports and their verdict: one probed
+    partition's certificates, or each sub-channel's verdict in its mode."""
     if part is not None:
-        entries = [report.certificate_repr(invertible_gf2(mat, part))
-                   for mat in net.matrices]
+        verdicts = [invertible_gf2(mat, part) for mat in net.matrices]
     else:
-        entries = [report.invertibility_repr(invertibility_verdict(mat))
-                   for mat in net.matrices]
-    return {"subchannels": entries,
-            "invertible": all(e["invertible"] for e in entries)}
+        verdicts = [subchannel_invertibility(mat) for mat in net.matrices]
+    return {"subchannels": [report.invertibility_repr(v) for v in verdicts],
+            "invertible": all(verdicts)}
 
 
 def cmd_invertibility(net, args) -> tuple:
@@ -166,16 +163,11 @@ def cmd_invertibility(net, args) -> tuple:
     part = (None if args.partition is None
             else _parse_partition(args.partition, net.users))
     payload = {"command": "invertibility", "mode": net.mode}
-    if net.mode == "deterministic":
-        payload.update(_invertibility_report(net, part))
-    else:
-        suff = [report.sufficient_repr(sufficient_invertibility(mat))
-                for mat in net.matrices]
-        payload["subchannels"] = suff
-        payload["invertible"] = all(s["status"] == "invertible" for s in suff)
-        if qnet is not None:
-            payload["quantized"] = {"log2P": report.frac(log2p)}
-            payload["quantized"].update(_invertibility_report(qnet, part))
+    # with --logP the probe applies to the quantized network only
+    payload.update(_invertibility_report(net, part if qnet is None else None))
+    if qnet is not None:
+        payload["quantized"] = {"log2P": report.frac(log2p)}
+        payload["quantized"].update(_invertibility_report(qnet, part))
     return payload, 0 if payload["invertible"] else 1
 
 

@@ -10,9 +10,11 @@ Under a cyclic partition, user i's *participating* bits are the ones its
 predecessor's receiver can see: X_{i,(1..n_{pred(i),i})}.  The partition is
 invertible when the participating output levels determine the participating
 input bits uniquely -- an exact GF(2) rank question, decided here by
-elimination over integer bitmasks.  Cheaper sufficient conditions back it
-up: an acyclic participating structure (bit levels only), and dominant
-partitions, 3-user unequal cycle sums and cyclic topologies (both modes).
+elimination over integer bitmasks.  On gdof strengths, which have no bit
+levels, sufficient conditions answer instead: 3-user unequal cycle sums,
+cyclic topologies and dominant partitions (they hold in both modes).
+``bipartite_acyclic``, a forest test on one partition's participating
+bits, is a library check that no verdict calls.
 
 The separability verdict ties everything together: when every sub-channel
 is TIN-optimal and its participating structure is recoverable, per-sub-channel
@@ -55,6 +57,7 @@ __all__ = [
     "find_dominant_optimal",
     "SufficientVerdict",
     "sufficient_invertibility",
+    "subchannel_invertibility",
     "tin_feasible",
     "BestTinScheme",
     "best_tin_scheme",
@@ -265,6 +268,10 @@ class InvertibilityVerdict:
     witness: "InvertibilityCertificate | None"
     method: str = "exact-gf2"
 
+    @property
+    def status(self):
+        return "invertible" if self.invertible else "non-invertible"
+
     def __bool__(self):
         return self.invertible
 
@@ -457,6 +464,14 @@ def sufficient_invertibility(matrix: StrengthMatrix) -> SufficientVerdict:
     )
 
 
+def subchannel_invertibility(matrix: StrengthMatrix):
+    """The sub-channel's invertibility verdict in its mode: exact over every
+    optimal partition on bit levels, sufficient conditions on gdof."""
+    if matrix.mode == "deterministic":
+        return invertibility_verdict(matrix)
+    return sufficient_invertibility(matrix)
+
+
 # ---------------------------------------------------------------------------
 # power control (deterministic TIN schemes)
 # ---------------------------------------------------------------------------
@@ -615,9 +630,11 @@ class SeparabilityVerdict:
 
     ``certified`` is True when the argument closes: every sub-channel is TIN
     optimal and its participating structure is recoverable (exactly for
-    deterministic networks, via sufficient conditions for gdof ones, and
-    trivially when there is a single sub-channel).  An uncertified verdict
-    is not a disproof; the reasons list what is missing.
+    deterministic networks, via sufficient conditions for gdof ones).  A
+    single sub-channel is certified even when it is not TIN optimal: the
+    combined and separated networks coincide, and the TIN failure stays in
+    the reasons.  An uncertified verdict is not a disproof; the reasons list
+    what is missing.
     """
 
     certified: bool
@@ -634,75 +651,57 @@ class SeparabilityVerdict:
         return self.certified
 
 
+# the reason a leg of each status gives against separability
+_LEG_REASONS = {
+    "non-invertible": "no optimal cyclic partition of sub-channel %d has "
+                      "GF(2)-invertible participating levels",
+    "undetermined": "invertibility of sub-channel %d is undetermined (no "
+                    "sufficient condition applies)",
+}
+
+_SINGLE_CHANNEL = (
+    "a single sub-channel has nothing to separate: the combined and "
+    "separated networks coincide, and non-participating interference links "
+    "can be discarded without affecting the optimum, so the participating "
+    "structure is trivially recoverable"
+)
+
+# why a certified network of two or more sub-channels separates, per mode
+_SEPARATES = {
+    "deterministic": "every sub-channel satisfies the TIN optimality "
+                     "condition and has an optimal cyclic partition whose "
+                     "participating levels are GF(2)-invertible, so separate "
+                     "per-sub-channel TIN coding attains the combined "
+                     "sum-capacity",
+    "gdof": "every sub-channel satisfies the TIN optimality condition and a "
+            "sufficient condition makes its participating interference "
+            "recoverable, so separate per-sub-channel TIN coding attains the "
+            "combined sum-GDoF",
+}
+
+
 def separability_verdict(network: Network) -> SeparabilityVerdict:
     sums = network_sum(network)
-    reasons = []
-    for m, res in enumerate(sums.per_channel, start=1):
-        if not res.tin.satisfied:
-            reasons.append("sub-channel %d is not TIN optimal" % m)
-
+    reasons = ["sub-channel %d is not TIN optimal" % m
+               for m, res in enumerate(sums.per_channel, start=1)
+               if not res.tin.satisfied]
     if network.subchannels == 1:
         legs = (ChannelLeg(channel=1, status="trivial (M=1)",
                            method="trivial (M=1)"),)
-        return SeparabilityVerdict(
-            certified=True,
-            sums=sums,
-            legs=legs,
-            reasons=tuple(reasons),
-            justification=(
-                "a single sub-channel has nothing to separate: the combined "
-                "and separated networks coincide, and non-participating "
-                "interference links can be discarded without affecting the "
-                "optimum, so the participating structure is trivially "
-                "recoverable"
-            ),
-        )
-
-    legs = []
-    if network.mode == "deterministic":
-        for m, mat in enumerate(network.matrices, start=1):
-            verdict = invertibility_verdict(mat)
-            status = "invertible" if verdict.invertible else "non-invertible"
-            legs.append(ChannelLeg(channel=m, status=status,
-                                   method=verdict.method, detail=verdict))
-            if not verdict.invertible:
-                reasons.append(
-                    "no optimal cyclic partition of sub-channel %d has "
-                    "GF(2)-invertible participating levels" % m
-                )
+        certified, justification = True, _SINGLE_CHANNEL
     else:
-        for m, mat in enumerate(network.matrices, start=1):
-            verdict = sufficient_invertibility(mat)
-            legs.append(ChannelLeg(channel=m, status=verdict.status,
-                                   method=verdict.method, detail=verdict))
-            if verdict.status != "invertible":
-                reasons.append(
-                    "invertibility of sub-channel %d is undetermined (no "
-                    "sufficient condition applies)" % m
-                )
-
-    certified = not reasons
-    if certified:
-        if network.mode == "deterministic":
-            justification = (
-                "every sub-channel satisfies the TIN optimality condition and "
-                "has an optimal cyclic partition whose participating levels "
-                "are GF(2)-invertible, so separate per-sub-channel TIN "
-                "coding attains the combined sum-capacity"
-            )
-        else:
-            justification = (
-                "every sub-channel satisfies the TIN optimality condition and "
-                "a sufficient condition makes its participating interference "
-                "recoverable, so separate per-sub-channel TIN coding attains "
-                "the combined sum-GDoF"
-            )
-    else:
-        justification = ""
+        legs = tuple(
+            ChannelLeg(channel=m, status=v.status, method=v.method, detail=v)
+            for m, v in enumerate(map(subchannel_invertibility,
+                                      network.matrices), start=1))
+        reasons += [_LEG_REASONS[leg.status] % leg.channel
+                    for leg in legs if leg.status != "invertible"]
+        certified = not reasons
+        justification = _SEPARATES[network.mode] if certified else ""
     return SeparabilityVerdict(
         certified=certified,
         sums=sums,
-        legs=tuple(legs),
+        legs=legs,
         reasons=tuple(reasons),
         justification=justification,
     )

@@ -11,6 +11,7 @@ included, is a function of its JSON.
 
 from __future__ import annotations
 
+from .detmodel import InvertibilityCertificate, SufficientVerdict
 from .model import dumps_canonical, rational_str
 
 __all__ = [
@@ -143,6 +144,13 @@ def certificate_repr(cert) -> dict:
 
 
 def invertibility_repr(verdict) -> dict:
+    """Any sub-channel invertibility answer: a probed partition's
+    certificate, a sufficient-condition verdict, or a verdict over the
+    tied optimal partitions."""
+    if isinstance(verdict, InvertibilityCertificate):
+        return certificate_repr(verdict)
+    if isinstance(verdict, SufficientVerdict):
+        return sufficient_repr(verdict)
     return {
         "invertible": verdict.invertible,
         "method": verdict.method,
@@ -167,10 +175,7 @@ def separability_repr(verdict) -> dict:
         entry = {"subchannel": leg.channel, "status": leg.status,
                  "method": leg.method}
         if leg.detail is not None:
-            if hasattr(leg.detail, "certificates"):
-                entry["detail"] = invertibility_repr(leg.detail)
-            elif hasattr(leg.detail, "reasons"):
-                entry["detail"] = sufficient_repr(leg.detail)
+            entry["detail"] = invertibility_repr(leg.detail)
         legs.append(entry)
     return {
         "certified": verdict.certified,

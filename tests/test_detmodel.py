@@ -37,6 +37,7 @@ from tinopt.detmodel import (
     is_cyclic_topology,
     participating_levels,
     separability_verdict,
+    subchannel_invertibility,
     sufficient_invertibility,
     tin_feasible,
 )
@@ -194,16 +195,23 @@ def test_invertible_gf2_matches_exhaustive_injectivity(seed, k):
 def test_invertibility_verdict_negative_and_existential():
     bad = invertibility_verdict(SYMMETRIC3)
     assert not bad.invertible and bad.witness is None
+    assert bad.status == "non-invertible"
     assert len(bad.certificates) == 2  # the two directed 3-cycles tie
     assert all(c.kernel for c in bad.certificates)
 
     mixed = invertibility_verdict(MIXED_TIES4)
-    assert mixed.invertible
+    assert mixed.invertible and mixed.status == "invertible"
     assert str(mixed.witness.partition) == "{(1,4,2,3)}"
     assert sum(1 for c in mixed.certificates if not c.invertible) == 2
 
     with pytest.raises(InputError):
         invertibility_verdict(StrengthMatrix.from_values("gdof", [[1]]))
+
+
+def test_subchannel_invertibility_picks_the_check_by_mode():
+    assert subchannel_invertibility(SYMMETRIC3) == invertibility_verdict(SYMMETRIC3)
+    sym = StrengthMatrix.from_values("gdof", [[3, 1, 1], [1, 3, 1], [1, 1, 3]])
+    assert subchannel_invertibility(sym) == sufficient_invertibility(sym)
 
 
 def _fields(cert):
@@ -561,3 +569,30 @@ def test_separability_undetermined_gdof_not_certified():
     assert not verdict.certified
     assert all(leg.status == "undetermined" for leg in verdict.legs)
     assert any("undetermined" in r for r in verdict.reasons)
+
+
+@pytest.mark.parametrize("mode, invertibility_reasons", [
+    ("deterministic", (
+        "no optimal cyclic partition of sub-channel 1 has GF(2)-invertible "
+        "participating levels",
+        "no optimal cyclic partition of sub-channel 2 has GF(2)-invertible "
+        "participating levels",
+    )),
+    ("gdof", (
+        "invertibility of sub-channel 1 is undetermined (no sufficient "
+        "condition applies)",
+        "invertibility of sub-channel 2 is undetermined (no sufficient "
+        "condition applies)",
+    )),
+])
+def test_separability_reasons_exact(mode, invertibility_reasons):
+    # TIN reasons come first, then one invertibility reason per failing leg
+    net = Network(mode=mode, matrices=(
+        StrengthMatrix.from_values(mode, [[1, 2, 2], [2, 1, 2], [2, 2, 1]]),
+        StrengthMatrix.from_values(mode, [[3, 1, 1], [1, 3, 1], [1, 1, 3]]),
+    ))
+    verdict = separability_verdict(net)
+    assert verdict.reasons == (
+        ("sub-channel 1 is not TIN optimal",) + invertibility_reasons)
+    assert verdict.certified is False
+    assert verdict.justification == ""

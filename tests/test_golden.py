@@ -66,6 +66,13 @@ def golden_cases() -> dict:
         "decompose", "gap_eps_1_10", ("--point", "2,1/2,1/2"))
     for sub in ("invertibility", "separability"):
         cases["%s.tied6x2" % sub] = (sub, "tied6x2", ())
+    # partition probes: one certificate per sub-channel; the gdof probe's top
+    # level holds sufficient-condition verdicts, its quantized section the
+    # certificates
+    probe = ("--partition", "1:3,2:1,3:2")
+    cases["invertibility.example2.probe"] = ("invertibility", "example2", probe)
+    cases["invertibility.gap_eps_1_10.logP20.probe"] = (
+        "invertibility", "gap_eps_1_10", ("--logP", "20") + probe)
     return cases
 
 
