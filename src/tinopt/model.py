@@ -583,7 +583,7 @@ def _write(obj, nl: str, out: list, parts: list) -> None:
                 _write(val, inner, out, parts)
                 head = "," + inner
             out.append(nl + "}")
-        elif {*map(type, obj)} == _INTS:
+        elif _INTS.issuperset(map(type, obj)):
             out.append("[%s%s%s]" % (inner, ("," + inner).join(map(int.__repr__, obj)), nl))
         else:
             head = "[" + inner

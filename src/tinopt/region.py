@@ -19,6 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import NamedTuple
 
 from .cycles import _cycle_table, enumerate_cycles
 from .model import CrossCheckError, InputError, Network, StrengthMatrix, _shown, as_rational
@@ -41,9 +43,9 @@ __all__ = [
 # single sub-channel region
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegionConstraint:
-    """sum of d_k over ``users`` <= ``rhs``; ``cycle`` records the source."""
+class RegionConstraint(NamedTuple):
+    """sum of d_k over ``users`` <= ``rhs``; ``cycle`` records the source.
+    A named tuple: it also equals the plain tuple (users, rhs, cycle)."""
 
     users: tuple
     rhs: Fraction
@@ -60,6 +62,9 @@ class RegionConstraint:
         return "%s <= %s" % (lhs, self.rhs)
 
 
+_constraint = partial(tuple.__new__, RegionConstraint)   # from a (users, rhs, cycle) row
+
+
 def tin_region(matrix: StrengthMatrix) -> tuple:
     """One constraint per cycle, no redundancy filtering.
 
@@ -71,9 +76,10 @@ def tin_region(matrix: StrengthMatrix) -> tuple:
     beside ``enumerate_cycles(K)`` and in its order, and the matrix's
     integer view ``matrix.scaled`` (InputError past MAX_RATIONAL_DIGITS
     digits of common denominator): a cycle's bound is its users' desired
-    sum minus the ints at its edge indices, and only the result becomes a
-    Fraction.  Equal to ``cycles.cycle_bound_rhs`` cycle by cycle;
-    GuardError above K = 9, before any table is built.
+    sum minus the ints at its edge indices, and each distinct bound becomes
+    one Fraction, shared by every constraint with that bound.  Equal to
+    ``cycles.cycle_bound_rhs`` cycle by cycle; GuardError above K = 9,
+    before any table is built.
     """
     k = matrix.users
     cycles = enumerate_cycles(k)
@@ -81,12 +87,11 @@ def tin_region(matrix: StrengthMatrix) -> tuple:
     scale, flat = matrix.scaled
     desired = _subset_sums(flat[::k + 1])
     entry = list(flat).__getitem__  # a builtin, unlike a tuple's: twice as fast in map
-    return tuple(
-        RegionConstraint(users_of[mask],
-                         Fraction(desired[mask] - sum(map(entry, edges[a:b])), scale),
-                         cyc)
-        for cyc, mask, (a, b) in zip(cycles, masks, itertools.pairwise(offsets))
-    )
+    bounds = [desired[mask] - sum(map(entry, edges[a:b]))
+              for mask, (a, b) in zip(masks, itertools.pairwise(offsets))]
+    rhs = {bound: Fraction(bound, scale) for bound in set(bounds)}
+    return tuple(map(_constraint, zip(map(users_of.__getitem__, masks),
+                                      map(rhs.__getitem__, bounds), cycles)))
 
 
 @dataclass(frozen=True)

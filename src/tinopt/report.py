@@ -1,11 +1,13 @@
 """Canonical JSON payloads of analysis results, and their text rendering.
 
-Every value rendered here is an int, string, bool, list, or dict -- never a
-float -- so a report dumped with :func:`dumps_canonical` survives a
-parse/re-dump round trip byte for byte.  That writer lives in ``model``,
-which saves networks through it too, and is re-exported here; it refuses
-any other type with TypeError.  :func:`render_text` reads nothing but such
-a payload, so every subcommand's text, the ``demo`` walkthrough's
+Every value rendered here is an int, string, bool, list, tuple, or dict --
+never a float -- so a report dumped with :func:`dumps_canonical` survives a
+parse/re-dump round trip byte for byte.  A tuple (a region row's ``users``
+and ``cycle`` are the result's own) is written like a list, so a parsed
+report holds lists where the payload held tuples.  That writer lives in
+``model``, which saves networks through it too, and is re-exported here; it
+refuses any other type with TypeError.  :func:`render_text` reads nothing
+but such a payload, so every subcommand's text, the ``demo`` walkthrough's
 included, is a function of its JSON.
 """
 
@@ -91,9 +93,9 @@ def network_sum_repr(nsum) -> dict:
 
 
 def constraint_repr(con) -> dict:
-    out = {"users": list(con.users), "rhs": frac(con.rhs)}
+    out = {"users": con.users, "rhs": frac(con.rhs)}
     if con.cycle is not None:
-        out["cycle"] = list(con.cycle.users)
+        out["cycle"] = con.cycle.users
     return out
 
 
@@ -265,8 +267,14 @@ def _region_lines(p) -> list:
     for m, cons in enumerate(p["subchannels"], start=1):
         lines.append(_banner("sub-channel %d cycle bounds (%d constraints)"
                              % (m, len(cons))))
-        lines += ["  %s    [cycle %s]" % (_bound(c), _cycle(c["cycle"]))
-                  for c in cons]
+        sums = {}   # "d1 + d2 + ..." once per user set of the sub-channel
+        for con in cons:
+            users = tuple(con["users"])
+            lhs = sums.get(users)
+            if lhs is None:
+                lhs = sums[users] = " + ".join(map("d%d".__mod__, users))
+            lines.append("  %s <= %s    [cycle %s]"
+                         % (lhs, con["rhs"], _cycle(con["cycle"])))
     return lines
 
 

@@ -84,6 +84,9 @@ FLUSH_SHAPES = {
     "dicts": [{"a": i, "b": [i, -i], "c": "x%d" % i} for i in range(3000)],
     "int-lists": {"k%d" % i: list(range(i % 7)) for i in range(1500)},
     "mixed-lists": [[i, None, True, "s", [], {}, (), -i] for i in range(600)],
+    # shaped like a region report's rows, which hold the constraints' tuples
+    "int-tuple-dicts": [{"users": tuple(range(1, i % 8 + 2)), "cycle": (i % 8 + 1, 1)}
+                        for i in range(1200)],
 }
 
 
@@ -100,6 +103,8 @@ def min_pieces(obj) -> int:
 @pytest.mark.parametrize("obj", [
     [], {}, (), [[]], [{}], {"": []}, [[1, 2], [3]], [[1], 5, {"a": [True]}],
     [{"a": [1]}, [None], "x"], ("a", (1,)), -0, 10 ** 40, "\x00\U0001f600",
+    # a bool is not an int to the writer, in a list or a tuple
+    [1, True], (0, False, 2), {"a": (1, 2), "b": [(3,), (True,)]},
     *(pytest.param(obj, id=name) for name, obj in FLUSH_SHAPES.items()),
 ])
 def test_writer_equals_json_dumps_on_edge_shapes(obj):

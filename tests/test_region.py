@@ -21,6 +21,7 @@ from tinopt.model import ClampWarning, InputError, Network, StrengthMatrix
 from tinopt.optimize import (_cutting_plane_lp, _cycle_blocks, _heaviest_cycles,
                              network_sum)
 from tinopt.region import (
+    RegionConstraint,
     combined_sum_bounds,
     region_contains,
     separate_tin_decomposable,
@@ -102,6 +103,34 @@ def test_region_constraint_str_and_eval():
     assert con.evaluate((1, 2, 100)) == 3
     assert con.holds((1, 2, 100))
     assert not con.holds((3, 3, 0))
+
+
+def test_tin_region_shares_each_bound_in_immutable_records():
+    # one Fraction per distinct bound at K = 8 (16,072 cycles); each record
+    # still behaves as a frozen value with the same str, evaluate and holds
+    rng = random.Random("region/shared")
+    mat = StrengthMatrix.from_values("gdof", [
+        [Fraction(rng.randint(0, 12), rng.choice((1, 2))) for _ in range(8)]
+        for _ in range(8)])
+    cons = tin_region(mat)
+    assert len(cons) == cycle_count(8)
+    assert len({id(c.rhs) for c in cons}) == len({c.rhs for c in cons}) < len(cons)
+    point = tuple(rng.randint(0, 9) for _ in range(8))
+    for con in cons:
+        total = sum(point[k - 1] for k in con.users)
+        assert str(con) == "%s <= %s" % (" + ".join("d%d" % k for k in con.users),
+                                         con.rhs)
+        assert type(con.evaluate(point)) is Fraction
+        assert con.evaluate(point) == total
+        assert con.holds(point) is (total <= con.rhs)
+        twin = RegionConstraint(users=con.users, rhs=con.rhs, cycle=con.cycle)
+        assert con == twin and hash(con) == hash(twin)
+    assert RegionConstraint((1,), Fraction(2)).cycle is None
+    con = cons[-1]
+    for field in ("users", "rhs", "cycle"):
+        with pytest.raises(AttributeError):
+            setattr(con, field, None)
+    assert con.users == tuple(sorted(con.cycle.users))
 
 
 def test_region_contains_verdicts():

@@ -113,14 +113,17 @@ def _region_reference(net) -> tuple:
 
 
 @pytest.mark.parametrize("mode", ("gdof", "deterministic"))
-@pytest.mark.parametrize("k", range(1, 8))
+@pytest.mark.parametrize("k", range(1, 9))
 def test_region_report_equals_cycle_by_cycle_reference(tmp_path, capsys, mode, k):
+    # K = 8, where the most cycles share a bound and a user set, is the
+    # largest shape the benchmark renders; one matrix keeps it quick
     rng = random.Random("%s/%d" % (mode, k))
     entry = ((lambda: Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 7))))
              if mode == "gdof" else (lambda: rng.randint(0, 9)))
-    doc = {"mode": mode, "users": k, "subchannels": 2,
+    m = 1 if k == 8 else 2
+    doc = {"mode": mode, "users": k, "subchannels": m,
            "matrices": [[[str(entry()) for _ in range(k)] for _ in range(k)]
-                        for _ in range(2)]}
+                        for _ in range(m)]}
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc))
     want_json, want_text = _region_reference(parse_network(doc))
