@@ -60,8 +60,9 @@ def _parse_log2p(text, net) -> tuple:
 
 
 def _parse_partition(text: str, users: int) -> CyclicPartition:
-    """Parse "1:3,2:1,3:2" (user:predecessor, 0 = trivial cycle)."""
-    pred = {}
+    """Parse "1:3,2:1,3:2" (user:predecessor, 0 = trivial cycle); a bad
+    predecessor is reported by the entries as typed."""
+    pred, given = {}, {}                # given[p]: the entry naming p
     for chunk in text.split(","):
         chunk = chunk.strip()
         if ":" not in chunk:
@@ -74,11 +75,17 @@ def _parse_partition(text: str, users: int) -> CyclicPartition:
             raise InputError("bad partition entry %r" % chunk) from exc
         if user in pred:
             raise InputError("user %d listed twice in --partition" % user)
-        pred[user] = p
+        if not 0 <= p <= users:
+            raise InputError("--partition entry %r: predecessor %d is outside 0..%d"
+                             % (chunk, p, users))
+        p = p or user
+        if p in given:
+            raise InputError("--partition gives predecessor %d twice: %r and %r"
+                             % (p, given[p], chunk))
+        pred[user], given[p] = p, chunk
     if sorted(pred) != list(range(1, users + 1)):
         raise InputError("--partition must cover users 1..%d exactly once" % users)
-    perm = tuple(pred[u] if pred[u] != 0 else u for u in range(1, users + 1))
-    return CyclicPartition.from_permutation(perm)
+    return CyclicPartition.from_permutation([pred[u] for u in range(1, users + 1)])
 
 
 # ---------------------------------------------------------------------------

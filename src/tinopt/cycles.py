@@ -14,12 +14,13 @@ predecessor makes cyclic partitions the same thing as permutations of
 
 Enumeration is exhaustive and therefore guarded: K is capped at
 MAX_ENUM_USERS for the operations that walk all cycles or partitions.  The
-LPs in ``optimize`` read per-subset heaviest cycles from a subset DP instead,
-and ``region.tin_region`` reads ``_cycle_table(K)``, the cycles of
-``enumerate_cycles(K)`` as flat arrays of user masks and edge indices, so
-each bound is an integer sum over integer-scaled entries rather than a call
-of ``cycle_bound_rhs``; ``cycle_weight`` and ``cycle_bound_rhs`` are the
-Fraction reference that the tests and oracles compare against.
+LPs in ``optimize`` cut with K^2 arc rows instead, the combined bounds read
+per-subset heaviest cycles from a subset DP, and ``region.tin_region``
+reads ``_cycle_table(K)``, the cycles of ``enumerate_cycles(K)`` as flat
+arrays of user masks and edge indices, so each bound is an integer sum over
+integer-scaled entries rather than a call of ``cycle_bound_rhs``;
+``cycle_weight`` and ``cycle_bound_rhs`` are the Fraction reference that
+the tests and oracles compare against.
 """
 
 from __future__ import annotations

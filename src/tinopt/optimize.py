@@ -19,28 +19,25 @@ also counts the tied permutations, so one pass per sub-channel yields the
 reported partition and the tie set from one walk of the tight branches,
 ``_ties``: ``optimal_partition`` reads the canonical tie as its first tie
 when each user tries itself first, and ``all_optimal_partitions`` lists
-every tie, guarded by TIE_GUARD.  The same cutting-plane
-engine solves the decomposition LPs of ``region``.  Every LP, ``solve_lp``
-included, runs on one exact simplex driver, ``_simplex``; the engine adds
-only the cycle separation, as the driver's oracle of cuts.
+every tie, guarded by TIE_GUARD.  The same cutting-plane engine solves the
+decomposition LPs of ``region``.  Every LP, ``solve_lp`` included, runs on
+one exact simplex driver, ``_simplex``; the engine adds only the arc scan,
+as the driver's oracle of cuts.
 
-A cycle bound's left side depends only on its members, so per user subset
-only the heaviest cycle binds: ``_heaviest_cycles`` (integer Held-Karp,
-O(2^K K^2)) gives it for every subset, and both cutting-plane LPs read their
-rows from it; ``_partition_bounds`` turns those into every subset's least
-cyclic partition bound (O(3^K)) for ``region``.  All arithmetic is exact; no
-floats.
+Both cutting-plane LPs work in rates and power backoffs, whose K^2 arc rows
+project onto the cycle-bound region (Geng et al., arXiv 1305.4610).  Only
+``region``'s combined bounds read a per-subset table: ``_heaviest_cycles``
+(Held-Karp, O(2^K K^2)) and ``_partition_bounds`` (O(3^K)).  All
+arithmetic is exact; no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
-from operator import add
+from operator import add, sub
 
-from .cycles import Cycle, CyclicPartition, _check_enum_guard
+from .cycles import CyclicPartition, _check_enum_guard
 from .model import (CrossCheckError, GuardError, InputError, StrengthMatrix,
                     _rescaled, _shown, check_tin)
 
@@ -136,14 +133,15 @@ class _Tableau:
     """
 
     def __init__(self, rows, nstruct):
-        """``rows`` are (coefficients over the ``nstruct`` structural
-        columns, relation, rhs).  A ">=" row is negated into a "<=" row, and
-        every "<=" row gets a slack column, basic in it, after the
-        structural columns.  Every "==" row is made basic by one pivot on
-        its first nonzero structural entry; a row left with none is dropped
-        when its rhs is 0 and makes ``feasible`` False otherwise.  Right-hand
-        sides may be negative: the objective starts all zero, so any basis
-        is dual feasible and ``dual`` restores primal feasibility."""
+        """``rows`` are ({structural column: coefficient}, relation, rhs),
+        over ``nstruct`` structural columns.  A ">=" row is negated into a
+        "<=" row, and every "<=" row gets a slack column, basic in it, after
+        the structural columns.  Every "==" row is made basic by one pivot
+        on its first nonzero structural entry; a row left with none is
+        dropped when its rhs is 0 and makes ``feasible`` False otherwise.
+        Right-hand sides may be negative: the objective starts all zero, so
+        any basis is dual feasible and ``dual`` restores primal
+        feasibility."""
         self.ncols = nstruct + sum(rel != "==" for _, rel, _ in rows)
         self.rows = []
         self.basis = []
@@ -152,12 +150,13 @@ class _Tableau:
         self.feasible = True
         slack = nstruct
         for coeffs, rel, rhs in rows:
-            row = list(coeffs) + [0] * (self.ncols - nstruct) + [rhs]
+            sign = -1 if rel == ">=" else 1
+            row = [0] * self.ncols + [sign * rhs]
+            for j, v in coeffs.items():
+                row[j] = sign * v
             if rel == "==":
                 self.basis.append(None)
             else:
-                if rel == ">=":
-                    row = [-v for v in row]
                 row[slack] = 1
                 self.basis.append(slack)
                 slack += 1
@@ -181,7 +180,10 @@ class _Tableau:
         prow = self.rows[row]
         nz = [j for j, v in enumerate(prow) if v]
         piv = prow[col]
-        if piv != 1:
+        if piv == -1:           # every dual pivot is negative: skip Fractions
+            for j in nz:
+                prow[j] = -prow[j]
+        elif piv != 1:
             inv = 1 / Fraction(piv)
             for j in nz:
                 w = prow[j] * inv
@@ -290,95 +292,85 @@ class _Tableau:
 
 
 def _simplex(rows, objective, nonneg, cuts=None):
-    """Maximize ``objective`` . x subject to the (coefficients, relation,
-    rhs) ``rows`` on one ``_Tableau``, each free variable (``nonneg[j]``
-    False) split into x+ - x-: dual simplex under the all-zero objective
-    reaches a feasible basis, then primal simplex an optimal one.  While
-    the oracle ``cuts(point)`` returns rows (coefficients, rhs), meaning
-    coefficients . x <= rhs, append them and regain feasibility by the same
-    dual simplex, now from the optimal basis.  Returns
-    (status, value, point, pivots), value and point exact (ints where
-    integral) and None unless status is "optimal"."""
-    struct = []                 # structural columns as (variable, sign)
-    for j, sign_restricted in enumerate(nonneg):
-        struct.append((j, 1))
-        if not sign_restricted:
-            struct.append((j, -1))
-    tab = _Tableau(
-        [([coeffs[j] * s for j, s in struct], rel, rhs)
-         for coeffs, rel, rhs in rows],
-        len(struct),
-    )
+    """Maximize ``objective`` . x subject to the ({variable: coefficient},
+    relation, rhs) ``rows`` on one ``_Tableau``, each free variable
+    (``nonneg[j]`` False) split into x+ - x-: dual simplex under the
+    all-zero objective reaches a feasible basis, then primal simplex an
+    optimal one.  While the oracle ``cuts(point)`` returns rows
+    ({variable: coefficient}, rhs), meaning coefficients . x <= rhs, append
+    them and regain feasibility by the same dual simplex, now from the
+    optimal basis.  Returns (status, value, point, pivots), value and point
+    exact (ints where integral) and None unless status is "optimal"."""
+    split, nstruct = [], 0      # split[j]: variable j's columns as (column, sign)
+    for sign_restricted in nonneg:
+        split.append([(nstruct, 1)] if sign_restricted else [(nstruct, 1), (nstruct + 1, -1)])
+        nstruct += len(split[-1])
+
+    def columns(coeffs):
+        return {c: v * s for j, v in coeffs.items() for c, s in split[j]}
+
+    tab = _Tableau([(columns(coeffs), rel, rhs) for coeffs, rel, rhs in rows], nstruct)
     if not tab.feasible or tab.dual() == "infeasible":
         return "infeasible", None, None, tab.pivots
-    if tab.primal([objective[j] * s for j, s in struct]) == "unbounded":
+    cost = [objective[j] * s for j, cols in enumerate(split) for _, s in cols]
+    if tab.primal(cost) == "unbounded":
         return "unbounded", None, None, tab.pivots
     while True:
         vals = tab.values()
-        point = [0] * len(nonneg)
-        for c, (j, s) in enumerate(struct):
-            point[j] += vals[c] * s
+        point = [sum(vals[c] * s for c, s in cols) for cols in split]
         new = cuts(point) if cuts else ()
         if not new:
             return "optimal", -tab.obj[-1], point, tab.pivots
         for coeffs, rhs in new:
-            tab.add_row({c: coeffs[j] * s for c, (j, s) in enumerate(struct)},
-                        rhs)
+            tab.add_row(columns(coeffs), rhs)
         if tab.dual() == "infeasible":
             return "infeasible", None, None, tab.pivots
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve exactly by the simplex driver ``_simplex``, without cuts."""
-    status, value, point, _ = _simplex(lp.constraints, lp.objective, lp.nonneg)
+    rows = [({j: v for j, v in enumerate(coeffs) if v}, rel, rhs)
+            for coeffs, rel, rhs in lp.constraints]
+    status, value, point, _ = _simplex(rows, lp.objective, lp.nonneg)
     if status == "optimal":
         value, point = Fraction(value), tuple(map(Fraction, point))
     return LpSolution(status=status, value=value, point=point)
 
 
 # ---------------------------------------------------------------------------
-# cycle-bound LPs via cutting planes
+# cycle-bound LPs via cutting planes over arc rows
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CycleLpResult:
     status: str                  # "optimal" | "infeasible"
     value: "Fraction | None"
-    point: "tuple | None"
-    working: tuple               # working subset masks, in the order added
+    point: "tuple | None"        # the rates d
+    powers: "tuple | None"       # backoffs q >= 0 whose TIN rates reach d
+    working: tuple               # 1-based arcs (i, j) as added; (i, 0): reference row
     rounds: int                  # restricted LPs optimized, the first included
     pivots: int                  # simplex pivots over all rounds
-    table: tuple = field(repr=False, compare=False)  # see _heaviest_cycle
 
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
 
-    @cached_property
+    @property
     def working_cycles(self) -> tuple:
-        """A heaviest cycle through each working subset, read on first use."""
-        return tuple(_heaviest_cycle(*self.table, mask) for mask in self.working)
+        """The former name of ``working``, read-only."""
+        return self.working
 
 
-def _cycle_blocks(matrices, extra=()):
-    """One integer-scaled cycle bound per user subset (its heaviest
-    cycle's: no other can bind) of sub-channels that share K users, as (D,
-    blocks, tables, ints).  ``model._rescaled`` brings the matrices'
-    ``scaled`` views and the rationals ``extra`` (a decompose target) to
-    their common denominator D, ``ints`` D times each of ``extra``;
-    ``blocks[m][mask]`` is D times the bound on the users of ``mask`` on
-    ``matrices[m]`` and ``tables[m]`` (flat, paths) serves
-    ``_heaviest_cycle``.  GuardError above MAX_ENUM_USERS comes first."""
+def _cycle_blocks(matrices):
+    """(D, blocks) for ``region.combined_sum_bounds``: ``blocks[m][mask]`` is
+    D times the bound of the heaviest cycle (no other can bind) through the
+    users of ``mask`` on ``matrices[m]``, at their common denominator D
+    (``model._rescaled``).  GuardError above MAX_ENUM_USERS comes first."""
     k = matrices[0].users
     _check_enum_guard(k)
-    scale, flats, ints = _rescaled(matrices, extra)
-    blocks, tables = [], []
-    for flat in flats:
-        cycles, paths = _heaviest_cycles(flat, k)
-        desired = _subset_sums(flat[::k + 1])
-        blocks.append([d - c for d, c in zip(desired, cycles)])
-        tables.append((flat, paths))
-    return scale, blocks, tables, ints
+    scale, flats, _ = _rescaled(matrices)
+    return scale, [list(map(sub, _subset_sums(flat[::k + 1]), _heaviest_cycles(flat, k)))
+                   for flat in flats]
 
 
 def _subset_sums(values) -> list:
@@ -389,11 +381,10 @@ def _subset_sums(values) -> list:
     return sums
 
 
-def _heaviest_cycles(flat, k):
-    """(cycles, paths), indexed by user mask (bit u for 0-based user u):
-    ``cycles[mask]`` weighs the heaviest cycle through exactly the users of
-    ``mask``, for the row-major K x K nonnegative integer weights ``flat``.
-    Trivial cycles weigh 0.
+def _heaviest_cycles(flat, k) -> list:
+    """``cycles[mask]`` weighs the heaviest cycle through exactly the users
+    of ``mask`` (bit u for 0-based user u), for the row-major K x K
+    nonnegative integer weights ``flat``.  Trivial cycles weigh 0.
 
     A Held-Karp pass (Held & Karp 1962; Bellman 1962), in O(2^K K^2):
     ``paths[mask][v]`` weighs the heaviest order (low, ..., v) of all of
@@ -417,19 +408,7 @@ def _heaviest_cycles(flat, k):
         paths[mask] = ends
         if rest:
             cycles[mask] = max(map(add, ends, cols[low]))
-    return cycles, paths
-
-
-def _heaviest_cycle(flat, k, paths, mask) -> Cycle:
-    """A heaviest cycle through exactly the users of ``mask``, read back
-    from the ``_heaviest_cycles`` table ``paths``, lowest tied user first."""
-    order, nxt = [], (mask & -mask).bit_length() - 1
-    while mask:
-        ends = paths[mask]
-        nxt = max(range(k), key=lambda u: ends[u] + flat[u * k + nxt])
-        order.append(nxt)
-        mask ^= 1 << nxt
-    return Cycle(tuple(u + 1 for u in reversed(order)))
+    return cycles
 
 
 def _partition_bounds(block) -> list:
@@ -452,95 +431,107 @@ def _partition_bounds(block) -> list:
     return bounds
 
 
-def _cutting_plane_lp(blocks, scale, objective, equalities=(), nonneg=True):
-    """Maximize ``objective`` . x subject to every cycle bound of every block,
-    by cutting planes: ``_simplex`` with a subset scan as its oracle.
+def _cutting_plane_lp(flats, scale, objective, equalities=(), nonneg=True):
+    """Maximize ``objective`` . d subject to every cycle bound of every
+    block, by cutting planes: ``_simplex`` with an arc scan as its oracle.
 
-    Variable x[m*K + u] is user u+1's rate on block m, and
-    ``blocks[m][mask]`` is ``scale`` times the bound on the users of
-    ``mask`` on that block (see ``_cycle_blocks``).  Each (u, t) in
-    ``equalities`` fixes user u+1's total over all blocks to t / scale.
-    The LP is solved in the scaled variables y = scale * x, where every
-    constraint has integer data.
+    Block m holds rates d[m*K + u] and power backoffs q[m*K + u] >= 0 (the
+    variables after the rates) of one sub-channel, whose entries n, times
+    ``scale``, are the row-major ints ``flats[m]``.  User i's TIN rate under
+    q, n_ii - q_i - max(0, max_j(n_ij - q_j)), reaches d_i exactly when its
+    reference row d_i + q_i <= n_ii and its arc rows d_i + q_i - q_j <=
+    n_ii - n_ij hold: difference constraints in q, so by the negative-cycle
+    theorem some q >= 0 meets them exactly when d meets every cycle bound.
+    Each (u, t) in ``equalities`` fixes user u+1's total to t / scale.
 
-    The working set starts with the singleton subsets (trivial cycles) of
-    every block only.  Each round scans the 2^K - 1 subsets with integer
-    arithmetic and returns the max(3, K) most violated subsets per block as
-    cuts.  The final point obeys every cycle bound and is optimal for a
-    relaxation, hence optimal.
-
-    Returns (status, value, point, working, rounds, pivots), where
-    ``working[m]`` lists block m's working subset masks in the order added.
+    The working set starts with each user's reference row and strongest
+    incoming arc, lowest j on ties, unless that arc is 0 (the reference row
+    and q_j >= 0 imply it) or ``equalities`` are given (they put each total
+    on the first block, where a seeded arc costs a dual pivot of its own).
+    Each round scans the K(K - 1) arcs of every block in integer arithmetic
+    and cuts with the max(3, K) most violated per block, ties by (i, j).
+    GuardError above MAX_ENUM_USERS, before any LP.  Returns (status,
+    value, point, powers, working, rounds, pivots), ``working[m]`` listing
+    block m's rows in the order added as 1-based (i, j), with (i, 0) for
+    user i's reference row.
     """
-    nvars = len(objective)
-    k = nvars // len(blocks)
+    nrates = len(objective)
+    k = nrates // len(flats)
+    _check_enum_guard(k)
     batch = max(3, k)
 
-    def subset_row(m, mask):
-        return ([0] * (m * k) + [mask >> u & 1 for u in range(k)]
-                + [0] * (nvars - (m + 1) * k))
+    def arc(m, i, j):
+        """Block m's row (i, j), 1-based, as (coefficients, rhs)."""
+        flat, q = flats[m], nrates + m * k - 1
+        coeffs = {m * k + i - 1: 1, q + i: 1}
+        rhs = flat[(i - 1) * (k + 1)]
+        if j:
+            coeffs[q + j] = -1
+            rhs -= flat[(i - 1) * k + j - 1]
+        return coeffs, rhs
 
-    working = [[1 << u for u in range(k)] for _ in blocks]
-    rows = [
-        (subset_row(m, mask), "<=", rhs[mask])
-        for m, rhs in enumerate(blocks) for mask in working[m]
-    ]
-    rows += [
-        ([int(v % k == u) for v in range(nvars)], "==", total)
-        for u, total in equalities
-    ]
+    working = []
+    for flat in flats:
+        seed = []
+        for i in range(k):
+            j = max((j for j in range(k) if j != i), key=lambda j: flat[i * k + j], default=i)
+            strongest = j != i and flat[i * k + j] and not equalities
+            seed += [(i + 1, 0), (i + 1, j + 1)] if strongest else [(i + 1, 0)]
+        working.append(seed)
+    rows = [(coeffs, "<=", rhs) for m, seed in enumerate(working)
+            for coeffs, rhs in (arc(m, i, j) for i, j in seed)]
+    rows += [({m * k + u: 1 for m in range(len(flats))}, "==", total)
+             for u, total in equalities]
     rounds = 1
 
     def separate(point):
         nonlocal rounds
         cuts = []
-        for m, rhs in enumerate(blocks):
-            part = point[m * k:(m + 1) * k]
-            escale = lcm(*(p.denominator for p in part))
-            pscaled = [p.numerator * (escale // p.denominator) for p in part]
-            lhs = _subset_sums(pscaled)
-            # most violated first, ties by mask; the working subsets hold at
-            # the point, so only new subsets can appear
-            violated = sorted(
-                (-gap, mask) for mask, gap in enumerate(
-                    a - escale * r for a, r in zip(lhs, rhs))
-                if gap > 0
-            )
-            for _, mask in violated[:batch]:
-                working[m].append(mask)
-                cuts.append((subset_row(m, mask), rhs[mask]))
+        for m, flat in enumerate(flats):
+            d, q = point[m * k:(m + 1) * k], point[nrates + m * k:nrates + (m + 1) * k]
+            # arc (i, j) is violated by d_i + q_i - n_ii + n_ij - q_j; the
+            # working rows hold at the point, so only new arcs can appear
+            violated = []
+            for i in range(k):
+                lead = d[i] + q[i] - flat[i * (k + 1)]
+                for j in range(k):
+                    if j != i:
+                        gap = lead + flat[i * k + j] - q[j]
+                        if gap > 0:
+                            violated.append((-gap, i + 1, j + 1))
+            violated.sort()
+            for _, i, j in violated[:batch]:
+                working[m].append((i, j))
+                cuts.append(arc(m, i, j))
         if cuts:
             rounds += 1
         return cuts
 
     status, value, point, pivots = _simplex(
-        rows, objective, [nonneg] * nvars, separate)
+        rows, list(objective) + [0] * nrates,
+        [nonneg] * nrates + [True] * nrates, separate)
     if status == "unbounded":
-        raise CrossCheckError(
-            "restricted cycle LP cannot be unbounded (trivial cycles seed it)"
-        )
-    if status == "optimal":
-        value = Fraction(value, scale)
-        point = tuple(Fraction(p, scale) for p in point)
-    return status, value, point, working, rounds, pivots
+        raise CrossCheckError("restricted cycle LP cannot be unbounded (reference rows seed it)")
+    if status != "optimal":
+        return status, None, None, None, working, rounds, pivots
+    point = tuple(Fraction(p, scale) for p in point)
+    return status, Fraction(value, scale), point[:nrates], point[nrates:], working, rounds, pivots
 
 
 def solve_cycle_lp(matrix: StrengthMatrix, nonneg: bool = True) -> CycleLpResult:
     """Maximize the rate sum subject to every cycle bound of the sub-channel.
 
-    Solved by the cutting-plane engine ``_cutting_plane_lp`` on per-subset
-    bounds, seeded with the K trivial cycles only, so this route stays
-    independent of the assignment and brute-force routes.
+    Solved by the cutting-plane engine ``_cutting_plane_lp`` over the arc
+    rows of the matrix's integer view ``matrix.scaled``, seeded with the
+    reference rows and each user's strongest incoming arc only, so this
+    route stays independent of the assignment and brute-force routes.  At
+    the optimum ``powers`` holds backoffs under which every user's TIN rate
+    reaches ``point``.  GuardError above MAX_ENUM_USERS, before any LP.
     """
-    k = matrix.users
-    scale, blocks, ((flat, paths),), _ = _cycle_blocks((matrix,))
-    status, value, point, working, rounds, pivots = _cutting_plane_lp(
-        blocks, scale, [1] * k, nonneg=nonneg)
-    return CycleLpResult(
-        status=status, value=value, point=point, working=tuple(working[0]),
-        rounds=rounds, pivots=pivots,
-        table=(flat, k, paths),
-    )
+    scale, flat = matrix.scaled
+    *head, working, rounds, pivots = _cutting_plane_lp(
+        (flat,), scale, [1] * matrix.users, nonneg=nonneg)
+    return CycleLpResult(*head, tuple(working[0]), rounds, pivots)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ from functools import partial
 from typing import NamedTuple
 
 from .cycles import _cycle_table, enumerate_cycles
-from .model import CrossCheckError, InputError, Network, StrengthMatrix, _shown, as_rational
+from .model import (CrossCheckError, InputError, Network, StrengthMatrix, _rescaled, _shown,
+                    as_rational)
 from .optimize import _cutting_plane_lp, _cycle_blocks, _partition_bounds, _subset_sums
 
 __all__ = [
@@ -164,7 +165,7 @@ def combined_sum_bounds(network: Network) -> CombinedSumBounds:
     (GuardError above K = 9) before any of it runs.
     """
     k = network.users
-    scale, blocks, *_ = _cycle_blocks(network.matrices)
+    scale, blocks = _cycle_blocks(network.matrices)
     totals = [sum(col) for col in zip(*map(_partition_bounds, blocks))]
     bounds = {}
     for size in range(1, k + 1):
@@ -203,8 +204,9 @@ def separate_tin_decomposable(network: Network, point) -> DecompositionResult:
     """Can the rate point be split into per-sub-channel points that each obey
     their own sub-channel's cycle bounds?
 
-    Settled exactly by the cutting-plane LP engine of ``optimize``, with
-    the cycle bounds scaled to integers once for all K + 1 LPs of a
+    Settled exactly by the cutting-plane LP engine of ``optimize`` over the
+    arc rows of every sub-channel (GuardError above K = 9 first), with the
+    entries and the target at one common denominator for all K + 1 LPs of a
     negative verdict.  When the split is impossible the result carries
     every per-user cap certificate: fix all other users at their targets and
     maximize the remaining user's total, which infeasibility forces below
@@ -218,10 +220,10 @@ def separate_tin_decomposable(network: Network, point) -> DecompositionResult:
         raise InputError("point has %d coordinates, expected %d" % (len(target), k))
     if any(t < 0 for t in target):
         raise InputError("point coordinates must be nonnegative rates")
-    scale, blocks, _, totals = _cycle_blocks(network.matrices, target)
+    scale, flats, totals = _rescaled(network.matrices, target)
     fixed = list(enumerate(totals))
 
-    status, _, sol, *_ = _cutting_plane_lp(blocks, scale, [0] * (k * m), fixed)
+    status, _, sol, *_ = _cutting_plane_lp(flats, scale, [0] * (k * m), fixed)
     if status == "optimal":
         allocation = tuple(
             tuple(sol[chan * k:(chan + 1) * k]) for chan in range(m)
@@ -232,11 +234,9 @@ def separate_tin_decomposable(network: Network, point) -> DecompositionResult:
 
     caps = []
     for user in range(k):
-        objective = [0] * (k * m)
-        for chan in range(m):
-            objective[chan * k + user] = 1
+        objective = [int(v % k == user) for v in range(k * m)]
         others = [f for f in fixed if f[0] != user]
-        status, cap, *_ = _cutting_plane_lp(blocks, scale, objective, others)
+        status, cap, *_ = _cutting_plane_lp(flats, scale, objective, others)
         if status != "optimal":
             continue
         if cap >= target[user]:

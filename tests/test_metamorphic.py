@@ -1,0 +1,113 @@
+"""Metamorphic relations: answers that must not move when the input is
+transformed in a way that provably keeps them, checked at K = 7..9, where
+the oracles of ``tests/oracles.py`` (``full_cycle_lp``,
+``full_decomposition``) are too slow to run.
+
+* **Relabeling.**  Conjugating a matrix by a user permutation pi (entry
+  (i, j) moves to (pi(i), pi(j))) maps every cycle to a cycle of the same
+  weight through the relabeled users, so the cycle-bound region maps by pi.
+  The cycle LP's status and value, the sum, and the decomposition verdict
+  of pi(t) are those of t, and user pi(u)'s cap is user u's.
+* **Reciprocity (transpose).**  The reversal of a cycle weighs the same in
+  the transpose as the cycle does in the matrix, over the same users, so
+  the cycle-bound region does not change at all: neither do the LP's
+  status and value, the sum, the decomposition verdict or any user's cap.
+
+Both transformations change the arc rows the cutting-plane engine works
+on, so it reaches each answer along another path.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from oracles import random_det_matrix, random_gdof_matrix, random_strict_tin_matrix
+from tinopt.model import Network, StrengthMatrix
+from tinopt.optimize import solve_cycle_lp, sum_gdof
+from tinopt.region import separate_tin_decomposable
+
+KINDS = ("strict", "gdof", "deterministic")
+
+
+def _matrix(rng, k, kind, mode=None):
+    if kind == "strict":
+        return random_strict_tin_matrix(rng, k, mode=mode or "gdof")
+    if kind == "gdof":
+        return random_gdof_matrix(rng, k)
+    return random_det_matrix(rng, k, hi=4)
+
+
+def relabel(mat, perm):
+    """``mat`` with user u+1 renamed perm[u]+1 (0-based perm)."""
+    k = mat.users
+    rows = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            rows[perm[i]][perm[j]] = mat.entries[i][j]
+    return StrengthMatrix(mode=mat.mode, entries=tuple(map(tuple, rows)))
+
+
+def transpose(mat):
+    return StrengthMatrix(mode=mat.mode, entries=tuple(zip(*mat.entries)))
+
+
+def _transforms(rng, k):
+    """(name, matrix map, user map) pairs; the user map sends u to u's new
+    0-based index."""
+    perm = list(range(k))
+    rng.shuffle(perm)
+    return (("relabel", lambda mat: relabel(mat, perm), perm.__getitem__),
+            ("transpose", transpose, lambda u: u))
+
+
+def _lp(mat):
+    res = solve_cycle_lp(mat)
+    return res.status, res.value
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", (7, 8, 9))
+def test_cycle_lp_and_sum_are_invariant(k, kind):
+    rng = random.Random("metamorphic/sum/%s/%d" % (kind, k))
+    for _ in range(2):
+        mat = _matrix(rng, k, kind)
+        lp, total = _lp(mat), sum_gdof(mat)
+        for name, move, _ in _transforms(rng, k):
+            image = move(mat)
+            assert _lp(image) == lp, name
+            moved = sum_gdof(image)
+            assert (moved.value, moved.label) == (total.value, total.label), name
+
+
+def _decomposition(net, target):
+    res = separate_tin_decomposable(net, target)
+    return res.feasible, {cap.user: cap.cap for cap in res.caps}
+
+
+@pytest.mark.parametrize("k, mode", ((7, "gdof"), (8, "deterministic"), (9, "gdof")))
+def test_decomposition_is_invariant(k, mode):
+    # a split target (the sum of each sub-channel's LP point) and the same
+    # target pushed out along one user: its total then passes the sum of
+    # the sub-channels' sums, which no split may reach
+    rng = random.Random("metamorphic/decompose/%s/%d" % (mode, k))
+    mats = tuple(_matrix(rng, k, "strict", mode) for _ in range(2))
+    net = Network(mode=mode, matrices=mats)
+    split = [sum(col) for col in zip(*(solve_cycle_lp(mat).point for mat in mats))]
+    pushed = list(split)
+    pushed[rng.randrange(k)] += Fraction(1, 2)
+    verdicts = []
+    for target in (split, pushed):
+        want = _decomposition(net, target)
+        verdicts.append(want[0])
+        for name, move, user in _transforms(rng, k):
+            image = Network(mode=mode, matrices=tuple(map(move, mats)))
+            moved = [None] * k
+            for u in range(k):
+                moved[user(u)] = target[u]
+            feasible, caps = _decomposition(image, moved)
+            assert feasible == want[0], name
+            assert caps == {user(u - 1) + 1: cap for u, cap in want[1].items()}, name
+    assert verdicts == [True, False]

@@ -28,10 +28,10 @@ from oracles import (
 )
 from tinopt.cycles import (
     CyclicPartition,
-    cycle_bound_rhs,
     enumerate_cycles,
     enumerate_partitions,
 )
+from tinopt.detmodel import tin_feasible
 from tinopt.fixtures import caution_lp, example1
 from tinopt.model import (
     CrossCheckError,
@@ -410,38 +410,56 @@ def test_cycle_lp_infeasible_without_tin():
 
 
 def test_cycle_lp_seeds_only_trivial_cycles():
+    # the seed holds each user's reference row (i, 0), the trivial cycle's
+    # row once q >= 0, and its strongest incoming arc, lowest j on ties
     mat = StrengthMatrix.from_values(
         "deterministic", [[4, 1, 1], [1, 4, 1], [1, 1, 4]]
     )
     res = solve_cycle_lp(mat)
-    seeded = [c.users for c in res.working_cycles[:3]]
-    assert seeded == [(1,), (2,), (3,)]
-    # every cut the separation scan adds is a non-trivial cycle
-    assert len(res.working_cycles) > 3
-    assert all(len(c) > 1 for c in res.working_cycles[3:])
+    assert res.working[:6] == ((1, 0), (1, 2), (2, 0), (2, 1), (3, 0), (3, 1))
+    # every cut the arc scan adds is an arc, most violated first, ties by
+    # (i, j), and never one already working
+    assert res.working[6:] == ((2, 3), (3, 2))
+    assert res.working_cycles == res.working
     assert res.value == 12 - 3
+    # a zero arc is implied by the reference row and q_j >= 0: no seed
+    res = solve_cycle_lp(example1().matrices[0])
+    assert res.working == ((1, 0), (1, 2), (2, 0), (2, 3), (3, 0))
 
 
 def test_cycle_lp_counters_are_pinned():
-    # deterministic counts on one fixed matrix: three trivial-cycle pivots,
-    # then cuts re-optimized by dual simplex from the previous basis
+    # deterministic counts on fixed matrices: the seed rows pivot in, then
+    # cuts re-optimize by dual simplex from the previous basis
+    mat = StrengthMatrix.from_values(
+        "deterministic", [[4, 1, 1], [1, 4, 1], [1, 1, 4]]
+    )
+    res = solve_cycle_lp(mat)
+    assert (res.rounds, res.pivots, len(res.working)) == (2, 6, 8)
     mat = example1().matrices[0]
     res = solve_cycle_lp(mat)
     assert res.value == 6
-    assert (res.rounds, res.pivots) == (3, 5)
-    assert len(res.working_cycles) == 7
+    assert (res.rounds, res.pivots, len(res.working)) == (1, 3, 5)
     free = solve_cycle_lp(mat, nonneg=False)
     assert free.value == 6
-    assert (free.rounds, free.pivots) == (3, 5)
-    # the dual-infeasible path: the first cut empties the region with d >= 0;
-    # without it the pair bound d1 + d2 <= 2 - 10 sets the optimum
+    assert (free.rounds, free.pivots) == (1, 3)
+    # the seed alone is infeasible with d >= 0: the arcs (1, 2) and (2, 1)
+    # sum to the pair bound d1 + d2 <= 2 - 10, which sets the free optimum
     mat = StrengthMatrix.from_values("deterministic", [[1, 5], [5, 1]])
     res = solve_cycle_lp(mat)
     assert res.status == "infeasible"
-    assert (res.rounds, res.pivots) == (2, 4)
+    assert (res.rounds, res.pivots) == (1, 1)
     free = solve_cycle_lp(mat, nonneg=False)
     assert free.status == "optimal" and free.value == -8
-    assert (free.rounds, free.pivots) == (2, 4)
+    assert (free.rounds, free.pivots) == (1, 2)
+    # the dual-infeasible path after a cut: only the 3-cycle over n_13,
+    # n_32 and n_21, bound 8 - 9, empties the region with d >= 0
+    mat = StrengthMatrix.from_values("deterministic", [[2, 0, 4], [4, 2, 1], [1, 1, 4]])
+    res = solve_cycle_lp(mat)
+    assert res.status == "infeasible"
+    assert (res.rounds, res.pivots) == (2, 6)
+    free = solve_cycle_lp(mat, nonneg=False)
+    assert free.status == "optimal" and free.value == -1
+    assert (free.rounds, free.pivots) == (2, 5)
 
 
 def _lp_matrix(rng, k, kind):
@@ -462,14 +480,11 @@ def _assert_matches_full_lp(mat, nonneg):
         assert point_obeys_cycle_bounds(mat, res.point, enumerate_cycles(k))
         assert sum(res.point) == res.value
         assert not nonneg or min(res.point) >= 0
-    # each working row is its member set's tightest cycle bound
-    tightest = {}
-    for cyc in enumerate_cycles(k):
-        key = frozenset(cyc.users)
-        rhs = cycle_bound_rhs(cyc, mat)
-        tightest[key] = min(rhs, tightest.get(key, rhs))
-    for cyc in res.working_cycles:
-        assert cycle_bound_rhs(cyc, mat) == tightest[frozenset(cyc.users)]
+    # the working rows are distinct arcs (i, j), j != i, and every
+    # reference row (i, 0); the scan never adds a row twice
+    assert len(set(res.working)) == len(res.working)
+    assert all(1 <= i <= k and 0 <= j <= k and j != i for i, j in res.working)
+    assert {(i, 0) for i in range(1, k + 1)} <= set(res.working)
 
 
 @settings(max_examples=80, deadline=None)
@@ -499,6 +514,42 @@ def test_cycle_lp_engine_matches_full_lp_without_tin(nonneg):
     want = full_cycle_lp(mat, nonneg=nonneg)
     assert (res.status, res.value) == (want.status, want.value)
     assert res.status == ("infeasible" if nonneg else "optimal")
+
+
+@pytest.mark.parametrize("mode", ["gdof", "deterministic"])
+@pytest.mark.parametrize("k", range(1, 8))
+def test_cycle_lp_powers_certify_the_point(k, mode):
+    # the backoffs q reached at the optimum are a TIN scheme for the LP's
+    # rates: every user's TIN rate n_ii - q_i - max(0, max_j(n_ij - q_j))
+    # reaches d_i.  Where the TIN condition holds the value is also the
+    # partition bound, so the scheme proves the sum achievable
+    rng = random.Random("powers/%s/%d" % (mode, k))
+    optimal = 0
+    for draw in range(12):
+        if draw % 2:
+            mat = random_strict_tin_matrix(rng, k, mode=mode)
+        elif mode == "gdof":
+            mat = random_gdof_matrix(rng, k)
+        else:
+            mat = random_det_matrix(rng, k, hi=4)
+        res = solve_cycle_lp(mat)
+        if not res.optimal:
+            continue
+        optimal += 1
+        d, q = res.point, res.powers
+        assert sum(d) == res.value and min(d) >= 0 and min(q) >= 0
+        if mode == "deterministic":
+            # the rows are totally unimodular in (d + q, q)
+            assert all(v.denominator == 1 for v in d + q)
+            assert tin_feasible(mat, d, q)
+        for i in range(1, k + 1):
+            residual = max([0] + [mat.entry(i, j) - q[j - 1]
+                                  for j in range(1, k + 1) if j != i])
+            assert mat.desired(i) - q[i - 1] - residual >= d[i - 1]
+        if check_tin(mat).satisfied:
+            diag = sum(map(mat.desired, range(1, k + 1)))
+            assert res.value == diag - brute_force_best_weight(mat)[0]
+    assert optimal >= 6
 
 
 def test_redundancy_check_true_under_strict_tin_false_otherwise():

@@ -17,9 +17,10 @@ from oracles import (
 )
 from tinopt.cycles import cycle_bound_rhs, cycle_count, enumerate_cycles
 from tinopt.fixtures import example1, gap_network, gap_point
-from tinopt.model import ClampWarning, InputError, Network, StrengthMatrix
-from tinopt.optimize import (_cutting_plane_lp, _cycle_blocks, _heaviest_cycles,
-                             network_sum)
+from tinopt import optimize
+from tinopt.model import (ClampWarning, GuardError, InputError, Network, StrengthMatrix,
+                          _rescaled)
+from tinopt.optimize import _cutting_plane_lp, _heaviest_cycles, network_sum, solve_cycle_lp
 from tinopt.region import (
     RegionConstraint,
     combined_sum_bounds,
@@ -252,7 +253,7 @@ def test_combined_bounds_match_partition_oracle(k, kind):
 def test_subset_dp_cycles_match_cycle_enumeration(k, kind):
     mat = _dp_matrix(random.Random("cycles/%s/%d" % (kind, k)), k, kind)
     scale, flat = mat.scaled
-    cycles, _ = _heaviest_cycles(flat, k)
+    cycles = _heaviest_cycles(flat, k)
     heaviest = {}
     for cyc in enumerate_cycles(k):
         mask = sum(1 << (u - 1) for u in cyc.users)
@@ -288,9 +289,15 @@ def test_gap_point_is_not_decomposable_but_ones_are():
     assert totals == [1, 1, 1]
 
 
+# the equality rows leave only the reference rows in the seed
+_REFS = [(1, 0), (2, 0), (3, 0)]
+_RING = [(1, 2), (2, 3), (3, 1)]
+
+
 @pytest.mark.parametrize("point, status, working, rounds, pivots", [
-    (gap_point(), "infeasible", [[1, 2, 4, 7], [1, 2, 4, 3, 5]], 4, 6),
-    ((1, 1, 1), "optimal", [[1, 2, 4, 7, 3, 5], [1, 2, 4, 3, 5]], 4, 7),
+    (gap_point(), "infeasible",
+     [_REFS + _RING, _REFS + [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1)]], 6, 10),
+    ((1, 1, 1), "optimal", [_REFS + _RING, _REFS], 2, 6),
 ], ids=["gap-point", "ones"])
 def test_decomposition_lp_counters_are_pinned(point, status, working, rounds,
                                               pivots):
@@ -299,11 +306,11 @@ def test_decomposition_lp_counters_are_pinned(point, status, working, rounds,
     # and cuts; pin its path on gap_network
     net = gap_network()
     target = tuple(Fraction(t) for t in point)
-    scale, blocks, _, totals = _cycle_blocks(net.matrices, target)
+    scale, flats, totals = _rescaled(net.matrices, target)
     fixed = list(enumerate(totals))
-    res = _cutting_plane_lp(blocks, scale, [0] * 6, fixed)
+    res = _cutting_plane_lp(flats, scale, [0] * 6, fixed)
     assert res[0] == status
-    assert res[3:] == (working, rounds, pivots)
+    assert res[4:] == (working, rounds, pivots)
 
 
 def test_decompose_single_channel_reduces_to_membership():
@@ -319,6 +326,38 @@ def test_decompose_validates_point_length():
     net = gap_network()
     with pytest.raises(InputError):
         separate_tin_decomposable(net, (1, 1))
+
+
+class _Forbidden(Exception):
+    """Raised by a stand-in for a function that must not run."""
+
+
+def _forbid(*args):
+    raise _Forbidden
+
+
+def test_cycle_lps_guard_before_any_simplex(monkeypatch):
+    # no per-subset table trips the guard any more: at K = 10 the explicit
+    # check must come before the first LP
+    monkeypatch.setattr(optimize, "_simplex", _forbid)
+    mat = StrengthMatrix.from_values(
+        "gdof", [[2 if i == j else 0 for j in range(10)] for i in range(10)])
+    with pytest.raises(GuardError):
+        solve_cycle_lp(mat)
+    with pytest.raises(GuardError):
+        separate_tin_decomposable(Network("gdof", (mat, mat)), [0] * 10)
+
+
+def test_sum_and_decompose_build_no_subset_table(monkeypatch):
+    # the Held-Karp table serves the combined bounds only
+    monkeypatch.setattr(optimize, "_heaviest_cycles", _forbid)
+    assert network_sum(example1()).total == 18
+    net = gap_network()
+    assert separate_tin_decomposable(net, (1, 1, 1)).feasible
+    split = separate_tin_decomposable(net, gap_point())
+    assert {c.user: c.cap for c in split.caps}[2] == Fraction(1, 5)
+    with pytest.raises(_Forbidden):
+        combined_sum_bounds(net)
 
 
 @pytest.mark.parametrize("second, point", [

@@ -21,7 +21,7 @@ from replay_reports import digest
 PINNED = {
     "sum-corpus": (76, "15453f5b911e43bfce161ce2f827a51bf69633417c7df7b0de5442170ce97b25"),
     "det-ties": (131, "25c566dd9b70ebcab6bab7235f393fe8a0aa7b7e8dfd87c092c5f69a6a219be7"),
-    "decompose-mix": (84, "0fc2796bb3de1dd836cab11652d52179f36aa6ccb6fc43c694c38340f8767303"),
+    "decompose-mix": (84, "e64e99c0454925ee3b82f993c94b7281aa4773fe49aeb8670e64491cfd3a5a88"),
     "region-render": (60, "556f487a4f5904fdfca7ee07928d4633abfb9fdc8bd2949c1cf0029c15855438"),
 }
 

@@ -544,6 +544,17 @@ def test_bad_point_and_partition_exit_2(nets, capsys):
                            "--partition", "1:2,1:3,3:0")
     assert code == 2 and "twice" in err
 
+    # a bad predecessor is reported as typed, not as an internal vector
+    for partition, message in (
+            ("1:5,2:1,3:0", "--partition entry '1:5': predecessor 5 is outside 0..3"),
+            ("1:-1,2:1,3:0", "--partition entry '1:-1': predecessor -1 is outside 0..3"),
+            ("1:2,2:2,3:0", "--partition gives predecessor 2 twice: '1:2' and '2:2'"),
+            ("1:3,2:1,3:0", "--partition gives predecessor 3 twice: '1:3' and '3:0'")):
+        code, out, err = run_cli(capsys, "invertibility", nets["symmetric3"],
+                                 "--partition", partition)
+        assert code == 2 and out == ""
+        assert err == "error: %s\n" % message
+
     # an empty field, a trailing comma included, is an error, not skipped
     for argv in (("member", nets["gap_eps_1_10"], "--point", "1,,1,1"),
                  ("member", nets["gap_eps_1_10"], "--point", "1,,1"),
