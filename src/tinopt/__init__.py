@@ -13,9 +13,7 @@ The package answers, with rational arithmetic throughout:
 from .cycles import (
     Cycle,
     CyclicPartition,
-    cycle_bound_rhs,
     cycle_count,
-    cycle_weight,
     enumerate_cycles,
     enumerate_partitions,
     partition_bound,

@@ -115,10 +115,7 @@ def cmd_region(net, args) -> tuple:
     payload = {
         "command": "region",
         "mode": net.mode,
-        "subchannels": [
-            [report.constraint_repr(c) for c in tin_region(mat)]
-            for mat in net.matrices
-        ],
+        "subchannels": [report.region_repr(tin_region(mat)) for mat in net.matrices],
     }
     return payload, 0
 

@@ -434,22 +434,27 @@ def check_tin(matrix: StrengthMatrix) -> TinVerdict:
 
     For each user i the condition compares the desired strength entry(i, i)
     against max_{j != i} entry(j, i) (interference i causes, its column) plus
-    max_{k != i} entry(i, k) (interference i suffers, its row).
+    max_{k != i} entry(i, k) (interference i suffers, its row), on the
+    integer view ``matrix.scaled`` (InputError past MAX_RATIONAL_DIGITS
+    digits of common denominator); a violation's witness holds the entries
+    themselves.
     """
     k = matrix.users
-    zero = Fraction(0)
+    flat = matrix.scaled[1]
     violations = []
     strict = True
-    for i in range(1, k + 1):
-        incoming = max((matrix.entry(i, t) for t in range(1, k + 1) if t != i),
-                       default=zero)
-        outgoing = max((matrix.entry(r, i) for r in range(1, k + 1) if r != i),
-                       default=zero)
-        desired = matrix.entry(i, i)
-        if desired < incoming + outgoing:
-            violations.append(TinViolation(i, incoming, outgoing, desired))
+    for i in range(k):
+        row, col = flat[i * k:(i + 1) * k], flat[i::k]
+        incoming = max(row[:i] + row[i + 1:], default=0)
+        outgoing = max(col[:i] + col[i + 1:], default=0)
+        if row[i] < incoming + outgoing:
+            entries = matrix.entries
+            others = [t for t in range(k) if t != i]
+            violations.append(TinViolation(
+                i + 1, max(entries[i][t] for t in others),
+                max(entries[t][i] for t in others), entries[i][i]))
             strict = False
-        elif desired == incoming + outgoing:
+        elif row[i] == incoming + outgoing:
             strict = False
     return TinVerdict(satisfied=not violations, strict=strict,
                       violations=tuple(violations))
@@ -556,16 +561,11 @@ _INTS = {int}
 _FLUSH = 512   # pieces joined at a time
 
 
-def _key(key) -> str:
-    if type(key) is not str:
-        raise TypeError("keys must be str, not %s" % type(key).__name__)
-    return _escape(key)
-
-
 def _write(obj, nl: str, out: list, parts: list) -> None:
     """Append the pieces of ``obj``, whose nested lines start with ``nl``
     plus two spaces per level, to ``out``, and join ``out`` onto ``parts``
-    once it holds ``_FLUSH`` pieces."""
+    once it holds ``_FLUSH`` pieces.  A dict value that is a str, an int
+    or a non-empty list of ints is written in its key's piece."""
     kind = type(obj)
     if kind is str:
         out.append(_escape(obj))
@@ -577,11 +577,28 @@ def _write(obj, nl: str, out: list, parts: list) -> None:
             return
         inner = nl + "  "
         if kind is dict:
-            head = "{" + inner
+            head, comma = "{" + inner, "," + inner
+            deeper = inner + "  "
+            sep = "," + deeper
             for key, val in obj.items():
-                out.append(head + _key(key) + ": ")
-                _write(val, inner, out, parts)
-                head = "," + inner
+                if type(key) is not str:
+                    raise TypeError("keys must be str, not %s" % type(key).__name__)
+                vkind = type(val)
+                if vkind is str:
+                    out.append(f"{head}{_escape(key)}: {_escape(val)}")
+                elif vkind is int:
+                    out.append(f"{head}{_escape(key)}: {int.__repr__(val)}")
+                elif (vkind is list or vkind is tuple) and val \
+                        and _INTS.issuperset(map(type, val)):
+                    ints = sep.join(map(int.__repr__, val))
+                    out.append(f"{head}{_escape(key)}: [{deeper}{ints}{inner}]")
+                else:
+                    out.append(f"{head}{_escape(key)}: ")
+                    _write(val, inner, out, parts)
+                head = comma
+                if len(out) >= _FLUSH:
+                    parts.append("".join(out))
+                    out.clear()
             out.append(nl + "}")
         elif _INTS.issuperset(map(type, obj)):
             out.append("[%s%s%s]" % (inner, ("," + inner).join(map(int.__repr__, obj)), nl))

@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import add, sub
 from typing import NamedTuple
 
 from .cycles import _cycle_table, enumerate_cycles
@@ -76,20 +77,25 @@ def tin_region(matrix: StrengthMatrix) -> tuple:
     The bounds are read off the per-K table ``cycles._cycle_table``, cached
     beside ``enumerate_cycles(K)`` and in its order, and the matrix's
     integer view ``matrix.scaled`` (InputError past MAX_RATIONAL_DIGITS
-    digits of common denominator): a cycle's bound is its users' desired
-    sum minus the ints at its edge indices, and each distinct bound becomes
-    one Fraction, shared by every constraint with that bound.  Equal to
-    ``cycles.cycle_bound_rhs`` cycle by cycle; GuardError above K = 9,
-    before any table is built.
+    digits of common denominator): the open paths of each cycle length
+    weigh their parents' paths plus their step edges, one ``map`` per
+    length, and a cycle's bound is its users' desired sum minus its path
+    and closing edge.  Each distinct bound becomes one Fraction, shared by
+    every constraint with that bound.  Equal, cycle by cycle, to the
+    cycle's desired strengths minus its ``Cycle.weight``; GuardError above
+    K = 9, before any table is built.
     """
     k = matrix.users
     cycles = enumerate_cycles(k)
-    masks, edges, offsets, users_of = _cycle_table(k)
+    masks, levels, closes, users_of = _cycle_table(k)
     scale, flat = matrix.scaled
     desired = _subset_sums(flat[::k + 1])
-    entry = list(flat).__getitem__  # a builtin, unlike a tuple's: twice as fast in map
-    bounds = [desired[mask] - sum(map(entry, edges[a:b]))
-              for mask, (a, b) in zip(masks, itertools.pairwise(offsets))]
+    entry = [*flat, 0].__getitem__  # a builtin, unlike a tuple's: twice as fast in map
+    paths = [0] * k
+    for parents, steps in levels:
+        paths += map(add, map(paths.__getitem__, parents), map(entry, steps))
+    bounds = list(map(sub, map(desired.__getitem__, masks),
+                      map(add, paths, map(entry, closes))))
     rhs = {bound: Fraction(bound, scale) for bound in set(bounds)}
     return tuple(map(_constraint, zip(map(users_of.__getitem__, masks),
                                       map(rhs.__getitem__, bounds), cycles)))

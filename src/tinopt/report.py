@@ -27,6 +27,7 @@ __all__ = [
     "sum_repr",
     "network_sum_repr",
     "constraint_repr",
+    "region_repr",
     "membership_repr",
     "combined_repr",
     "decomposition_repr",
@@ -93,10 +94,27 @@ def network_sum_repr(nsum) -> dict:
 
 
 def constraint_repr(con) -> dict:
-    out = {"users": con.users, "rhs": frac(con.rhs)}
-    if con.cycle is not None:
-        out["cycle"] = con.cycle.users
-    return out
+    return region_repr((con,))[0]
+
+
+def region_repr(constraints) -> list:
+    """One row per constraint, with each distinct rhs object rendered once:
+    ``tin_region`` shares one Fraction per distinct bound, so its K = 8
+    listing of 16,072 rows renders about 120.  The memo is keyed on the
+    object's identity (cheaper than a Fraction's hash) and holds each
+    object it keys, so no id is reused mid-call."""
+    texts, held = {}, []
+    rows = []
+    for users, rhs, cycle in constraints:
+        text = texts.get(id(rhs))
+        if text is None:
+            text = texts[id(rhs)] = frac(rhs)
+            held.append(rhs)
+        if cycle is None:
+            rows.append({"users": users, "rhs": text})
+        else:
+            rows.append({"users": users, "rhs": text, "cycle": cycle.users})
+    return rows
 
 
 def membership_repr(result) -> dict:

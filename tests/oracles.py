@@ -210,20 +210,23 @@ def tin_by_triples(matrix):
 
 
 # ---------------------------------------------------------------------------
-# cycle-bound feasibility oracle
+# cycle bounds, one Fraction sum per cycle
 # ---------------------------------------------------------------------------
+
+def cycle_weight(cycle, matrix):
+    """Sum of the strengths of the interference links the cycle traverses."""
+    return sum((matrix.edge_weight(i, j) for i, j in cycle.edges()), Fraction(0))
+
+
+def cycle_bound_rhs(cycle, matrix):
+    """Right-hand side of the cycle's sum bound: desired strengths minus weight."""
+    return sum(map(matrix.desired, cycle.users), Fraction(0)) - cycle_weight(cycle, matrix)
+
 
 def point_obeys_cycle_bounds(matrix, point, cycles):
     """Direct evaluation of every cycle bound at the point."""
-    for cyc in cycles:
-        lhs = sum((point[u - 1] for u in cyc.users), Fraction(0))
-        rhs = sum((matrix.desired(u) for u in cyc.users), Fraction(0))
-        rhs -= sum(
-            (matrix.edge_weight(i, j) for i, j in cyc.edges()), Fraction(0)
-        )
-        if lhs > rhs:
-            return False
-    return True
+    return all(sum((point[u - 1] for u in cyc.users), Fraction(0))
+               <= cycle_bound_rhs(cyc, matrix) for cyc in cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +243,7 @@ def _cycle_rows(matrix, offset=0, width=None):
         coeffs = [0] * width
         for u in cyc.users:
             coeffs[offset + u - 1] = 1
-        rhs = sum((matrix.desired(u) for u in cyc.users), Fraction(0))
-        rhs -= sum((matrix.edge_weight(i, j) for i, j in cyc.edges()), Fraction(0))
-        rows.append((coeffs, "<=", rhs))
+        rows.append((coeffs, "<=", cycle_bound_rhs(cyc, matrix)))
     return rows
 
 

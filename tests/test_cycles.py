@@ -3,19 +3,20 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import cycle_bound_rhs, cycle_weight, random_gdof_matrix
 from tinopt.cycles import (
     MAX_ENUM_USERS,
     Cycle,
     CyclicPartition,
-    cycle_bound_rhs,
+    _cycle_table,
     cycle_count,
-    cycle_weight,
     enumerate_cycles,
     enumerate_partitions,
     partition_bound,
@@ -193,3 +194,35 @@ def test_every_partition_weight_is_a_cycle_weight_sum():
     for part in enumerate_partitions(3):
         total = sum((cyc.weight(MAT) for cyc in part.cycles), Fraction(0))
         assert part.weight(MAT) == total
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_cycle_table_sums_bounds_level_by_level(k):
+    # each cycle's path is its parent's path plus one step edge, and its
+    # bound the desired sum minus that path and the closing edge
+    cycles = enumerate_cycles(k)
+    masks, levels, closes, users_of = _cycle_table(k)
+    assert len(levels) == k - 1 and len(masks) == len(closes) == len(cycles)
+    child = k
+    for size, (parents, steps) in enumerate(levels, start=2):
+        assert len(parents) == len(steps)
+        for parent, step in zip(parents, steps):
+            users = cycles[child].users
+            assert len(users) == size and parent < child
+            assert cycles[parent].users == users[:-1]
+            assert step == (users[-2] - 1) * k + users[-1] - 1
+            child += 1
+    assert child == len(cycles)
+    for cyc, mask, close in zip(cycles, masks, closes):
+        assert users_of[mask] == tuple(sorted(cyc.users))
+        users = cyc.users
+        assert close == ((users[-1] - 1) * k + users[0] - 1 if len(users) > 1 else k * k)
+    mat = random_gdof_matrix(random.Random("table/%d" % k), k)
+    scale, flat = mat.scaled
+    entry = [*flat, 0]
+    paths = [0] * k
+    for parents, steps in levels:
+        paths += [paths[p] + entry[s] for p, s in zip(parents, steps)]
+    for cyc, mask, path, close in zip(cycles, masks, paths, closes):
+        desired = sum(flat[(u - 1) * (k + 1)] for u in users_of[mask])
+        assert Fraction(desired - path - entry[close], scale) == cycle_bound_rhs(cyc, mat)

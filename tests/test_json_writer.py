@@ -87,14 +87,22 @@ FLUSH_SHAPES = {
     # shaped like a region report's rows, which hold the constraints' tuples
     "int-tuple-dicts": [{"users": tuple(range(1, i % 8 + 2)), "cycle": (i % 8 + 1, 1)}
                         for i in range(1200)],
+    "region-rows": [{"users": (1, i % 8 + 2), "rhs": "%d/7" % i if i % 3 else i,
+                     "cycle": (1, i % 8 + 2)} for i in range(1200)],
+    # leaf values only, so every piece is written by one dict's own loop
+    "flat-dict": {"k%d" % i: "v%d" % i if i % 2 else i for i in range(1500)},
 }
 
 
 def min_pieces(obj) -> int:
     """A lower bound on the pieces the writer buffers for ``obj``: at least
-    one per item of a dict, or of a list that is not all ints."""
+    one per item of a dict, or of a list that is not all ints.  A dict value
+    that is a str, an int or a non-empty list of ints shares its key's."""
+    def shares_key(val):
+        return type(val) in (str, int) or (type(val) in (list, tuple)
+                                           and {*map(type, val)} == {int})
     if type(obj) is dict:
-        return len(obj) + sum(map(min_pieces, obj.values()))
+        return len(obj) + sum(min_pieces(v) for v in obj.values() if not shares_key(v))
     if type(obj) in (list, tuple) and {*map(type, obj)} != {int}:
         return len(obj) + sum(map(min_pieces, obj))
     return 1
@@ -105,6 +113,11 @@ def min_pieces(obj) -> int:
     [{"a": [1]}, [None], "x"], ("a", (1,)), -0, 10 ** 40, "\x00\U0001f600",
     # a bool is not an int to the writer, in a list or a tuple
     [1, True], (0, False, 2), {"a": (1, 2), "b": [(3,), (True,)]},
+    # dict values written beside their key, or not: empty and bool-holding
+    # lists, escaped strings, None, bools, big ints and nested dicts
+    {"a": [], "b": (), "c": [True], "d": [1, True], "e": {}, "f": (7,)},
+    {ODD: ODD, "n": None, "t": True, "f": False, "z": -0, "big": -10 ** 40},
+    {"a": {"b": {"c": [1, 2], "d": "x"}, "e": [{"f": 1}]}, "g": 2},
     *(pytest.param(obj, id=name) for name, obj in FLUSH_SHAPES.items()),
 ])
 def test_writer_equals_json_dumps_on_edge_shapes(obj):
@@ -114,6 +127,27 @@ def test_writer_equals_json_dumps_on_edge_shapes(obj):
 @pytest.mark.parametrize("obj", FLUSH_SHAPES.values(), ids=FLUSH_SHAPES.keys())
 def test_flush_shapes_cross_a_flush(obj):
     assert min_pieces(obj) > _FLUSH
+
+
+@pytest.mark.parametrize("val", ["x", 1, [1, 2], (3,), [], None, True, {"a": 1}])
+def test_writer_refuses_a_non_str_key_beside_any_value(val):
+    for key in (1, None, True):
+        with pytest.raises(TypeError, match="keys must be str"):
+            dumps_canonical({"a": val, key: val})
+
+
+def test_writer_peak_memory_is_bounded_on_a_flat_dict():
+    # leaf values are written in their key's piece, without a recursive
+    # call; the dict's own loop still joins its buffer every _FLUSH pieces
+    obj = {"k%d" % i: "v%d" % i if i % 2 else i for i in range(100_000)}
+    tracemalloc.start()
+    try:
+        text = dumps_canonical(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == json.dumps(obj, indent=2) + "\n"
+    assert peak <= 2.5 * len(text)
 
 
 def test_writer_leaves_no_cyclic_garbage():

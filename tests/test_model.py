@@ -23,6 +23,7 @@ from tinopt.model import (
     InputError,
     Network,
     StrengthMatrix,
+    TinViolation,
     as_rational,
     check_tin,
     load_network,
@@ -350,6 +351,32 @@ def test_check_tin_hand_instances():
     assert users == [1]
     v = verdict.violations[0]
     assert (v.desired, v.max_incoming, v.max_outgoing) == (1, 1, 1)
+
+
+def test_check_tin_witnesses_hold_the_entries():
+    # the test runs on integer-scaled entries (common denominator 60 here);
+    # a witness reports the entries themselves
+    third, fifth = Fraction(1, 3), Fraction(1, 5)
+    mat = StrengthMatrix(mode="gdof", entries=(
+        (Fraction(1, 2), third, Fraction(0)),
+        (Fraction(0), Fraction(3), Fraction(1, 4)),
+        (fifth, Fraction(0), Fraction(3)),
+    ))
+    verdict = check_tin(mat)
+    assert not verdict.satisfied and not verdict.strict
+    assert verdict.violations == (TinViolation(1, third, fifth, Fraction(1, 2)),)
+    v = verdict.violations[0]
+    assert all(type(x) is Fraction for x in (v.max_incoming, v.max_outgoing, v.desired))
+    for seed in range(40):
+        mat = random_gdof_matrix(random.Random("tin/%d" % seed), 1 + seed % 5)
+        k, rows = mat.users, mat.entries
+        want = []
+        for i in range(k):
+            incoming = max((rows[i][t] for t in range(k) if t != i), default=0)
+            outgoing = max((rows[t][i] for t in range(k) if t != i), default=0)
+            if rows[i][i] < incoming + outgoing:
+                want.append(TinViolation(i + 1, incoming, outgoing, rows[i][i]))
+        assert check_tin(mat).violations == tuple(want)
 
 
 def test_check_tin_single_user():

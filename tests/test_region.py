@@ -10,16 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    cycle_bound_rhs,
     full_decomposition,
     point_obeys_cycle_bounds,
     random_tin_network,
     subset_bounds,
 )
-from tinopt.cycles import cycle_bound_rhs, cycle_count, enumerate_cycles
+from tinopt.cycles import cycle_count, enumerate_cycles
 from tinopt.fixtures import example1, gap_network, gap_point
 from tinopt import optimize
 from tinopt.model import (ClampWarning, GuardError, InputError, Network, StrengthMatrix,
-                          _rescaled)
+                          _rescaled, check_tin)
 from tinopt.optimize import _cutting_plane_lp, _heaviest_cycles, network_sum, solve_cycle_lp
 from tinopt.region import (
     RegionConstraint,
@@ -96,6 +97,8 @@ def test_tin_region_rejects_an_oversized_common_denominator():
         tin_region(mat)
     with pytest.raises(InputError, match="common denominator"):
         combined_sum_bounds(Network(mode="gdof", matrices=(mat,)))
+    with pytest.raises(InputError, match="common denominator"):
+        check_tin(mat)
 
 
 def test_region_constraint_str_and_eval():

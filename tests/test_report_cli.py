@@ -18,11 +18,13 @@ from pathlib import Path
 import pytest
 
 import tinopt
+from oracles import cycle_bound_rhs, random_gdof_matrix
+from tinopt import report
 from tinopt.cli import main
-from tinopt.cycles import (Cycle, CyclicPartition, _cycle_table, cycle_bound_rhs,
-                           enumerate_cycles)
+from tinopt.cycles import Cycle, CyclicPartition, _cycle_table, enumerate_cycles
 from tinopt.fixtures import builtin_networks, gap_network
 from tinopt.model import CrossCheckError, load_network, network_to_dict, parse_network
+from tinopt.region import RegionConstraint, tin_region
 from tinopt.report import (
     dumps_canonical,
     frac,
@@ -129,6 +131,36 @@ def test_region_report_equals_cycle_by_cycle_reference(tmp_path, capsys, mode, k
     want_json, want_text = _region_reference(parse_network(doc))
     assert run_cli(capsys, "region", "--json", str(path)) == (0, want_json, "")
     assert run_cli(capsys, "region", str(path)) == (0, want_text, "")
+
+
+def test_region_repr_renders_each_distinct_bound_once(monkeypatch):
+    # K = 8: 16,072 rows over a few hundred distinct bound objects
+    rng = random.Random("region_repr")
+    mats = [random_gdof_matrix(rng, 8) for _ in range(2)]
+    want = [[report.constraint_repr(c) for c in tin_region(mat)] for mat in mats]
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return frac(x)
+
+    monkeypatch.setattr(report, "frac", counted)
+    for mat, rows in zip(mats, want):
+        cons = tin_region(mat)
+        calls.clear()
+        assert report.region_repr(cons) == rows
+        assert len(calls) == len({id(c.rhs) for c in cons}) < len(cons) // 10
+    # fresh rhs objects that die with their row (and with no list of calls
+    # to hold them): a memo keyed on identity must keep each object it keys
+    # alive, or a later row reuses its id
+    monkeypatch.undo()
+    cons = tin_region(mats[0])
+    fresh = (RegionConstraint(c.users, Fraction(c.rhs.numerator, c.rhs.denominator),
+                              c.cycle) for c in cons)
+    assert report.region_repr(fresh) == want[0]
+    loose = [RegionConstraint((1, 2), Fraction(1, 2)), RegionConstraint((1,), Fraction(3))]
+    assert report.region_repr(loose) == [{"users": (1, 2), "rhs": "1/2"},
+                                         {"users": (1,), "rhs": 3}]
 
 
 def test_region_guard_exits_3_before_any_cycle_table(nets, capsys):
