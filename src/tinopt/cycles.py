@@ -13,20 +13,13 @@ predecessor makes cyclic partitions the same thing as permutations of
 {1..K} (trivial cycles = fixed points).
 
 Enumeration is exhaustive and therefore guarded: K is capped at
-MAX_ENUM_USERS for the operations that walk all cycles or partitions.  The
-LPs in ``optimize`` cut with K^2 arc rows instead, the combined bounds read
-per-subset heaviest cycles from a subset DP, and ``region.tin_region``
-reads ``_cycle_table(K)``, the cycles of ``enumerate_cycles(K)`` as flat
-arrays of user masks and edge indices, so each bound is an integer sum over
-integer-scaled entries, one level of cycle lengths at a time, rather than a
-Fraction sum per cycle (``Cycle.weight``).
+MAX_ENUM_USERS for the operations that walk all cycles or partitions.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -261,45 +254,6 @@ def enumerate_cycles(k: int) -> tuple:
             for tail in itertools.permutations(rest):
                 cycles.append(Cycle((head,) + tail))
     return tuple(cycles)
-
-
-@lru_cache(maxsize=None)
-def _cycle_table(k: int) -> tuple:
-    """``enumerate_cycles(k)`` as flat arrays, for summing cycle bounds one
-    level of cycle lengths at a time: (masks, levels, closes, users_of).
-
-    Cycle c covers the users of the bitmask ``masks[c]`` (bit u - 1 for
-    user u).  Edge e_ij of a row-major K x K matrix has index
-    (i - 1) * K + j - 1.  The cycles come in length order, and a cycle
-    (u0, ..., u_{L-1}) of length L >= 2 minus its last user is an earlier
-    cycle, its parent; ``levels[L - 2]`` is the (parents, steps) pair of
-    the cycles of length L, in order: the parent's index and the index of
-    the step edge e_{u_{L-2} u_{L-1}}.  So the open path u0 -> ... ->
-    u_{L-1} of every cycle weighs its parent's path plus its step, the K
-    trivial cycles' paths (the first K cycles) weigh 0, and cycle c weighs
-    its path plus the closing edge ``closes[c]``, e_{u_{L-1} u0}, which is
-    K * K, one past the matrix, for a trivial cycle.  ``users_of[mask]`` is
-    the sorted tuple of the users of a mask.  Built once per K, after the
-    cycles' own guard, and read-only, since every caller shares it.
-    """
-    cycles = enumerate_cycles(k)
-    index = {cyc.users: c for c, cyc in enumerate(cycles)}
-    masks, closes = array("H"), bytearray()
-    levels = [(array("I"), bytearray()) for _ in range(k - 1)]
-    for cyc in cycles:
-        users = cyc.users
-        masks.append(sum(1 << (u - 1) for u in users))
-        closes.append((users[-1] - 1) * k + users[0] - 1 if len(users) > 1 else k * k)
-        if len(users) > 1:
-            parents, steps = levels[len(users) - 2]
-            parents.append(index[users[:-1]])
-            steps.append((users[-2] - 1) * k + users[-1] - 1)
-    users_of = tuple(tuple(u + 1 for u in range(k) if mask >> u & 1)
-                     for mask in range(1 << k))
-    return (memoryview(masks).toreadonly(),
-            tuple((memoryview(parents).toreadonly(), bytes(steps))
-                  for parents, steps in levels),
-            bytes(closes), users_of)
 
 
 @lru_cache(maxsize=None)

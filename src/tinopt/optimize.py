@@ -25,21 +25,18 @@ one exact simplex driver, ``_simplex``; the engine adds only the arc scan,
 as the driver's oracle of cuts.
 
 Both cutting-plane LPs work in rates and power backoffs, whose K^2 arc rows
-project onto the cycle-bound region (Geng et al., arXiv 1305.4610).  Only
-``region``'s combined bounds read a per-subset table: ``_heaviest_cycles``
-(Held-Karp, O(2^K K^2)) and ``_partition_bounds`` (O(3^K)).  All
-arithmetic is exact; no floats.
+project onto the cycle-bound region (Geng et al., arXiv 1305.4610), so no
+LP reads a per-subset table.  All arithmetic is exact; no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, sub
 
 from .cycles import CyclicPartition, _check_enum_guard
-from .model import (CrossCheckError, GuardError, InputError, StrengthMatrix,
-                    _rescaled, _shown, check_tin)
+from .model import (CrossCheckError, GuardError, InputError, StrengthMatrix, _shown,
+                    check_tin)
 
 __all__ = [
     "TIE_GUARD",
@@ -359,76 +356,6 @@ class CycleLpResult:
     def working_cycles(self) -> tuple:
         """The former name of ``working``, read-only."""
         return self.working
-
-
-def _cycle_blocks(matrices):
-    """(D, blocks) for ``region.combined_sum_bounds``: ``blocks[m][mask]`` is
-    D times the bound of the heaviest cycle (no other can bind) through the
-    users of ``mask`` on ``matrices[m]``, at their common denominator D
-    (``model._rescaled``).  GuardError above MAX_ENUM_USERS comes first."""
-    k = matrices[0].users
-    _check_enum_guard(k)
-    scale, flats, _ = _rescaled(matrices)
-    return scale, [list(map(sub, _subset_sums(flat[::k + 1]), _heaviest_cycles(flat, k)))
-                   for flat in flats]
-
-
-def _subset_sums(values) -> list:
-    """sums[mask] is the sum of values[u] over the bits u set in mask."""
-    sums = [0]
-    for val in values:
-        sums += [s + val for s in sums]
-    return sums
-
-
-def _heaviest_cycles(flat, k) -> list:
-    """``cycles[mask]`` weighs the heaviest cycle through exactly the users
-    of ``mask`` (bit u for 0-based user u), for the row-major K x K
-    nonnegative integer weights ``flat``.  Trivial cycles weigh 0.
-
-    A Held-Karp pass (Held & Karp 1962; Bellman 1962), in O(2^K K^2):
-    ``paths[mask][v]`` weighs the heaviest order (low, ..., v) of all of
-    mask, as a Cycle weighs its listed users (e_uv = flat[u*K + v] per
-    consecutive pair); e_v,low closes the cycle.  Where no order exists it
-    is too low to win any max.
-    """
-    full = 1 << k
-    cols = [flat[v::k] for v in range(k)]       # cols[v][u] = e_uv
-    floor = -1 - sum(flat)
-    paths = [None] * full
-    cycles = [0] * full
-    for mask in range(1, full):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << low)
-        ends = [floor] * k
-        ends[low] = floor if rest else 0
-        for v in range(k):
-            if rest >> v & 1:
-                ends[v] = max(map(add, paths[mask ^ (1 << v)], cols[v]))
-        paths[mask] = ends
-        if rest:
-            cycles[mask] = max(map(add, ends, cols[low]))
-    return cycles
-
-
-def _partition_bounds(block) -> list:
-    """Per mask, the least bound of a cyclic partition of its users, given a
-    ``_cycle_blocks`` block of one bound per cycle: a partition's bound is
-    the sum of its cycles' (desired sums add over disjoint parts), so one
-    pass over the submasks holding the lowest member (its part's cycle
-    through it) gives every mask's, in O(3^K)."""
-    bounds = [0] * len(block)
-    for mask in range(1, len(block)):
-        low = mask & -mask
-        rest = mask ^ low
-        best, sub = block[mask], rest
-        while sub:
-            sub = (sub - 1) & rest
-            bound = block[sub | low] + bounds[rest ^ sub]
-            if bound < best:
-                best = bound
-        bounds[mask] = best
-    return bounds
 
 
 def _cutting_plane_lp(flats, scale, objective, equalities=(), nonneg=True):

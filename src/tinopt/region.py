@@ -1,12 +1,19 @@
 """Rate regions, combined sum bounds, and decomposability of parallel networks.
 
 For a TIN-optimal sub-channel the achievable region is cut out by one bound
-per cycle of the interference graph (plus nonnegativity).  For a parallel
-network the tightest bound on any subset's *total* (across sub-channels) rate
-is the subset's best cyclic partition bound summed over sub-channels; these
-"combined" bounds are valid for the parallel network as a whole.  One
-subset DP per sub-channel (``optimize._partition_bounds``) gives the
-least cyclic partition bound of every subset at once.
+per cycle of the interference graph (plus nonnegativity).  ``tin_region``
+reads them off ``_cycle_table(K)``, the cycles of ``enumerate_cycles(K)``
+as flat arrays of user masks and edge indices, so each bound is an integer
+sum over integer-scaled entries, one level of cycle lengths at a time.
+
+For a parallel network the tightest bound on any subset's *total* (across
+sub-channels) rate is the subset's best cyclic partition bound summed over
+sub-channels; these "combined" bounds are valid for the parallel network
+as a whole.  Two subset tables per sub-channel give them all at once: the
+heaviest cycle through every user subset (``_heaviest_cycles``, Held-Karp,
+O(2^K K^2)) and the least cyclic partition bound of every subset
+(``_partition_bounds``, O(3^K)).  This module owns every such table; the
+LPs of ``optimize`` read none.
 
 A point in the combined region need not decompose into per-sub-channel
 points of the individual regions -- ``separate_tin_decomposable`` settles
@@ -17,16 +24,17 @@ decomposition is impossible.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from operator import add, sub
 from typing import NamedTuple
 
-from .cycles import _cycle_table, enumerate_cycles
+from .cycles import _check_enum_guard, enumerate_cycles
 from .model import (CrossCheckError, InputError, Network, StrengthMatrix, _rescaled, _shown,
                     as_rational)
-from .optimize import _cutting_plane_lp, _cycle_blocks, _partition_bounds, _subset_sums
+from .optimize import _cutting_plane_lp
 
 __all__ = [
     "RegionConstraint",
@@ -67,6 +75,45 @@ class RegionConstraint(NamedTuple):
 _constraint = partial(tuple.__new__, RegionConstraint)   # from a (users, rhs, cycle) row
 
 
+@lru_cache(maxsize=None)
+def _cycle_table(k: int) -> tuple:
+    """``enumerate_cycles(k)`` as flat arrays, for summing cycle bounds one
+    level of cycle lengths at a time: (masks, levels, closes, users_of).
+
+    Cycle c covers the users of the bitmask ``masks[c]`` (bit u - 1 for
+    user u).  Edge e_ij of a row-major K x K matrix has index
+    (i - 1) * K + j - 1.  The cycles come in length order, and a cycle
+    (u0, ..., u_{L-1}) of length L >= 2 minus its last user is an earlier
+    cycle, its parent; ``levels[L - 2]`` is the (parents, steps) pair of
+    the cycles of length L, in order: the parent's index and the index of
+    the step edge e_{u_{L-2} u_{L-1}}.  So the open path u0 -> ... ->
+    u_{L-1} of every cycle weighs its parent's path plus its step, the K
+    trivial cycles' paths (the first K cycles) weigh 0, and cycle c weighs
+    its path plus the closing edge ``closes[c]``, e_{u_{L-1} u0}, which is
+    K * K, one past the matrix, for a trivial cycle.  ``users_of[mask]`` is
+    the sorted tuple of the users of a mask.  Built once per K, after the
+    cycles' own guard, and read-only, since every caller shares it.
+    """
+    cycles = enumerate_cycles(k)
+    index = {cyc.users: c for c, cyc in enumerate(cycles)}
+    masks, closes = array("H"), bytearray()
+    levels = [(array("I"), bytearray()) for _ in range(k - 1)]
+    for cyc in cycles:
+        users = cyc.users
+        masks.append(sum(1 << (u - 1) for u in users))
+        closes.append((users[-1] - 1) * k + users[0] - 1 if len(users) > 1 else k * k)
+        if len(users) > 1:
+            parents, steps = levels[len(users) - 2]
+            parents.append(index[users[:-1]])
+            steps.append((users[-2] - 1) * k + users[-1] - 1)
+    users_of = tuple(tuple(u + 1 for u in range(k) if mask >> u & 1)
+                     for mask in range(1 << k))
+    return (memoryview(masks).toreadonly(),
+            tuple((memoryview(parents).toreadonly(), bytes(steps))
+                  for parents, steps in levels),
+            bytes(closes), users_of)
+
+
 def tin_region(matrix: StrengthMatrix) -> tuple:
     """One constraint per cycle, no redundancy filtering.
 
@@ -74,16 +121,16 @@ def tin_region(matrix: StrengthMatrix) -> tuple:
     condition holds (together with d >= 0); otherwise the constraints are
     still valid outer bounds for what TIN itself can do.
 
-    The bounds are read off the per-K table ``cycles._cycle_table``, cached
-    beside ``enumerate_cycles(K)`` and in its order, and the matrix's
-    integer view ``matrix.scaled`` (InputError past MAX_RATIONAL_DIGITS
-    digits of common denominator): the open paths of each cycle length
-    weigh their parents' paths plus their step edges, one ``map`` per
-    length, and a cycle's bound is its users' desired sum minus its path
-    and closing edge.  Each distinct bound becomes one Fraction, shared by
-    every constraint with that bound.  Equal, cycle by cycle, to the
-    cycle's desired strengths minus its ``Cycle.weight``; GuardError above
-    K = 9, before any table is built.
+    The bounds are read off the per-K table ``_cycle_table``, cached beside
+    ``enumerate_cycles(K)`` and in its order, and the matrix's integer view
+    ``matrix.scaled`` (InputError past MAX_RATIONAL_DIGITS digits of common
+    denominator): the open paths of each cycle length weigh their parents'
+    paths plus their step edges, one ``map`` per length, and a cycle's
+    bound is its users' desired sum minus its path and closing edge.  Each
+    distinct bound becomes one Fraction, shared by every constraint with
+    that bound.  Equal, cycle by cycle, to the cycle's desired strengths
+    minus its ``Cycle.weight``; GuardError above K = 9, before any table is
+    built.
     """
     k = matrix.users
     cycles = enumerate_cycles(k)
@@ -112,12 +159,20 @@ class MembershipResult:
 
 
 def region_contains(constraints, point, users: "int | None" = None) -> MembershipResult:
-    """Exact membership of a rate point in {d >= 0} cut by ``constraints``."""
+    """Exact membership of a rate point in {d >= 0} cut by ``constraints``.
+
+    The point has one coordinate per user: ``users`` of them if given, else
+    as many as the highest user a constraint names.  InputError for any
+    other length, and for a constraint naming a user past ``users``.
+    """
+    constraints = tuple(constraints)   # read twice: an iterator would be empty the 2nd time
     pt = tuple(as_rational(x) for x in point)
     named = max((k for con in constraints for k in con.users), default=0)
-    if (users is not None and len(pt) != users) or len(pt) < named:
-        raise InputError("point has %d coordinates, expected %d"
-                         % (len(pt), named if users is None else users))
+    expected = named if users is None else users
+    if named > expected:
+        raise InputError("a constraint names user %d, past users = %d" % (named, users))
+    if len(pt) != expected:
+        raise InputError("point has %d coordinates, expected %d" % (len(pt), expected))
     negative = tuple(k + 1 for k, x in enumerate(pt) if x < 0)
     violated = tuple(con for con in constraints if not con.holds(pt))
     return MembershipResult(
@@ -136,7 +191,8 @@ class CombinedSumBounds:
     """Tightest bound on each user subset's total rate across sub-channels.
 
     ``bounds`` maps a sorted user tuple S to the sum over sub-channels of
-    the best cyclic partition bound of the sub-channel restricted to S.
+    the best cyclic partition bound of the sub-channel restricted to S, in
+    order of subset size, then lexicographically (the report's row order).
     """
 
     users: int
@@ -158,20 +214,83 @@ class CombinedSumBounds:
         return region_contains(self.as_constraints(), point, users=self.users)
 
 
+def _subset_sums(values) -> list:
+    """sums[mask] is the sum of values[u] over the bits u set in mask."""
+    sums = [0]
+    for val in values:
+        sums += [s + val for s in sums]
+    return sums
+
+
+def _heaviest_cycles(flat, k) -> list:
+    """``cycles[mask]`` weighs the heaviest cycle through exactly the users
+    of ``mask`` (bit u for 0-based user u), for the row-major K x K
+    nonnegative integer weights ``flat``.  Trivial cycles weigh 0.
+
+    A Held-Karp pass (Held & Karp 1962; Bellman 1962), in O(2^K K^2):
+    ``paths[mask][v]`` weighs the heaviest order (low, ..., v) of all of
+    mask, as a Cycle weighs its listed users (e_uv = flat[u*K + v] per
+    consecutive pair); e_v,low closes the cycle.  Where no order exists it
+    is too low to win any max.
+    """
+    full = 1 << k
+    cols = [flat[v::k] for v in range(k)]       # cols[v][u] = e_uv
+    floor = -1 - sum(flat)
+    paths = [None] * full
+    cycles = [0] * full
+    for mask in range(1, full):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << low)
+        ends = [floor] * k
+        ends[low] = floor if rest else 0
+        for v in range(k):
+            if rest >> v & 1:
+                ends[v] = max(map(add, paths[mask ^ (1 << v)], cols[v]))
+        paths[mask] = ends
+        if rest:
+            cycles[mask] = max(map(add, ends, cols[low]))
+    return cycles
+
+
+def _partition_bounds(block) -> list:
+    """Per mask, the least bound of a cyclic partition of its users, given
+    a ``combined_sum_bounds`` block of one bound per cycle: a partition's
+    bound is the sum of its cycles' (desired sums add over disjoint parts),
+    so one pass over the submasks holding the lowest member (its part's
+    cycle through it) gives every mask's, in O(3^K)."""
+    bounds = [0] * len(block)
+    for mask in range(1, len(block)):
+        low = mask & -mask
+        rest = mask ^ low
+        best, part = block[mask], rest
+        while part:
+            part = (part - 1) & rest
+            bound = block[part | low] + bounds[rest ^ part]
+            if bound < best:
+                best = bound
+        bounds[mask] = best
+    return bounds
+
+
 def combined_sum_bounds(network: Network) -> CombinedSumBounds:
     """Best partition bound per user subset, accumulated over sub-channels.
 
     Restricting to a subset simply silences the other users, so a subset's
     bound on one sub-channel is its desired strengths minus the heaviest
     cyclic partition of its users (and a restricted TIN-optimal sub-channel
-    stays TIN optimal).  ``optimize._cycle_blocks`` gives every subset's
-    heaviest-cycle bound on integer-scaled entries and one subset DP per
-    sub-channel, ``optimize._partition_bounds``, the least partition bound
-    of every subset at once in O(3^K); guarded by MAX_ENUM_USERS
-    (GuardError above K = 9) before any of it runs.
+    stays TIN optimal).  ``blocks[m][mask]`` is D times the bound of the
+    heaviest cycle (no other can bind) through the users of ``mask`` on
+    sub-channel m, at the matrices' common denominator D
+    (``model._rescaled``), and one subset DP per sub-channel,
+    ``_partition_bounds``, gives the least partition bound of every subset
+    at once in O(3^K); guarded by MAX_ENUM_USERS (GuardError above K = 9)
+    before any of it runs.
     """
     k = network.users
-    scale, blocks = _cycle_blocks(network.matrices)
+    _check_enum_guard(k)
+    scale, flats, _ = _rescaled(network.matrices)
+    blocks = [list(map(sub, _subset_sums(flat[::k + 1]), _heaviest_cycles(flat, k)))
+              for flat in flats]
     totals = [sum(col) for col in zip(*map(_partition_bounds, blocks))]
     bounds = {}
     for size in range(1, k + 1):

@@ -2,7 +2,7 @@
 
 Every value rendered here is an int, string, bool, list, tuple, or dict --
 never a float -- so a report dumped with :func:`dumps_canonical` survives a
-parse/re-dump round trip byte for byte.  A tuple (a region row's ``users``
+parse/re-dump round trip byte for byte.  A tuple (a bound row's ``users``
 and ``cycle`` are the result's own) is written like a list, so a parsed
 report holds lists where the payload held tuples.  That writer lives in
 ``model``, which saves networks through it too, and is re-exported here; it
@@ -121,18 +121,13 @@ def membership_repr(result) -> dict:
     return {
         "inside": result.inside,
         "negative_users": list(result.negative_users),
-        "violated": [constraint_repr(c) for c in result.violated],
+        "violated": region_repr(result.violated),
     }
 
 
 def combined_repr(bounds) -> dict:
-    items = sorted(bounds.bounds.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return {
-        "users": bounds.users,
-        "bounds": [
-            {"users": list(subset), "rhs": frac(rhs)} for subset, rhs in items
-        ],
-    }
+    # rows in the bounds' own order: by subset size, then lexicographically
+    return {"users": bounds.users, "bounds": region_repr(bounds.as_constraints())}
 
 
 def decomposition_repr(result) -> dict:

@@ -13,17 +13,20 @@ from oracles import (
     cycle_bound_rhs,
     full_decomposition,
     point_obeys_cycle_bounds,
+    random_gdof_matrix,
     random_tin_network,
     subset_bounds,
 )
 from tinopt.cycles import cycle_count, enumerate_cycles
 from tinopt.fixtures import example1, gap_network, gap_point
-from tinopt import optimize
+from tinopt import optimize, region
 from tinopt.model import (ClampWarning, GuardError, InputError, Network, StrengthMatrix,
                           _rescaled, check_tin)
-from tinopt.optimize import _cutting_plane_lp, _heaviest_cycles, network_sum, solve_cycle_lp
+from tinopt.optimize import _cutting_plane_lp, network_sum, solve_cycle_lp
 from tinopt.region import (
     RegionConstraint,
+    _cycle_table,
+    _heaviest_cycles,
     combined_sum_bounds,
     region_contains,
     separate_tin_decomposable,
@@ -82,6 +85,38 @@ def test_tin_region_matches_fraction_cycle_bounds(k, mode):
             assert type(c.rhs) is Fraction
             assert c.rhs == cycle_bound_rhs(c.cycle, mat)
             assert c.users == tuple(sorted(c.cycle.users))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_cycle_table_sums_bounds_level_by_level(k):
+    # each cycle's path is its parent's path plus one step edge, and its
+    # bound the desired sum minus that path and the closing edge
+    cycles = enumerate_cycles(k)
+    masks, levels, closes, users_of = _cycle_table(k)
+    assert len(levels) == k - 1 and len(masks) == len(closes) == len(cycles)
+    child = k
+    for size, (parents, steps) in enumerate(levels, start=2):
+        assert len(parents) == len(steps)
+        for parent, step in zip(parents, steps):
+            users = cycles[child].users
+            assert len(users) == size and parent < child
+            assert cycles[parent].users == users[:-1]
+            assert step == (users[-2] - 1) * k + users[-1] - 1
+            child += 1
+    assert child == len(cycles)
+    for cyc, mask, close in zip(cycles, masks, closes):
+        assert users_of[mask] == tuple(sorted(cyc.users))
+        users = cyc.users
+        assert close == ((users[-1] - 1) * k + users[0] - 1 if len(users) > 1 else k * k)
+    mat = random_gdof_matrix(random.Random("table/%d" % k), k)
+    scale, flat = mat.scaled
+    entry = [*flat, 0]
+    paths = [0] * k
+    for parents, steps in levels:
+        paths += [paths[p] + entry[s] for p, s in zip(parents, steps)]
+    for cyc, mask, path, close in zip(cycles, masks, paths, closes):
+        desired = sum(flat[(u - 1) * (k + 1)] for u in users_of[mask])
+        assert Fraction(desired - path - entry[close], scale) == cycle_bound_rhs(cyc, mat)
 
 
 def test_tin_region_rejects_an_oversized_common_denominator():
@@ -154,6 +189,17 @@ def test_region_contains_verdicts():
         with pytest.raises(InputError, match="point has 2 coordinates, "
                                              "expected 3"):
             region_contains(cons, (1, 2), users=users)
+    # without ``users`` the highest named user sets the length: a longer
+    # point is rejected, not cut to the constraints' users
+    sub1 = tin_region(example1().matrices[0])
+    with pytest.raises(InputError, match="point has 4 coordinates, expected 3"):
+        region_contains(sub1, (1, 1, 1, 1))
+    # constraints given as a one-shot iterable are all checked
+    assert [c.users for c in region_contains(iter(cons), (3, 3, 0)).violated] == [(1, 2)]
+    # a constraint past ``users`` is the constraints' fault, not the point's
+    with pytest.raises(InputError, match="constraint names user 4, past users = 3"):
+        region_contains(cons + (RegionConstraint((1, 4), Fraction(5)),), (1, 1, 1),
+                        users=3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -353,7 +399,7 @@ def test_cycle_lps_guard_before_any_simplex(monkeypatch):
 
 def test_sum_and_decompose_build_no_subset_table(monkeypatch):
     # the Held-Karp table serves the combined bounds only
-    monkeypatch.setattr(optimize, "_heaviest_cycles", _forbid)
+    monkeypatch.setattr(region, "_heaviest_cycles", _forbid)
     assert network_sum(example1()).total == 18
     net = gap_network()
     assert separate_tin_decomposable(net, (1, 1, 1)).feasible

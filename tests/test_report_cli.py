@@ -21,10 +21,10 @@ import tinopt
 from oracles import cycle_bound_rhs, random_gdof_matrix
 from tinopt import report
 from tinopt.cli import main
-from tinopt.cycles import Cycle, CyclicPartition, _cycle_table, enumerate_cycles
+from tinopt.cycles import Cycle, CyclicPartition, enumerate_cycles
 from tinopt.fixtures import builtin_networks, gap_network
 from tinopt.model import CrossCheckError, load_network, network_to_dict, parse_network
-from tinopt.region import RegionConstraint, tin_region
+from tinopt.region import RegionConstraint, _cycle_table, tin_region
 from tinopt.report import (
     dumps_canonical,
     frac,

@@ -1,7 +1,8 @@
-"""Two invariants of the package, read off its source with ``ast``: the
-runtime imports only the standard library, and no code uses floating
-point (``as_rational`` may still test ``isinstance(value, float)`` to
-convert a JSON float through its decimal string)."""
+"""Invariants of the package, read off its source with ``ast``: the
+runtime imports only the standard library, no code uses floating point
+(``as_rational`` may still test ``isinstance(value, float)`` to convert a
+JSON float through its decimal string), each module imports only modules
+of lower layers, and ``region`` alone holds the bound tables."""
 
 from __future__ import annotations
 
@@ -31,6 +32,77 @@ def _violations(source: str) -> list:
                 and node.func.id == "float"):
             found.append((node.lineno, "float() call"))
     return found
+
+
+# model -> cycles -> optimize -> {region, detmodel, fixtures} -> report -> cli;
+# the package's __init__ and __main__ may import any module
+LAYERS = {"model": 0, "cycles": 1, "optimize": 2, "region": 3, "detmodel": 3,
+          "fixtures": 3, "report": 4, "cli": 5}
+
+# the per-K cycle table and the per-subset tables, read by region alone
+BOUND_TABLES = {"_cycle_table", "_subset_sums", "_heaviest_cycles", "_partition_bounds"}
+
+
+def _package_imports(node) -> list:
+    """The package modules an import statement names: ``from .x import``,
+    ``from . import x``, ``from tinopt import x``, ``import tinopt.x``."""
+    if isinstance(node, ast.Import):
+        dotted = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level <= 1:
+        base = ".".join((["tinopt"] if node.level else []) + [node.module or ""]).rstrip(".")
+        dotted = [base + "." + alias.name for alias in node.names] if base == "tinopt" else [base]
+    else:
+        return []
+    return [name.split(".")[1] for name in dotted if name.startswith("tinopt.")]
+
+
+def _layer_violations(module: str, source: str) -> list:
+    """(line, what) for each package module that ``module`` imports from its
+    own layer or a higher one."""
+    return [(node.lineno, "imports " + name)
+            for node in ast.walk(ast.parse(source)) for name in _package_imports(node)
+            if LAYERS.get(name, len(LAYERS)) >= LAYERS[module]]
+
+
+def _table_violations(source: str) -> list:
+    """(line, what) for each bound table the source defines or imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, "imports", alias.name) for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, "defines", node.name))
+        elif isinstance(node, ast.Assign):
+            found += [(node.lineno, "defines", target.id) for target in node.targets
+                      if isinstance(target, ast.Name)]
+    return [(line, verb + " " + name) for line, verb, name in found if name in BOUND_TABLES]
+
+
+def test_the_layering_scan_finds_planted_violations():
+    planted = ("from .region import tin_region\nfrom . import report, model\n"
+               "from .optimize import solve_lp\nfrom .cycles import _cycle_table\n"
+               "from tinopt import cli\nimport itertools, tinopt.fixtures\n"
+               "def _heaviest_cycles(flat, k):\n    pass\n_subset_sums = None\n")
+    assert _layer_violations("optimize", planted) == [
+        (1, "imports region"), (2, "imports report"), (3, "imports optimize"),
+        (5, "imports cli"), (6, "imports fixtures")]
+    # a module of the same layer is no lower layer
+    assert _layer_violations("region", planted) == [
+        (1, "imports region"), (2, "imports report"), (5, "imports cli"),
+        (6, "imports fixtures")]
+    assert _table_violations(planted) == [
+        (4, "imports _cycle_table"), (7, "defines _heaviest_cycles"),
+        (9, "defines _subset_sums")]
+
+
+def test_modules_import_only_lower_layers_and_region_alone_holds_the_tables():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    layered = sources.keys() - {"__init__", "__main__"}
+    assert layered == LAYERS.keys()
+    found = {name: (_layer_violations(name, source) if name in layered else [])
+             + (_table_violations(source) if name != "region" else [])
+             for name, source in sources.items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_the_scan_finds_planted_violations():
