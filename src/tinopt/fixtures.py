@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import InputError, Network, StrengthMatrix
+from .model import InputError, Network, StrengthMatrix, as_rational
 from .optimize import LinearProgram
 
 __all__ = [
@@ -76,7 +76,7 @@ def gap_network(eps=Fraction(1, 10)) -> Network:
     the *sum* still separates; the gap shows at the region level, e.g. the
     point returned by :func:`gap_point`.  Any 0 < eps < 1/4 works.
     """
-    eps = Fraction(eps)
+    eps = as_rational(eps)
     if not (0 < eps < Fraction(1, 4)):
         raise InputError("epsilon must satisfy 0 < eps < 1/4, got %s" % eps)
     one = Fraction(1)

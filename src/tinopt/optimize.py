@@ -21,8 +21,9 @@ reported partition and the tie set from one walk of the tight branches,
 when each user tries itself first, and ``all_optimal_partitions`` lists
 every tie, guarded by TIE_GUARD.  The same cutting-plane engine solves the
 decomposition LPs of ``region``.  Every LP, ``solve_lp`` included, runs on
-one exact simplex driver, ``_simplex``; the engine adds only the arc scan,
-as the driver's oracle of cuts.
+one exact simplex driver, ``_simplex``, whose rows are all "<=" or ">=",
+each with its own slack; the engine adds only the arc scan, as the
+driver's oracle of cuts.
 
 Both cutting-plane LPs work in rates and power backoffs, whose K^2 arc rows
 project onto the cycle-bound region (Geng et al., arXiv 1305.4610), so no
@@ -36,7 +37,7 @@ from fractions import Fraction
 
 from .cycles import CyclicPartition, _check_enum_guard
 from .model import (CrossCheckError, GuardError, InputError, StrengthMatrix, _shown,
-                    check_tin)
+                    as_rational, check_tin)
 
 __all__ = [
     "TIE_GUARD",
@@ -68,6 +69,7 @@ TIE_GUARD = 10_000
 # ---------------------------------------------------------------------------
 
 _RELS = ("<=", ">=", "==")
+_SIGNS = {"<=": 1, ">=": -1}    # a tableau row's sign; "==" is split by solve_lp
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,11 @@ class LinearProgram:
     """maximize objective . x subject to linear constraints.
 
     ``constraints`` is a sequence of (coefficients, relation, rhs) triples
-    with relation one of "<=", ">=", "==".  ``nonneg`` is either a single
-    bool applying to every variable or a per-variable sequence; False means
-    the variable is free (unrestricted in sign).
+    with relation one of "<=", ">=", "==" ("=" is read as "==").  Every
+    coefficient and rhs is read by ``model.as_rational``, so a float is
+    read through its decimal form.  ``nonneg`` is either a single bool
+    applying to every variable or a per-variable sequence; False means the
+    variable is free (unrestricted in sign).
     """
 
     objective: tuple
@@ -86,11 +90,11 @@ class LinearProgram:
 
     @classmethod
     def build(cls, objective, constraints, nonneg=True) -> "LinearProgram":
-        obj = tuple(Fraction(c) for c in objective)
+        obj = tuple(map(as_rational, objective))
         n = len(obj)
         rows = []
         for coeffs, rel, rhs in constraints:
-            coeffs = tuple(Fraction(c) for c in coeffs)
+            coeffs = tuple(map(as_rational, coeffs))
             if len(coeffs) != n:
                 raise InputError(
                     "constraint has %d coefficients, expected %d" % (len(coeffs), n)
@@ -99,7 +103,7 @@ class LinearProgram:
                 rel = "=="
             if rel not in _RELS:
                 raise InputError("unknown relation %s" % _shown(rel))
-            rows.append((coeffs, rel, Fraction(rhs)))
+            rows.append((coeffs, rel, as_rational(rhs)))
         if isinstance(nonneg, bool):
             signs = tuple(nonneg for _ in range(n))
         else:
@@ -131,45 +135,23 @@ class _Tableau:
 
     def __init__(self, rows, nstruct):
         """``rows`` are ({structural column: coefficient}, relation, rhs),
-        over ``nstruct`` structural columns.  A ">=" row is negated into a
-        "<=" row, and every "<=" row gets a slack column, basic in it, after
-        the structural columns.  Every "==" row is made basic by one pivot
-        on its first nonzero structural entry; a row left with none is
-        dropped when its rhs is 0 and makes ``feasible`` False otherwise.
-        Right-hand sides may be negative: the objective starts all zero, so
-        any basis is dual feasible and ``dual`` restores primal
-        feasibility."""
-        self.ncols = nstruct + sum(rel != "==" for _, rel, _ in rows)
+        over ``nstruct`` structural columns, each relation "<=" or ">=".  A
+        ">=" row is negated into a "<=" row, and row i gets slack column
+        ``nstruct + i``, basic in it.  Right-hand sides may be negative: the
+        objective starts all zero, so any basis is dual feasible and
+        ``dual`` restores primal feasibility."""
+        self.ncols = nstruct + len(rows)
         self.rows = []
-        self.basis = []
+        self.basis = list(range(nstruct, self.ncols))
         self.obj = [0] * (self.ncols + 1)
         self.pivots = 0
-        self.feasible = True
-        slack = nstruct
-        for coeffs, rel, rhs in rows:
-            sign = -1 if rel == ">=" else 1
+        for slack, (coeffs, rel, rhs) in enumerate(rows, nstruct):
+            sign = _SIGNS[rel]
             row = [0] * self.ncols + [sign * rhs]
             for j, v in coeffs.items():
                 row[j] = sign * v
-            if rel == "==":
-                self.basis.append(None)
-            else:
-                row[slack] = 1
-                self.basis.append(slack)
-                slack += 1
+            row[slack] = 1
             self.rows.append(row)
-        drop = []
-        for i, row in enumerate(self.rows):
-            if self.basis[i] is None:
-                col = next((j for j in range(nstruct) if row[j]), None)
-                if col is not None:
-                    self.pivot(i, col)
-                elif row[-1]:
-                    self.feasible = False
-                else:
-                    drop.append(i)
-        for i in reversed(drop):
-            del self.rows[i], self.basis[i]
 
     def pivot(self, row, col):
         """Make ``col`` basic in ``row``, updating only the entries in the
@@ -290,7 +272,8 @@ class _Tableau:
 
 def _simplex(rows, objective, nonneg, cuts=None):
     """Maximize ``objective`` . x subject to the ({variable: coefficient},
-    relation, rhs) ``rows`` on one ``_Tableau``, each free variable
+    relation, rhs) ``rows``, relation "<=" or ">=", on one ``_Tableau``
+    that gives each row its own slack, each free variable
     (``nonneg[j]`` False) split into x+ - x-: dual simplex under the
     all-zero objective reaches a feasible basis, then primal simplex an
     optimal one.  While the oracle ``cuts(point)`` returns rows
@@ -307,7 +290,7 @@ def _simplex(rows, objective, nonneg, cuts=None):
         return {c: v * s for j, v in coeffs.items() for c, s in split[j]}
 
     tab = _Tableau([(columns(coeffs), rel, rhs) for coeffs, rel, rhs in rows], nstruct)
-    if not tab.feasible or tab.dual() == "infeasible":
+    if tab.dual() == "infeasible":
         return "infeasible", None, None, tab.pivots
     cost = [objective[j] * s for j, cols in enumerate(split) for _, s in cols]
     if tab.primal(cost) == "unbounded":
@@ -325,9 +308,11 @@ def _simplex(rows, objective, nonneg, cuts=None):
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve exactly by the simplex driver ``_simplex``, without cuts."""
-    rows = [({j: v for j, v in enumerate(coeffs) if v}, rel, rhs)
-            for coeffs, rel, rhs in lp.constraints]
+    """Solve exactly by the simplex driver ``_simplex``, without cuts; each
+    "==" row goes to it as one "<=" and one ">=" row."""
+    rows = [({j: v for j, v in enumerate(coeffs) if v}, half, rhs)
+            for coeffs, rel, rhs in lp.constraints
+            for half in (("<=", ">=") if rel == "==" else (rel,))]
     status, value, point, _ = _simplex(rows, lp.objective, lp.nonneg)
     if status == "optimal":
         value, point = Fraction(value), tuple(map(Fraction, point))
@@ -358,7 +343,7 @@ class CycleLpResult:
         return self.working
 
 
-def _cutting_plane_lp(flats, scale, objective, equalities=(), nonneg=True):
+def _cutting_plane_lp(flats, scale, objective, floors=(), nonneg=True):
     """Maximize ``objective`` . d subject to every cycle bound of every
     block, by cutting planes: ``_simplex`` with an arc scan as its oracle.
 
@@ -369,12 +354,14 @@ def _cutting_plane_lp(flats, scale, objective, equalities=(), nonneg=True):
     reference row d_i + q_i <= n_ii and its arc rows d_i + q_i - q_j <=
     n_ii - n_ij hold: difference constraints in q, so by the negative-cycle
     theorem some q >= 0 meets them exactly when d meets every cycle bound.
-    Each (u, t) in ``equalities`` fixes user u+1's total to t / scale.
+    Each (u, t) in ``floors`` adds the row: user u+1's total over the
+    blocks is at least t / scale.
 
     The working set starts with each user's reference row and strongest
     incoming arc, lowest j on ties, unless that arc is 0 (the reference row
-    and q_j >= 0 imply it) or ``equalities`` are given (they put each total
-    on the first block, where a seeded arc costs a dual pivot of its own).
+    and q_j >= 0 imply it) or ``floors`` are given (under the all-zero
+    objective the dual simplex brings each total in on the first block's
+    rate, where a seeded arc costs a dual pivot of its own).
     Each round scans the K(K - 1) arcs of every block in integer arithmetic
     and cuts with the max(3, K) most violated per block, ties by (i, j).
     GuardError above MAX_ENUM_USERS, before any LP.  Returns (status,
@@ -402,13 +389,13 @@ def _cutting_plane_lp(flats, scale, objective, equalities=(), nonneg=True):
         seed = []
         for i in range(k):
             j = max((j for j in range(k) if j != i), key=lambda j: flat[i * k + j], default=i)
-            strongest = j != i and flat[i * k + j] and not equalities
+            strongest = j != i and flat[i * k + j] and not floors
             seed += [(i + 1, 0), (i + 1, j + 1)] if strongest else [(i + 1, 0)]
         working.append(seed)
     rows = [(coeffs, "<=", rhs) for m, seed in enumerate(working)
             for coeffs, rhs in (arc(m, i, j) for i, j in seed)]
-    rows += [({m * k + u: 1 for m in range(len(flats))}, "==", total)
-             for u, total in equalities]
+    rows += [({m * k + u: 1 for m in range(len(flats))}, ">=", total)
+             for u, total in floors]
     rounds = 1
 
     def separate(point):

@@ -337,6 +337,17 @@ def separate_tin_decomposable(network: Network, point) -> DecompositionResult:
     maximize the remaining user's total, which infeasibility forces below
     its own target.  That LP may be infeasible too: ``caps`` is empty when
     fixing any K - 1 users at their targets already is.
+
+    Each LP states a user's total as a floor, total >= target, and still
+    answers for the total fixed at its target.  Each sub-channel's region
+    (cycle bounds, whose rate coefficients are 0 or 1, and d >= 0, the
+    engine's ``nonneg=True``) is down-closed, so a point meeting the floors
+    trims to one meeting the targets: lower positive shares of each total
+    above its target t >= 0, and keep the other totals.  So the floors are
+    feasible exactly when the targets are; the split LP, which maximizes
+    minus the allocated total, meets every target exactly at its optimum,
+    or trimming would improve it; and a cap LP, one user's total under
+    floors on the others, has the value it has with the others fixed.
     """
     k = network.users
     m = network.subchannels
@@ -346,9 +357,9 @@ def separate_tin_decomposable(network: Network, point) -> DecompositionResult:
     if any(t < 0 for t in target):
         raise InputError("point coordinates must be nonnegative rates")
     scale, flats, totals = _rescaled(network.matrices, target)
-    fixed = list(enumerate(totals))
+    floors = list(enumerate(totals))
 
-    status, _, sol, *_ = _cutting_plane_lp(flats, scale, [0] * (k * m), fixed)
+    status, _, sol, *_ = _cutting_plane_lp(flats, scale, [-1] * (k * m), floors)
     if status == "optimal":
         allocation = tuple(
             tuple(sol[chan * k:(chan + 1) * k]) for chan in range(m)
@@ -360,7 +371,7 @@ def separate_tin_decomposable(network: Network, point) -> DecompositionResult:
     caps = []
     for user in range(k):
         objective = [int(v % k == user) for v in range(k * m)]
-        others = [f for f in fixed if f[0] != user]
+        others = [f for f in floors if f[0] != user]
         status, cap, *_ = _cutting_plane_lp(flats, scale, objective, others)
         if status != "optimal":
             continue

@@ -42,9 +42,12 @@ def test_example_fixtures_share_their_first_two_subchannels():
 def test_gap_network_parameter_validation():
     gap_network(Fraction(1, 8))
     gap_network("1/5")
-    for bad in (0, Fraction(1, 4), Fraction(-1, 10), 1):
+    for bad in (0, Fraction(1, 4), Fraction(-1, 10), 1, "abc", True, float("nan")):
         with pytest.raises(InputError):
             gap_network(bad)
+    # eps is read by as_rational, a float through its decimal form
+    assert gap_network(0.1) == gap_network()
+    assert gap_network(0.1).matrices[1].entry(1, 3) == Fraction(2, 5)
 
 
 def test_gap_network_structure():

@@ -12,9 +12,17 @@ the oracles of ``tests/oracles.py`` (``full_cycle_lp``,
   the transpose as the cycle does in the matrix, over the same users, so
   the cycle-bound region does not change at all: neither do the LP's
   status and value, the sum, the decomposition verdict or any user's cap.
+* **Doubling.**  The network [A, A] of two copies of sub-channel A splits
+  the target 2t exactly when t lies in A's region R: (t, t) splits 2t when
+  it does, and the mean of the two shares of any split of 2t lies in R,
+  which is convex.  The same two maps carry the cap LPs into each other:
+  a point of [A]'s cap LP at t, taken twice, is a point of [A, A]'s at 2t
+  with twice the objective, and the mean of the shares of a point of [A,
+  A]'s is a point of [A]'s with half of it.  So each cap of [A, A] at 2t is
+  twice the matching cap of [A] at t, and the same caps exist.
 
-Both transformations change the arc rows the cutting-plane engine works
-on, so it reaches each answer along another path.
+Each transformation changes the LPs the cutting-plane engine solves, so
+it reaches each answer along another path.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import pytest
 from oracles import random_det_matrix, random_gdof_matrix, random_strict_tin_matrix
 from tinopt.model import Network, StrengthMatrix
 from tinopt.optimize import solve_cycle_lp, sum_gdof
-from tinopt.region import separate_tin_decomposable
+from tinopt.region import region_contains, separate_tin_decomposable, tin_region
 
 KINDS = ("strict", "gdof", "deterministic")
 
@@ -111,3 +119,25 @@ def test_decomposition_is_invariant(k, mode):
             assert feasible == want[0], name
             assert caps == {user(u - 1) + 1: cap for u, cap in want[1].items()}, name
     assert verdicts == [True, False]
+
+
+@pytest.mark.parametrize("k, mode", ((7, "gdof"), (8, "deterministic")))
+def test_doubling_a_subchannel_doubles_its_region_and_caps(k, mode):
+    # t = c * p, p the cycle LP's point: inside the region for c <= 1 (it
+    # is down-closed), outside for c = 5/4 (past the sum); fixing K - 1
+    # users at 5/4 of p leaves no cap, so p with one user pushed out by 1/2
+    # is a fourth target, one with caps
+    rng = random.Random("metamorphic/double/%s/%d" % (mode, k))
+    mat = _matrix(rng, k, "strict", mode)
+    point, region = solve_cycle_lp(mat).point, tin_region(mat)
+    single = Network(mode=mode, matrices=(mat,))
+    double = Network(mode=mode, matrices=(mat, mat))
+    pushed = list(point)
+    pushed[rng.randrange(k)] += Fraction(1, 2)
+    verdicts = []
+    for target in ([p / 2 for p in point], point, [p * Fraction(5, 4) for p in point], pushed):
+        feasible, caps = _decomposition(double, [2 * t for t in target])
+        assert feasible == region_contains(region, target, users=k).inside
+        assert caps == {u: 2 * cap for u, cap in _decomposition(single, target)[1].items()}
+        verdicts.append((feasible, bool(caps)))
+    assert verdicts == [(True, False), (True, False), (False, False), (False, True)]

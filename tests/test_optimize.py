@@ -46,6 +46,7 @@ from tinopt.optimize import (
     TIE_GUARD,
     LinearProgram,
     _heaviest_permutations,
+    _Tableau,
     _ties,
     all_optimal_partitions,
     best_partition_assignment,
@@ -73,6 +74,16 @@ def test_lp_build_validation():
         LinearProgram.build([1, 1], [], nonneg=(True,))
     lp = LinearProgram.build([1], [([2], "=", 3)])
     assert lp.constraints[0][1] == "=="
+    # numbers are read by as_rational: a float through its decimal form,
+    # a bool, a non-number or a NaN as an input error
+    assert solve_lp(LinearProgram.build([0.1], [([1], "<=", 1)])).value == Fraction(1, 10)
+    assert LinearProgram.build([1], [([0.5], ">=", "1/3")]).constraints == (
+        ((Fraction(1, 2),), ">=", Fraction(1, 3)),)
+    for objective, constraints in (([True], [([1], "<=", 1)]), (["x"], []),
+                                   ([1], [([1], "<=", float("nan"))]),
+                                   ([1], [([False], "<=", 1)])):
+        with pytest.raises(InputError):
+            LinearProgram.build(objective, constraints)
 
 
 def test_caution_lp_both_ways():
@@ -103,6 +114,13 @@ def test_lp_equalities_and_negative_rhs():
     assert sol.value == 8 and sol.point == (0, 4)
 
 
+def test_tableau_rows_each_get_a_slack_and_an_equality_fails_loudly():
+    tab = _Tableau([({0: 1, 1: 2}, "<=", 4), ({1: 1}, ">=", 1)], 2)
+    assert tab.basis == [2, 3] and tab.rows == [[1, 2, 1, 0, 4], [0, -1, 0, 1, -1]]
+    with pytest.raises(KeyError):
+        _Tableau([({0: 1}, "==", 1)], 1)
+
+
 @pytest.mark.parametrize("objective, constraints, status", [
     ([1, 1], [([1, 1], "==", 3), ([2, 2], "==", 6), ([1, 0], "<=", 2)],
      "optimal"),
@@ -114,10 +132,10 @@ def test_lp_equalities_and_negative_rhs():
      "optimal"),
 ], ids=["redundant", "contradicting", "degenerate-start"])
 def test_lp_degenerate_redundant_equalities(objective, constraints, status):
-    # a dependent "==" row has no structural entry left to pivot on: it is
-    # dropped when it agrees with the rows before it and makes the LP
-    # infeasible otherwise; four ">=" rows through (1, 1, 1), none of which
-    # the origin obeys, leave the dual simplex a degenerate start
+    # solve_lp splits each "==" row into a "<=" and a ">=" row: a dependent
+    # pair is redundant when it agrees with the rows before it and makes
+    # the LP infeasible otherwise; four ">=" rows through (1, 1, 1), none of
+    # which the origin obeys, leave the dual simplex a degenerate start
     lp = LinearProgram.build(objective, constraints)
     sol = solve_lp(lp)
     assert sol.status == status

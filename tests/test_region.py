@@ -338,7 +338,7 @@ def test_gap_point_is_not_decomposable_but_ones_are():
     assert totals == [1, 1, 1]
 
 
-# the equality rows leave only the reference rows in the seed
+# the user totals' floor rows leave only the reference rows in the seed
 _REFS = [(1, 0), (2, 0), (3, 0)]
 _RING = [(1, 2), (2, 3), (3, 1)]
 
@@ -350,9 +350,9 @@ _RING = [(1, 2), (2, 3), (3, 1)]
 ], ids=["gap-point", "ones"])
 def test_decomposition_lp_counters_are_pinned(point, status, working, rounds,
                                               pivots):
-    # the joint LP of a decomposition is the one LP with equality rows (the
-    # user totals), each made basic by one pivot before the dual simplex,
-    # and cuts; pin its path on gap_network
+    # the joint LP of a decomposition puts a floor row on each user total,
+    # which the dual simplex brings in on the first block's rate, and cuts;
+    # pin its path on gap_network under the all-zero objective
     net = gap_network()
     target = tuple(Fraction(t) for t in point)
     scale, flats, totals = _rescaled(net.matrices, target)

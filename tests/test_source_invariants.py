@@ -2,7 +2,8 @@
 runtime imports only the standard library, no code uses floating point
 (``as_rational`` may still test ``isinstance(value, float)`` to convert a
 JSON float through its decimal string), each module imports only modules
-of lower layers, and ``region`` alone holds the bound tables."""
+of lower layers, ``region`` alone holds the bound tables, and only
+``LinearProgram`` and ``solve_lp`` handle an "==" relation."""
 
 from __future__ import annotations
 
@@ -76,6 +77,49 @@ def _table_violations(source: str) -> list:
             found += [(node.lineno, "defines", target.id) for target in node.targets
                       if isinstance(target, ast.Name)]
     return [(line, verb + " " + name) for line, verb, name in found if name in BOUND_TABLES]
+
+
+# the only places an "==" relation may appear: LinearProgram accepts it and
+# solve_lp hands it to the simplex driver as a "<=" and a ">=" row, so every
+# tableau row, a decomposition LP's user totals included, has its own slack
+EQUALITY_OWNERS = {"optimize": {"_RELS", "LinearProgram", "solve_lp"}}
+
+
+def _equality_violations(source: str, owners=frozenset()) -> list:
+    """(line, where) for each "==" string constant outside the top-level
+    definitions and assignments named in ``owners``."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            names = [top.name]
+        elif isinstance(top, ast.Assign):
+            names = [target.id for target in top.targets if isinstance(target, ast.Name)]
+        else:
+            names = []
+        if not owners.intersection(names):
+            found += [(node.lineno, "in " + (names[0] if names else "<module>"))
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Constant) and node.value == "=="]
+    return sorted(found)
+
+
+def test_the_equality_scan_finds_planted_violations():
+    planted = ('_RELS = ("<=", "==")\nclass LinearProgram:\n    rel = "=="\n'
+               'class _Tableau:\n    def __init__(self, rel):\n        self.eq = rel == "=="\n'
+               'def _cutting_plane_lp():\n    return ">=", "=="\nif rel == "==":\n    pass\n'
+               'def solve_lp():\n    """an "==" row in a docstring is no relation"""\n')
+    assert _equality_violations(planted, EQUALITY_OWNERS["optimize"]) == [
+        (6, "in _Tableau"), (8, "in _cutting_plane_lp"), (9, "in <module>")]
+    assert _equality_violations(planted) == [
+        (1, "in _RELS"), (3, "in LinearProgram"), (6, "in _Tableau"),
+        (8, "in _cutting_plane_lp"), (9, "in <module>")]
+
+
+def test_only_linear_program_and_solve_lp_handle_equalities():
+    found = {path.stem: _equality_violations(path.read_text(),
+                                             EQUALITY_OWNERS.get(path.stem, frozenset()))
+             for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_the_layering_scan_finds_planted_violations():
