@@ -27,7 +27,6 @@ from .detmodel import (
     best_tin_scheme,
     bipartite_acyclic,
     build_gf2_system,
-    channel_output,
     check_3user_condition,
     dominant_partition_check,
     find_dominant_optimal,

@@ -103,15 +103,6 @@ class Cycle:
             (users[t], users[(t + 1) % len(users)]) for t in range(len(users))
         )
 
-    def predecessor(self, k: int) -> int:
-        """The user preceding k along the cycle (k itself for trivial cycles)."""
-        users = self.users
-        try:
-            pos = users.index(k)
-        except ValueError:
-            raise InputError("user %s is not on cycle %s" % (_shown(k), self)) from None
-        return users[pos - 1]
-
     def weight(self, matrix: StrengthMatrix) -> Fraction:
         return sum((matrix.edge_weight(i, j) for i, j in self.edges()), Fraction(0))
 
@@ -151,15 +142,6 @@ class CyclicPartition:
     def __str__(self):
         return "{" + ", ".join(str(c) for c in self.cycles) + "}"
 
-    def predecessor(self, k: int) -> "int | None":
-        """Predecessor of user k, or None when k sits on a trivial cycle."""
-        for cyc in self.cycles:
-            if k in cyc.users:
-                if cyc.trivial:
-                    return None
-                return cyc.predecessor(k)
-        raise InputError("user %s is not covered by %s" % (_shown(k), self))
-
     def predecessors(self) -> tuple:
         """Predecessor vector (index k-1 for user k); 0 marks trivial cycles."""
         out = [0] * self.users
@@ -171,27 +153,16 @@ class CyclicPartition:
                 out[u - 1] = users[t - 1]
         return tuple(out)
 
-    def participating_edges(self) -> tuple:
-        """All cross edges (i, j) traversed by the partition's cycles."""
-        out = []
-        for cyc in self.cycles:
-            out.extend(cyc.edges())
-        return tuple(sorted(out))
-
     def weight(self, matrix: StrengthMatrix) -> Fraction:
         return sum((cyc.weight(matrix) for cyc in self.cycles), Fraction(0))
 
-    def to_permutation(self) -> tuple:
-        """The predecessor map as a permutation (fixed point = trivial cycle)."""
-        pred = self.predecessors()
-        return tuple(p if p != 0 else k + 1 for k, p in enumerate(pred))
-
     @classmethod
     def from_permutation(cls, perm) -> "CyclicPartition":
-        """Inverse of :meth:`to_permutation`.
+        """The partition whose predecessor map is the permutation ``perm``.
 
         ``perm[k-1]`` is the predecessor of user k (k itself for a trivial
-        cycle).  Must be a permutation of 1..K.
+        cycle, where :meth:`predecessors` has 0).  Must be a permutation of
+        1..K.
         """
         perm = tuple(perm)
         k = len(perm)

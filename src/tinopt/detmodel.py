@@ -42,7 +42,6 @@ __all__ = [
     "GF2_BIT_GUARD",
     "SCHEME_CELL_GUARD",
     "participating_levels",
-    "channel_output",
     "Gf2System",
     "build_gf2_system",
     "InvertibilityCertificate",
@@ -73,39 +72,6 @@ SCHEME_CELL_GUARD = 2_000_000
 def _require_deterministic(matrix: StrengthMatrix, what: str) -> None:
     if matrix.mode != "deterministic":
         raise InputError("%s requires a deterministic-mode matrix" % what)
-
-
-# ---------------------------------------------------------------------------
-# the bit-level channel
-# ---------------------------------------------------------------------------
-
-def channel_output(matrix: StrengthMatrix, inputs) -> tuple:
-    """Receiver outputs for explicit input bit streams.
-
-    ``inputs[i-1]`` is transmitter i's bit sequence, most significant
-    (highest) bit first.  Output k is the XOR of floor(2^{n_ki} X_i) over
-    every transmitter, as a plain integer.
-    """
-    _require_deterministic(matrix, "channel_output")
-    k = matrix.users
-    if len(inputs) != k:
-        raise InputError("need %d input streams, got %d" % (k, len(inputs)))
-    streams = []
-    for i, bits in enumerate(inputs, start=1):
-        bits = tuple(bits)
-        if any(b not in (0, 1) for b in bits):
-            raise InputError("transmitter %d input must be 0/1 bits" % i)
-        streams.append(bits)
-    _, flat = matrix.scaled
-    out = []
-    for rx in range(k):
-        y = 0
-        for n, bits in zip(flat[rx * k:(rx + 1) * k], streams):
-            for t in range(1, min(n, len(bits)) + 1):
-                if bits[t - 1]:
-                    y ^= 1 << (n - t)
-        out.append(y)
-    return tuple(out)
 
 
 def _widths(flat, predecessors) -> tuple:

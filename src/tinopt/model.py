@@ -93,19 +93,19 @@ def as_rational(value) -> Fraction:
     rejected from its length and exponent, before it is parsed.
     """
     if isinstance(value, bool):
-        raise InputError("boolean is not a valid channel strength: %r" % (value,))
+        raise InputError("boolean is not a valid rational: %r" % (value,))
     if isinstance(value, Fraction):
         frac = value
     elif isinstance(value, int):
         frac = Fraction(value)
     elif isinstance(value, float):
         if not math.isfinite(value):
-            raise InputError("non-finite channel strength: %r" % (value,))
+            raise InputError("non-finite rational: %r" % (value,))
         frac = Fraction(str(value))
     elif isinstance(value, str):
         frac = _parse_rational(value.strip())
     else:
-        raise InputError("cannot interpret %s as a rational strength" % _shown(value))
+        raise InputError("cannot interpret %s as a rational" % _shown(value))
     if abs(frac.numerator) >= _RATIONAL_LIMIT or frac.denominator >= _RATIONAL_LIMIT:
         raise _too_large(value)
     return frac
@@ -281,22 +281,6 @@ class StrengthMatrix:
             return Fraction(0)
         return self.entry(i, j)
 
-    def submatrix(self, users) -> "StrengthMatrix":
-        """Restriction to a subset of users (given as 1-based indices).
-
-        Equivalent to silencing all other transmitters and receivers; the
-        surviving users keep their relative order and are re-indexed 1..|S|.
-        """
-        sel = sorted(set(users))
-        if not sel:
-            raise InputError("submatrix needs at least one user")
-        if sel[0] < 1 or sel[-1] > self.users:
-            raise InputError("submatrix users out of range: %s" % _shown(sel))
-        rows = tuple(
-            tuple(self.entries[j - 1][i - 1] for i in sel) for j in sel
-        )
-        return StrengthMatrix(mode=self.mode, entries=rows)
-
 
 def _as_rows(values):
     """Normalize flat-K^2 or nested lists into a list of rows."""
@@ -388,13 +372,6 @@ class Network:
     @property
     def subchannels(self) -> int:
         return len(self.matrices)
-
-    def matrix(self, m: int) -> StrengthMatrix:
-        """The m-th sub-channel's matrix (1-based)."""
-        if not (1 <= m <= self.subchannels):
-            raise InputError("sub-channel index out of range 1..%d: %s"
-                             % (self.subchannels, _shown(m)))
-        return self.matrices[m - 1]
 
 
 # ---------------------------------------------------------------------------

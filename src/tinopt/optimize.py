@@ -77,11 +77,11 @@ class LinearProgram:
     """maximize objective . x subject to linear constraints.
 
     ``constraints`` is a sequence of (coefficients, relation, rhs) triples
-    with relation one of "<=", ">=", "==" ("=" is read as "==").  Every
-    coefficient and rhs is read by ``model.as_rational``, so a float is
-    read through its decimal form.  ``nonneg`` is either a single bool
-    applying to every variable or a per-variable sequence; False means the
-    variable is free (unrestricted in sign).
+    with relation one of "<=", ">=", "==".  Every coefficient and rhs is
+    read by ``model.as_rational``, so a float is read through its decimal
+    form.  ``nonneg`` is either a single bool applying to every variable or
+    a per-variable sequence; False means the variable is free (unrestricted
+    in sign).
     """
 
     objective: tuple
@@ -99,8 +99,6 @@ class LinearProgram:
                 raise InputError(
                     "constraint has %d coefficients, expected %d" % (len(coeffs), n)
                 )
-            if rel == "=":
-                rel = "=="
             if rel not in _RELS:
                 raise InputError("unknown relation %s" % _shown(rel))
             rows.append((coeffs, rel, as_rational(rhs)))

@@ -67,10 +67,6 @@ class RegionConstraint(NamedTuple):
     def holds(self, point) -> bool:
         return self.evaluate(point) <= self.rhs
 
-    def __str__(self):
-        lhs = " + ".join("d%d" % k for k in self.users)
-        return "%s <= %s" % (lhs, self.rhs)
-
 
 _constraint = partial(tuple.__new__, RegionConstraint)   # from a (users, rhs, cycle) row
 

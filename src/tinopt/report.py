@@ -26,7 +26,6 @@ __all__ = [
     "tin_repr",
     "sum_repr",
     "network_sum_repr",
-    "constraint_repr",
     "region_repr",
     "membership_repr",
     "combined_repr",
@@ -91,10 +90,6 @@ def network_sum_repr(nsum) -> dict:
         "total": frac(nsum.total),
         "label": nsum.label,
     }
-
-
-def constraint_repr(con) -> dict:
-    return region_repr((con,))[0]
 
 
 def region_repr(constraints) -> list:

@@ -25,7 +25,6 @@ from tinopt.cycles import enumerate_cycles, enumerate_partitions, partition_boun
 from tinopt.detmodel import (
     SCHEME_CELL_GUARD,
     BestTinScheme,
-    channel_output,
     invertible_gf2,
     participating_levels,
 )
@@ -170,6 +169,15 @@ def heaviest_permutations(matrix):
     return Fraction(best, scale), tied, canonical
 
 
+def submatrix(matrix, users):
+    """The matrix restricted to a subset of users (1-based indices): every
+    other transmitter and receiver is silenced, and the survivors keep
+    their order, re-indexed 1..|S|."""
+    sel = sorted(set(users))
+    return StrengthMatrix(mode=matrix.mode, entries=tuple(
+        tuple(matrix.entries[j - 1][i - 1] for i in sel) for j in sel))
+
+
 def subset_bounds(network):
     """{subset: bound} for every user subset, by size and then
     lexicographically: the tightest ``partition_bound`` over
@@ -179,7 +187,7 @@ def subset_bounds(network):
     out = {}
     for size in range(1, k + 1):
         for subset in itertools.combinations(range(1, k + 1), size):
-            subs = [mat.submatrix(subset) for mat in network.matrices]
+            subs = [submatrix(mat, subset) for mat in network.matrices]
             out[subset] = sum(
                 (min(partition_bound(part, sub)
                      for part in enumerate_partitions(size)) for sub in subs),
@@ -347,6 +355,24 @@ def interference_view(matrix):
         for i in range(k)
     )
     return StrengthMatrix(mode="deterministic", entries=rows)
+
+
+def channel_output(matrix, inputs):
+    """Receiver outputs of the literal bit channel for explicit inputs.
+
+    ``inputs[i-1]`` is transmitter i's bit sequence b_1 b_2 ... b_L, most
+    significant bit first, so X_i = 0.b_1 b_2 ... b_L in binary.  Output k
+    is the XOR over every transmitter of floor(2^{n_ki} X_i), as a plain
+    integer: with v the bits read as an L-bit integer, X_i = v / 2^L and
+    the floor is (v << n_ki) >> L."""
+    out = []
+    for row in matrix.entries:
+        y = 0
+        for n, bits in zip(row, inputs):
+            v = sum(b << (len(bits) - t) for t, b in enumerate(bits, start=1))
+            y ^= (v << int(n)) >> len(bits)
+        out.append(y)
+    return tuple(out)
 
 
 def participating_streams(widths, packed):

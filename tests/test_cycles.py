@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import cycle_bound_rhs, cycle_weight
+from oracles import cycle_bound_rhs, cycle_weight, submatrix
 from tinopt.cycles import (
     MAX_ENUM_USERS,
     Cycle,
@@ -62,13 +62,11 @@ def test_cycle_edges_follow_listing_order():
 
 
 def test_cycle_predecessor():
-    cyc = Cycle((1, 2, 3))
-    assert cyc.predecessor(1) == 3
-    assert cyc.predecessor(2) == 1
-    assert cyc.predecessor(3) == 2
-    assert Cycle((7,)).predecessor(7) == 7
-    with pytest.raises(InputError):
-        cyc.predecessor(9)
+    # each listed user precedes the next one, in any rotation of the listing
+    for users in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        assert CyclicPartition((Cycle(users),)).predecessors() == (3, 1, 2)
+    assert CyclicPartition((Cycle((1, 3, 2)),)).predecessors() == (2, 3, 1)
+    assert CyclicPartition((Cycle((1,)),)).predecessors() == (0,)
 
 
 def test_cycle_weight_and_bound():
@@ -102,19 +100,14 @@ def test_partition_validation():
 
 def test_partition_predecessors_and_sentinel():
     part = CyclicPartition((Cycle((1, 2, 3)), Cycle((4,))))
-    assert part.predecessor(1) == 3
-    assert part.predecessor(4) is None
     assert part.predecessors() == (3, 1, 2, 0)
     assert str(part) == "{(1,2,3), (4)}"
-    with pytest.raises(InputError):
-        part.predecessor(5)
 
 
 def test_partition_permutation_bijection():
     part = CyclicPartition((Cycle((1, 2, 3)), Cycle((4,))))
-    perm = part.to_permutation()
-    assert perm == (3, 1, 2, 4)
-    assert CyclicPartition.from_permutation(perm) == part
+    assert CyclicPartition.from_permutation((3, 1, 2, 4)) == part
+    assert part.predecessors() == (3, 1, 2, 0)
     with pytest.raises(InputError):
         CyclicPartition.from_permutation((1, 1, 3))
 
@@ -129,10 +122,14 @@ def test_from_permutation_walks_orbits_in_traversal_order():
 
 
 def test_participating_edges():
+    # the cross edges a partition traverses are its cycles' edges, and
+    # they alone make up its weight
     part = CyclicPartition((Cycle((1, 2)), Cycle((3,))))
-    assert part.participating_edges() == ((1, 2), (2, 1))
+    assert [cyc.edges() for cyc in part.cycles] == [((1, 2), (2, 1)), ()]
     full = CyclicPartition((Cycle((1, 3, 2)),))
-    assert full.participating_edges() == ((1, 3), (2, 1), (3, 2))
+    edges = sorted(edge for cyc in full.cycles for edge in cyc.edges())
+    assert edges == [(1, 3), (2, 1), (3, 2)]
+    assert full.weight(MAT) == sum(MAT.edge_weight(i, j) for i, j in edges) == 2 + 3 + 6
 
 
 def test_partition_bound_matches_manual_sum():
@@ -141,13 +138,12 @@ def test_partition_bound_matches_manual_sum():
     assert part.weight(MAT) == 4
     assert partition_bound(part, MAT) == 27 - 4
     with pytest.raises(InputError):
-        partition_bound(part, MAT.submatrix([1, 2]))
+        partition_bound(part, submatrix(MAT, [1, 2]))
 
 
 @given(st.permutations(list(range(1, 7))))
 def test_permutation_roundtrip(perm):
     part = CyclicPartition.from_permutation(tuple(perm))
-    assert part.to_permutation() == tuple(perm)
     # predecessors really are the permutation (0 rewritten to the user itself)
     pred = part.predecessors()
     rebuilt = tuple(p if p != 0 else k + 1 for k, p in enumerate(pred))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     best_tin_scheme_sweep,
+    channel_output,
     exhaustive_injectivity,
     kernel_maps_to_zero,
     per_tie_certificates,
@@ -28,7 +29,6 @@ from tinopt.detmodel import (
     best_tin_scheme,
     bipartite_acyclic,
     build_gf2_system,
-    channel_output,
     check_3user_condition,
     dominant_partition_check,
     find_dominant_optimal,
@@ -77,7 +77,7 @@ def _det(rows):
 
 
 # ---------------------------------------------------------------------------
-# the literal channel
+# the literal channel (the oracle the GF(2) verdicts are checked against)
 # ---------------------------------------------------------------------------
 
 
@@ -95,17 +95,6 @@ def test_channel_output_superposes_by_xor():
     # rx1: floor(4 * 0.11b) ^ floor(2 * 0.1b) = 3 ^ 1
     # rx2: floor(4 * 0.11b) ^ floor(8 * 0.1b) = 3 ^ 4
     assert out == (2, 7)
-
-
-def test_channel_output_validation():
-    mat = _det([[1, 0], [0, 1]])
-    with pytest.raises(InputError):
-        channel_output(mat, ((1,),))          # one stream missing
-    with pytest.raises(InputError):
-        channel_output(mat, ((2,), (0,)))     # not a bit
-    gdof = StrengthMatrix.from_values("gdof", [[1]])
-    with pytest.raises(InputError):
-        channel_output(gdof, ((1,),))
 
 
 def test_participating_levels():
@@ -295,7 +284,7 @@ def test_acyclic_fixture_is_a_forest_and_dominant():
     parts = all_optimal_partitions(mat)
     assert len(parts) == 1
     part = parts[0]
-    assert part.to_permutation() == (4, 1, 2, 3)
+    assert part.predecessors() == (4, 1, 2, 3)
     assert bipartite_acyclic(mat, part)
     assert dominant_partition_check(mat, part)
     cert = invertible_gf2(mat, part)

@@ -20,6 +20,27 @@ the oracles of ``tests/oracles.py`` (``full_cycle_lp``,
   with twice the objective, and the mean of the shares of a point of [A,
   A]'s is a point of [A]'s with half of it.  So each cap of [A, A] at 2t is
   twice the matching cap of [A] at t, and the same caps exist.
+* **Scaling.**  Multiplying every entry by a rational c > 0 multiplies
+  every desired strength and every cycle weight by c, so every cycle
+  bound's right-hand side too: the region of the scaled matrix is c times
+  the region.  The cycle LP keeps its status (d = 0 is feasible exactly
+  when every right-hand side is nonnegative, which c keeps), and an
+  optimum d maps to c d, so its value is c times the old one.  Every
+  partition bound scales by c, so the sum does, and the TIN condition
+  n_ii >= max_j n_ji + max_k n_ik (strict: >) is homogeneous, so the
+  verdict and the sum's label stay.  On a network, the splits of c t over
+  the scaled regions are the splits of t over the regions, times c, so the
+  ``decompose`` verdict at c t is the one at t, and every cap, the optimum
+  of an LP over those splits, is c times the old cap.  The common
+  denominator changes with c, so this reaches ``scaled`` and ``_rescaled``
+  along another path.
+* **Monotonicity.**  The partition bound is the sum of the desired
+  strengths minus the heaviest partition weight, and self-edges weigh 0:
+  raising n_ii by delta raises the sum by delta and moves no partition's
+  weight, so the bound rises by exactly delta.  Raising a cross link n_ij
+  by delta raises the weight of each partition that uses the edge e_ij by
+  delta and moves no other, so the heaviest weight does not fall and the
+  bound does not rise.
 
 Each transformation changes the LPs the cutting-plane engine solves, so
 it reaches each answer along another path.
@@ -33,7 +54,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import random_det_matrix, random_gdof_matrix, random_strict_tin_matrix
-from tinopt.model import Network, StrengthMatrix
+from tinopt.model import Network, StrengthMatrix, check_tin
 from tinopt.optimize import solve_cycle_lp, sum_gdof
 from tinopt.region import region_contains, separate_tin_decomposable, tin_region
 
@@ -141,3 +162,65 @@ def test_doubling_a_subchannel_doubles_its_region_and_caps(k, mode):
         assert caps == {u: 2 * cap for u, cap in _decomposition(single, target)[1].items()}
         verdicts.append((feasible, bool(caps)))
     assert verdicts == [(True, False), (True, False), (False, False), (False, True)]
+
+
+def scale(mat, c):
+    """``mat`` with every entry multiplied by c, as a gdof matrix."""
+    return StrengthMatrix(mode="gdof", entries=tuple(
+        tuple(c * entry for entry in row) for row in mat.entries))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", (7, 8, 9))
+def test_scaling_scales_the_sum_and_keeps_the_verdicts(k, kind):
+    rng = random.Random("metamorphic/scale/%s/%d" % (kind, k))
+    mat = _matrix(rng, k, kind)
+    (status, value), total, tin = _lp(mat), sum_gdof(mat), check_tin(mat)
+    for c in (Fraction(3, 2), Fraction(2, 7)):
+        image = scale(mat, c)
+        assert _lp(image) == (status, None if value is None else c * value), c
+        moved = sum_gdof(image)
+        assert (moved.value, moved.label) == (c * total.value, total.label), c
+        verdict = check_tin(image)
+        assert (verdict.satisfied, verdict.strict) == (tin.satisfied, tin.strict), c
+
+
+@pytest.mark.parametrize("mode", ("gdof", "deterministic"))
+def test_scaling_scales_the_decomposition_caps(mode):
+    # the targets of test_doubling_a_subchannel_doubles_its_region_and_caps,
+    # on a network of two sub-channels; the pushed one moves by 1/7, so the
+    # target brings its own denominator into the common one
+    rng = random.Random("metamorphic/scale-decompose/%s" % mode)
+    k, c = 7, Fraction(5, 3)
+    mats = tuple(_matrix(rng, k, "strict", mode) for _ in range(2))
+    net = Network(mode=mode, matrices=mats)
+    image = Network(mode="gdof", matrices=tuple(scale(mat, c) for mat in mats))
+    split = [sum(col) for col in zip(*(solve_cycle_lp(mat).point for mat in mats))]
+    pushed = list(split)
+    pushed[rng.randrange(k)] += Fraction(1, 7)
+    verdicts = []
+    for target in ([t / 2 for t in split], split, [t * Fraction(5, 4) for t in split], pushed):
+        feasible, caps = _decomposition(net, target)
+        assert _decomposition(image, [c * t for t in target]) == (
+            feasible, {u: c * cap for u, cap in caps.items()})
+        verdicts.append((feasible, bool(caps)))
+    assert verdicts == [(True, False), (True, False), (False, False), (False, True)]
+
+
+def _raised(mat, i, j, delta):
+    """``mat`` with entry (i, j) (0-based) raised by delta."""
+    rows = [list(row) for row in mat.entries]
+    rows[i][j] += delta
+    return StrengthMatrix(mode=mat.mode, entries=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", (7, 8, 9))
+def test_partition_bound_is_monotone(k, kind):
+    rng = random.Random("metamorphic/monotone/%s/%d" % (kind, k))
+    mat = _matrix(rng, k, kind)
+    bound = sum_gdof(mat).methods["brute_force"]
+    i, j = rng.sample(range(k), 2)
+    delta = Fraction(rng.randint(1, 4))
+    assert sum_gdof(_raised(mat, i, i, delta)).methods["brute_force"] == bound + delta
+    assert sum_gdof(_raised(mat, i, j, delta)).methods["brute_force"] <= bound

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    best_tin_scheme_sweep,
     brute_min_assignment,
     full_cycle_lp,
     heaviest_partitions,
@@ -31,7 +32,7 @@ from tinopt.cycles import (
     enumerate_cycles,
     enumerate_partitions,
 )
-from tinopt.detmodel import tin_feasible
+from tinopt.detmodel import best_tin_scheme, tin_feasible
 from tinopt.fixtures import caution_lp, example1
 from tinopt.model import (
     CrossCheckError,
@@ -72,18 +73,23 @@ def test_lp_build_validation():
         LinearProgram.build([1], [([1], "<", 2)])
     with pytest.raises(InputError):
         LinearProgram.build([1, 1], [], nonneg=(True,))
-    lp = LinearProgram.build([1], [([2], "=", 3)])
-    assert lp.constraints[0][1] == "=="
+    with pytest.raises(InputError):
+        LinearProgram.build([1], [([2], "=", 3)])
     # numbers are read by as_rational: a float through its decimal form,
     # a bool, a non-number or a NaN as an input error
     assert solve_lp(LinearProgram.build([0.1], [([1], "<=", 1)])).value == Fraction(1, 10)
     assert LinearProgram.build([1], [([0.5], ">=", "1/3")]).constraints == (
         ((Fraction(1, 2),), ">=", Fraction(1, 3)),)
+    # (none of them is a channel strength, and no message calls it one)
     for objective, constraints in (([True], [([1], "<=", 1)]), (["x"], []),
                                    ([1], [([1], "<=", float("nan"))]),
-                                   ([1], [([False], "<=", 1)])):
-        with pytest.raises(InputError):
+                                   ([1], [([False], "<=", 1)]), ([True], []),
+                                   ([object()], []), ([1], [([1], "<=", True)])):
+        with pytest.raises(InputError) as exc:
             LinearProgram.build(objective, constraints)
+        assert "strength" not in str(exc.value)
+    with pytest.raises(InputError, match="^boolean is not a valid rational: True$"):
+        LinearProgram.build([True], [])
 
 
 def test_caution_lp_both_ways():
@@ -288,7 +294,8 @@ def test_scan_views_match_partition_oracle(seed, k, tied):
     rng = random.Random(seed)
     mat = _tied_matrix(rng, k) if tied else random_gdof_matrix(rng, k)
     best, ties, lexmin = heaviest_partitions(mat)
-    assert brute_force_best_weight(mat) == (best, lexmin.to_permutation())
+    weight, perm = brute_force_best_weight(mat)
+    assert weight == best and CyclicPartition.from_permutation(perm) == lexmin
     assert all_optimal_partitions(mat) == ties
     assert optimal_partition(mat) == lexmin
 
@@ -568,6 +575,32 @@ def test_cycle_lp_powers_certify_the_point(k, mode):
             diag = sum(map(mat.desired, range(1, k + 1)))
             assert res.value == diag - brute_force_best_weight(mat)[0]
     assert optimal >= 6
+
+
+def test_cycle_lp_equals_the_best_tin_scheme():
+    # in deterministic mode the cycle bounds at d are the difference
+    # constraints of a TIN scheme for d (the potential argument), and
+    # integer data admit integer backoffs: so the cycle LP is feasible
+    # exactly when some TIN scheme is, its optimum is the best scheme's
+    # sum, and its own rates and backoffs form such a scheme
+    rng = random.Random("lp-vs-scheme")
+    optimal = swept = 0
+    for k in range(1, 7):
+        for draw in range(60):
+            if draw % 2:
+                mat = random_strict_tin_matrix(rng, k, mode="deterministic")
+            else:
+                mat = random_det_matrix(rng, k, hi=4)
+            res, scheme = solve_cycle_lp(mat), best_tin_scheme(mat)
+            assert res.optimal == scheme.found
+            if res.optimal:
+                optimal += 1
+                assert res.value == scheme.sum_rate
+                assert tin_feasible(mat, res.point, res.powers)
+            if k <= 4:
+                swept += 1
+                assert best_tin_scheme_sweep(mat) == scheme
+    assert optimal >= 200 and swept == 240
 
 
 def test_redundancy_check_true_under_strict_tin_false_otherwise():

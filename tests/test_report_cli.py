@@ -137,7 +137,8 @@ def test_region_repr_renders_each_distinct_bound_once(monkeypatch):
     # K = 8: 16,072 rows over a few hundred distinct bound objects
     rng = random.Random("region_repr")
     mats = [random_gdof_matrix(rng, 8) for _ in range(2)]
-    want = [[report.constraint_repr(c) for c in tin_region(mat)] for mat in mats]
+    want = [[{"users": c.users, "rhs": frac(c.rhs), "cycle": c.cycle.users}
+             for c in tin_region(mat)] for mat in mats]
     calls = []
 
     def counted(x):
@@ -561,6 +562,16 @@ def test_missing_and_malformed_files_exit_2(tmp_path, capsys):
     bad.write_text("{oops")
     code, _, err = run_cli(capsys, "sum", str(bad))
     assert code == 2 and "invalid JSON" in err
+
+
+def test_boolean_entry_exits_2(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text('{"mode": "gdof", "users": 1, "subchannels": 1, '
+                    '"matrices": [[true]]}')
+    for argv in (("sum", str(path)), ("sum", "--json", str(path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: boolean is not a valid rational: True\n"
 
 
 def test_bad_point_and_partition_exit_2(nets, capsys):
