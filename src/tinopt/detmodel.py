@@ -26,21 +26,20 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
-from operator import sub
 
 from .cycles import CyclicPartition, _check_covers
 from .model import (
+    CrossCheckError,
     GuardError,
     InputError,
     Network,
     StrengthMatrix,
     as_rational,
 )
-from .optimize import all_optimal_partitions, network_sum
+from .optimize import all_optimal_partitions, network_sum, solve_cycle_lp
 
 __all__ = [
     "GF2_BIT_GUARD",
-    "SCHEME_CELL_GUARD",
     "participating_levels",
     "Gf2System",
     "build_gf2_system",
@@ -66,7 +65,6 @@ __all__ = [
 ]
 
 GF2_BIT_GUARD = 4096
-SCHEME_CELL_GUARD = 2_000_000
 
 
 def _require_deterministic(matrix: StrengthMatrix, what: str) -> None:
@@ -452,6 +450,9 @@ def tin_feasible(matrix: StrengthMatrix, rates, powers) -> bool:
 
         R_k <= n_kk - delta_k
         n_kk - delta_k - R_k >= max_{j != k} max(n_kj - delta_j, 0)
+
+    These are the cycle LP's reference and arc rows, in d = R and
+    q = delta, over which ``best_tin_scheme`` maximizes the sum.
     """
     _require_deterministic(matrix, "tin_feasible")
     k = matrix.users
@@ -485,95 +486,24 @@ class BestTinScheme:
 
 
 def best_tin_scheme(matrix: StrengthMatrix) -> BestTinScheme:
-    """Exact search over integer backoff vectors for the best TIN sum.
+    """The best integer TIN scheme: the cycle LP's optimum (``solve_cycle_lp``).
 
-    Backoff k is capped at min(n_kk, max_j n_jk): backing off past your own
-    link kills your rate, and past your strongest outgoing interference it
-    stops helping anyone.  An integer optimum always exists because the
-    feasibility constraints are difference constraints with integer data.
-    The box of capped backoffs is guarded at ``SCHEME_CELL_GUARD`` cells,
-    counted before any cell is visited.
-
-    The box is walked depth first in lexicographic order (user 1's backoff
-    varies slowest), iteratively, carrying each receiver's interference
-    from the backoffs fixed so far, max(0, n_uj - delta_j), at O(K) per
-    node.  Fixing more backoffs only raises that interference, so a subtree
-    is skipped exactly when it cannot change the answer:
-
-    - the user being fixed already has a negative rate: every larger
-      backoff for it fails too, so its remaining values are skipped;
-    - some user already has a negative rate, counting each open backoff as
-      0: every cell below is infeasible;
-    - the rates so far, with each open backoff counted as 0, add up to at
-      most the best sum found: no cell below beats it.
-
-    The best scheme is replaced only by a strictly greater sum, so the
-    answer is the first optimum in lexicographic backoff order, as a
-    cell-by-cell scan of the box would report.
+    The LP's rows in rates d and backoffs q are exactly ``tin_feasible``'s
+    conditions, so its optimum is the best TIN sum, and they are totally
+    unimodular in (d + q, q) (Hoffman & Kruskal 1956): on bit levels its
+    vertex is integral, an integer scheme.  No scheme exists exactly when
+    the LP is infeasible.  GuardError above MAX_ENUM_USERS, before any LP.
     """
     _require_deterministic(matrix, "best_tin_scheme")
-    k = matrix.users
-    _, flat = matrix.scaled
-    diag = list(flat[::k + 1])
-    caps = []
-    for u in range(k):
-        colmax = max((flat[j * k + u] for j in range(k) if j != u), default=0)
-        caps.append(min(colmax, diag[u]))
-    cells = 1
-    for c in caps:
-        cells *= c + 1
-    if cells > SCHEME_CELL_GUARD:
-        raise GuardError(
-            "exhaustive enumeration limit exceeded: %d backoff cells (max %d)"
-            % (cells, SCHEME_CELL_GUARD)
-        )
-    # links[d]: (u, n_ud) for every receiver u that user d reaches
-    links = [[(u, n) for u, n in enumerate(flat[d::k]) if u != d and n > 0]
-             for d in range(k)]
-    head = diag[:]                   # n_uu - delta_u, open backoffs as 0
-    inter = [[0] * k] + [None] * k   # inter[d]: after fixing users 0..d-1
-    bound = [sum(diag)] + [None] * k  # bound[d] = sum(head) - sum(inter[d])
-    delta = [-1] * k
-    best_sum = -1                    # a feasible cell sums to at least 0
-    best = None
-    last = k - 1
-    d = 0
-    while d >= 0:
-        x = delta[d] + 1
-        prev = inter[d]
-        if x > caps[d] or diag[d] - x < prev[d]:
-            # the box, or user d's own rate, ends this level
-            delta[d] = -1
-            head[d] = diag[d]
-            d -= 1
-            continue
-        delta[d] = x
-        head[d] = diag[d] - x
-        # every rate was nonnegative one level up; only the receivers that
-        # user d's residual link now dominates lose rate
-        total = bound[d] - x
-        cur = prev[:]
-        for u, n in links[d]:
-            v = n - x
-            if v > cur[u]:
-                if v > head[u]:
-                    break                # user u's rate is negative
-                total -= v - cur[u]
-                cur[u] = v
-        else:
-            if total <= best_sum:
-                continue
-            if d == last:
-                best_sum = total
-                best = (tuple(map(sub, head, cur)), tuple(delta))
-            else:
-                d += 1
-                inter[d] = cur
-                bound[d] = total
-    if best is None:
+    res = solve_cycle_lp(matrix)
+    if not res.optimal:
         return BestTinScheme(found=False, sum_rate=0, rates=None, powers=None)
-    return BestTinScheme(found=True, sum_rate=best_sum,
-                         rates=best[0], powers=best[1])
+    if any(v.denominator != 1 for v in (res.value, *res.point, *res.powers)):
+        raise CrossCheckError("cycle LP vertex is not integral: rates %s, backoffs %s"
+                              % (res.point, res.powers))
+    return BestTinScheme(found=True, sum_rate=int(res.value),
+                         rates=tuple(map(int, res.point)),
+                         powers=tuple(map(int, res.powers)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ algorithm than the code under test: vertex enumeration instead of simplex,
 permutation scans instead of the Hungarian method, literal channel
 simulation instead of GF(2) elimination, one from-scratch ``solve_lp``
 over every cycle bound instead of warm-started cutting planes, and every
-cell of the backoff box instead of a pruned walk.  Slow is fine; these
-only run on small instances.
+cell of the backoff box instead of the cycle LP's vertex.  Slow is fine;
+these only run on small instances.
 
 ``solve_lp`` shares its simplex driver with the cutting-plane engine, so
 the vertex-enumeration oracle (``vertex_lp_oracle``, used by the
@@ -22,12 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from tinopt.cycles import enumerate_cycles, enumerate_partitions, partition_bound
-from tinopt.detmodel import (
-    SCHEME_CELL_GUARD,
-    BestTinScheme,
-    invertible_gf2,
-    participating_levels,
-)
+from tinopt.detmodel import BestTinScheme, invertible_gf2, participating_levels
 from tinopt.model import GuardError, Network, StrengthMatrix
 from tinopt.optimize import LinearProgram, all_optimal_partitions, solve_lp
 
@@ -290,11 +285,21 @@ def full_decomposition(network, point):
 # TIN scheme oracle (every cell of the backoff box)
 # ---------------------------------------------------------------------------
 
+# most backoff cells ``best_tin_scheme_sweep`` visits
+SCHEME_CELL_GUARD = 2_000_000
+
+
 def best_tin_scheme_sweep(matrix):
-    """``best_tin_scheme`` by visiting every cell of the capped backoff box
-    in ``itertools.product`` order, recomputing every receiver's
-    interference per cell and keeping the first maximum: the depth-first
-    walk's reference, with the same caps and guard."""
+    """The best integer TIN scheme by visiting every cell of the capped
+    backoff box in ``itertools.product`` order, recomputing every
+    receiver's interference per cell and keeping the first maximum: the
+    reference for ``best_tin_scheme``'s LP vertex, whose ``found`` and
+    ``sum_rate`` it must match (ties may pick another scheme).
+
+    Backoff k is capped at min(n_kk, max_j n_jk): backing off past your own
+    link kills your rate, and past your strongest outgoing interference it
+    stops helping anyone.  GuardError above ``SCHEME_CELL_GUARD`` cells,
+    before any cell is visited."""
     k = matrix.users
     ent = [[int(v) for v in row] for row in matrix.entries]
     caps = []

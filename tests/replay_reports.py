@@ -5,8 +5,8 @@
 Each workload's first ``--passes`` passes (``perfbench/workloads.py``, drawn
 with the seeds ``perfbench/run.py`` uses) run in this process on the
 program under ``src/``: every CLI operation through ``tinopt.cli.main`` on a
-network file, and every library operation (det-ties' scheme sweep) through
-``best_tin_scheme`` on each sub-channel.  Per workload it prints the
+network file, and every library operation (det-ties' scheme operation)
+through ``best_tin_scheme`` on each sub-channel.  Per workload it prints the
 operation count and one SHA-256 over each operation's exit code and stdout
 (the repr of the scheme results for a library operation).  Two trees that
 print the same lines wrote the same reports, byte for byte.  Outputs are not

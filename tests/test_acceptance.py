@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    best_tin_scheme_sweep,
     exhaustive_injectivity,
     kernel_maps_to_zero,
     random_det_matrix,
@@ -310,27 +311,32 @@ def test_criterion_7_sufficient_condition_implications():
 
 
 def test_criterion_8_achievability():
+    # the scheme is the exhaustive sweep's, so the criterion stays a check
+    # of achievability, not a second LP-versus-DP check; the library's LP
+    # vertex must agree with it
     rng = random.Random(SEED + 8)
-    matched = 0
+    matched = agreed = 0
     total = 200
     for _ in range(total):
         k = rng.randint(2, 4)
         mat = random_strict_tin_matrix(rng, k, mode="deterministic")
         assert check_tin(mat).satisfied
-        scheme = best_tin_scheme(mat)
+        scheme, vertex = best_tin_scheme_sweep(mat), best_tin_scheme(mat)
         weight, _ = brute_force_best_weight(mat)
         diag = sum(int(mat.desired(u)) for u in range(1, k + 1))
         if scheme.found and scheme.sum_rate == diag - int(weight):
             matched += 1
+        agreed += (vertex.found, vertex.sum_rate) == (scheme.found, scheme.sum_rate)
 
     two = StrengthMatrix.from_values("deterministic", [[3, 1], [1, 3]])
-    pair_ok = best_tin_scheme(two).sum_rate == 4
+    pair_ok = best_tin_scheme_sweep(two).sum_rate == best_tin_scheme(two).sum_rate == 4
 
-    ok = matched == total and pair_ok
+    ok = matched == agreed == total and pair_ok
     _line(8, ok,
-          "best TIN scheme total == diagonal sum - optimal partition weight "
-          "on %d/%d TIN-optimal instances (K <= 4); 2-user (3,1/1,3) "
-          "instance gives exactly 4" % (matched, total))
+          "exhaustive TIN scheme total == diagonal sum - optimal partition "
+          "weight on %d/%d TIN-optimal instances (K <= 4), best_tin_scheme "
+          "agrees on %d/%d; 2-user (3,1/1,3) instance gives exactly 4"
+          % (matched, total, agreed, total))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from tinopt import detmodel
 from tinopt.cycles import Cycle, CyclicPartition, enumerate_partitions
 from tinopt.detmodel import (
     GF2_BIT_GUARD,
-    SCHEME_CELL_GUARD,
     _gf2_rank_and_kernel,
     best_tin_scheme,
     bipartite_acyclic,
@@ -403,48 +402,29 @@ def test_best_tin_scheme_attains_partition_bound_on_fixture():
         assert tin_feasible(mat, scheme.rates, scheme.powers)
 
 
-def test_best_tin_scheme_guard():
+def test_best_tin_scheme_is_guarded_by_users_not_backoff_cells():
+    # 41^4 backoff cells, over the exhaustive sweep's bound, but K = 4: the
+    # cycle LP answers (every 2-cycle weighs 80 against a desired sum of 80)
     big = _det([[40] * 4 for _ in range(4)])
-    with pytest.raises(GuardError):
-        best_tin_scheme(big)
-    assert SCHEME_CELL_GUARD == 2_000_000
-
-
-def test_best_tin_scheme_guard_boundary():
-    # (999 + 1) * (1999 + 1) is exactly the guard: answered
-    mat = _det([[999, 1999], [999, 1999]])
-    scheme = best_tin_scheme(mat)
-    assert scheme.found
-    assert tin_feasible(mat, scheme.rates, scheme.powers)
-    # no cell sums above 0; the first that reaches it backs user 2 off
-    # just far enough to leave user 1 a rate of 0
-    assert scheme.sum_rate == 0 and scheme.powers == (0, 1000)
-    # (1000 + 1) * (1999 + 1) is one row of cells over it
-    with pytest.raises(GuardError):
-        best_tin_scheme(_det([[1000, 1999], [1000, 1999]]))
-
-
-def test_best_tin_scheme_walk_is_not_recursive():
-    # one level per user: a recursive walk would pass Python's stack limit
-    k = 1500
-    zero = Fraction(0)
-    diag = [Fraction(1 + u % 7) for u in range(k)]
-    mat = StrengthMatrix(mode="deterministic", entries=tuple(
-        tuple(diag[u] if j == u else zero for j in range(k)) for u in range(k)
-    ))
-    scheme = best_tin_scheme(mat)
-    assert scheme.found
-    assert scheme.powers == (0,) * k
-    assert scheme.rates == tuple(int(n) for n in diag)
-    assert scheme.sum_rate == sum(scheme.rates)
+    scheme = best_tin_scheme(big)
+    assert scheme.found and scheme.sum_rate == 0
+    assert tin_feasible(big, scheme.rates, scheme.powers)
+    # K = 10 is over MAX_ENUM_USERS, however small the entries
+    with pytest.raises(GuardError, match="K = 10"):
+        best_tin_scheme(_det([[1] * 10 for _ in range(10)]))
 
 
 def _assert_scheme_matches_sweep(mat):
+    # ties may pick another scheme than the sweep's first maximum
     got, want = best_tin_scheme(mat), best_tin_scheme_sweep(mat)
-    assert got.found == want.found
-    assert got.sum_rate == want.sum_rate
-    assert got.rates == want.rates
-    assert got.powers == want.powers
+    assert (got.found, got.sum_rate) == (want.found, want.sum_rate)
+    assert type(got.sum_rate) is int
+    if got.found:
+        assert tin_feasible(mat, got.rates, got.powers)
+        assert all(type(v) is int for v in got.rates + got.powers)
+        assert sum(got.rates) == got.sum_rate
+    else:
+        assert got.rates is None and got.powers is None
 
 
 @st.composite

@@ -44,6 +44,13 @@ the oracles of ``tests/oracles.py`` (``full_cycle_lp``,
 
 Each transformation changes the LPs the cutting-plane engine solves, so
 it reaches each answer along another path.
+
+The draws are strict-TIN matrices, arbitrary gdof and bit-level ones
+(whose cycle LP is infeasible on every seeded draw at these K), and
+"lowered" bit-level ones that break the TIN condition yet keep the LP
+optimal, so that the relations compare LP values off strict TIN too.  On
+bit-level draws, relabeling and transposition also keep the best TIN
+scheme's sum, the cycle LP's value.
 """
 
 from __future__ import annotations
@@ -54,11 +61,30 @@ from fractions import Fraction
 import pytest
 
 from oracles import random_det_matrix, random_gdof_matrix, random_strict_tin_matrix
+from tinopt.detmodel import best_tin_scheme
 from tinopt.model import Network, StrengthMatrix, check_tin
 from tinopt.optimize import solve_cycle_lp, sum_gdof
 from tinopt.region import region_contains, separate_tin_decomposable, tin_region
 
-KINDS = ("strict", "gdof", "deterministic")
+KINDS = ("strict", "gdof", "deterministic", "lowered")
+
+
+def _lowered(rng, k):
+    """A strict-TIN bit-level draw with one desired strength n_ii lowered
+    below the TIN threshold, but not below the strongest interference
+    n_ij at receiver i: the TIN condition fails, yet every term n_uu - n_uj
+    (j != u) of every cycle bound stays nonnegative, so d = 0 is feasible
+    and the cycle LP has an optimum to compare.  Both are asserted on
+    every draw."""
+    rows = [[int(n) for n in row]
+            for row in random_strict_tin_matrix(rng, k, mode="deterministic").entries]
+    strongest = lambda line, u: max(n for j, n in enumerate(line) if j != u)
+    outgoing = [strongest([row[u] for row in rows], u) for u in range(k)]
+    i = rng.choice([u for u in range(k) if outgoing[u]])
+    rows[i][i] = strongest(rows[i], i) + rng.randrange(outgoing[i])
+    mat = StrengthMatrix.from_values("deterministic", rows)
+    assert not check_tin(mat).satisfied and solve_cycle_lp(mat).optimal
+    return mat
 
 
 def _matrix(rng, k, kind, mode=None):
@@ -66,6 +92,8 @@ def _matrix(rng, k, kind, mode=None):
         return random_strict_tin_matrix(rng, k, mode=mode or "gdof")
     if kind == "gdof":
         return random_gdof_matrix(rng, k)
+    if kind == "lowered":
+        return _lowered(rng, k)
     return random_det_matrix(rng, k, hi=4)
 
 
@@ -97,6 +125,15 @@ def _lp(mat):
     return res.status, res.value
 
 
+def _scheme(mat):
+    """The best TIN scheme's (found, sum_rate) on a bit-level matrix, else
+    None: the scheme itself may move with the users, its sum may not."""
+    if mat.mode != "deterministic":
+        return None
+    scheme = best_tin_scheme(mat)
+    return scheme.found, scheme.sum_rate
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("k", (7, 8, 9))
 def test_cycle_lp_and_sum_are_invariant(k, kind):
@@ -104,11 +141,13 @@ def test_cycle_lp_and_sum_are_invariant(k, kind):
     for _ in range(2):
         mat = _matrix(rng, k, kind)
         lp, total = _lp(mat), sum_gdof(mat)
+        scheme = _scheme(mat)
         for name, move, _ in _transforms(rng, k):
             image = move(mat)
             assert _lp(image) == lp, name
             moved = sum_gdof(image)
             assert (moved.value, moved.label) == (total.value, total.label), name
+            assert _scheme(image) == scheme, name
 
 
 def _decomposition(net, target):

@@ -597,9 +597,13 @@ def test_cycle_lp_equals_the_best_tin_scheme():
                 optimal += 1
                 assert res.value == scheme.sum_rate
                 assert tin_feasible(mat, res.point, res.powers)
+                assert tin_feasible(mat, scheme.rates, scheme.powers)
+                assert all(type(v) is int for v in scheme.rates + scheme.powers)
+                assert sum(scheme.rates) == scheme.sum_rate
             if k <= 4:
                 swept += 1
-                assert best_tin_scheme_sweep(mat) == scheme
+                want = best_tin_scheme_sweep(mat)
+                assert (want.found, want.sum_rate) == (scheme.found, scheme.sum_rate)
     assert optimal >= 200 and swept == 240
 
 
