@@ -39,7 +39,7 @@ from .model import (
     quantize,
     save_network,
 )
-from .optimize import network_sum, solve_lp
+from .optimize import network_sum, solve_cycle_lp
 from .region import combined_sum_bounds, separate_tin_decomposable, tin_region
 
 
@@ -243,8 +243,10 @@ def cmd_demo(net, args) -> tuple:
     ok = separate_tin_decomposable(gap, (1, 1, 1))
     _expect(ok.feasible, "(1,1,1) decomposable")
 
-    sol_pos = solve_lp(caution_lp(nonneg=True))
-    sol_free = solve_lp(caution_lp(nonneg=False))
+    caution = caution_lp()
+    _expect(not check_tin(caution).satisfied, "caution sub-channel not TIN optimal")
+    sol_pos = solve_cycle_lp(caution)
+    sol_free = solve_cycle_lp(caution, nonneg=False)
     _expect(sol_pos.value == 20 and sol_pos.point == (0, 10, 10),
             "caution LP with R >= 0: 20 at (0, 10, 10)")
     _expect(sol_free.value == 25 and sol_free.point == (-5, 15, 15),

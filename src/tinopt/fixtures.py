@@ -1,4 +1,4 @@
-"""Bundled example networks and the cautionary LP.
+"""Bundled example networks and the cautionary sub-channel.
 
 The builders are the one source of these networks: ``tinopt gap`` writes
 the parametric one as a file, and the tests write any other they need
@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .model import InputError, Network, StrengthMatrix, as_rational
-from .optimize import LinearProgram
 
 __all__ = [
     "example1",
@@ -103,24 +102,18 @@ def gap_point() -> tuple:
     return (Fraction(2), Fraction(1, 2), Fraction(1, 2))
 
 
-def caution_lp(nonneg: bool = True) -> LinearProgram:
-    """A plain LP showing nonnegativity is *not* redundant in general.
+def caution_lp() -> StrengthMatrix:
+    """A gdof sub-channel on which nonnegativity is *not* redundant.
 
-    maximize R1 + R2 + R3 subject to R1+R2 <= 10, R1+R3 <= 10, R2+R3 <= 30.
-    With R >= 0 the optimum is 20 at (0, 10, 10); with free variables it is
-    25 at (-5, 15, 15).  No strictly-TIN-optimal sub-channel can generate
-    such a constraint set: there, dropping nonnegativity never changes the
-    optimum.
+    Its 2-cycle bounds are d1 + d2 <= 10, d1 + d3 <= 10 and d2 + d3 <= 30;
+    its 3-cycle bounds (25) and singleton bounds (30) move no optimum.
+    With d >= 0 the cycle LP's optimum is 20 at (0, 10, 10); with free
+    rates it is 25 at (-5, 15, 15).  The sub-channel breaks the TIN
+    condition: on a strictly TIN-optimal one, dropping d >= 0 never
+    changes the optimum.
     """
-    return LinearProgram.build(
-        objective=[1, 1, 1],
-        constraints=[
-            ([1, 1, 0], "<=", 10),
-            ([1, 0, 1], "<=", 10),
-            ([0, 1, 1], "<=", 30),
-        ],
-        nonneg=nonneg,
-    )
+    return StrengthMatrix.from_values(
+        "gdof", [[30, 25, 25], [25, 30, 15], [25, 15, 30]])
 
 
 def acyclic4() -> Network:

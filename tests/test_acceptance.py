@@ -56,7 +56,6 @@ from tinopt.optimize import (
     brute_force_best_weight,
     nonnegativity_redundancy_check,
     solve_cycle_lp,
-    solve_lp,
 )
 from tinopt.region import (
     combined_sum_bounds,
@@ -114,23 +113,27 @@ def test_criterion_1_three_route_agreement(strict_corpus):
 
 
 # ---------------------------------------------------------------------------
-# 2. the cautionary LP, and nonnegativity redundancy under strict TIN
+# 2. the cautionary sub-channel, and nonnegativity redundancy under strict TIN
 # ---------------------------------------------------------------------------
 
 
 def test_criterion_2_lp_sanity_and_redundancy(strict_corpus):
-    bounded = solve_lp(caution_lp(nonneg=True))
-    free = solve_lp(caution_lp(nonneg=False))
+    caution = caution_lp()
+    bounded = solve_cycle_lp(caution)
+    free = solve_cycle_lp(caution, nonneg=False)
     lp_ok = (bounded.status == free.status == "optimal"
-             and bounded.value == 20 and free.value == 25)
+             and (bounded.value, bounded.point) == (20, (0, 10, 10))
+             and (free.value, free.point) == (25, (-5, 15, 15))
+             and not nonnegativity_redundancy_check(caution).redundant)
     redundant = sum(
         1 for mat in strict_corpus
         if nonnegativity_redundancy_check(mat).redundant
     )
     ok = lp_ok and redundant == len(strict_corpus)
     _line(2, ok,
-          "cautionary LP gives 20 with R >= 0 and 25 without; dropping "
-          "d >= 0 left the optimum unchanged on %d/%d strict instances"
+          "cautionary non-TIN sub-channel's cycle LP gives 20 with d >= 0 "
+          "and 25 without; dropping d >= 0 left the optimum unchanged on "
+          "%d/%d strict instances"
           % (redundant, len(strict_corpus)))
 
 

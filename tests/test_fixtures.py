@@ -19,7 +19,7 @@ from tinopt.fixtures import (
     gap_point,
 )
 from tinopt.model import InputError, check_tin, network_to_dict, parse_network
-from tinopt.optimize import solve_lp
+from tinopt.optimize import nonnegativity_redundancy_check, solve_cycle_lp
 from tinopt.report import dumps_canonical
 
 
@@ -67,12 +67,13 @@ def test_default_gap_epsilon_matches_bundled_fixture():
 
 
 def test_caution_lp_shape_and_optima():
-    lp = caution_lp()
-    assert len(lp.objective) == 3 and len(lp.constraints) == 3
-    assert all(lp.nonneg)
-    assert not any(caution_lp(nonneg=False).nonneg)
-    assert solve_lp(caution_lp(True)).value == 20
-    assert solve_lp(caution_lp(False)).value == 25
+    mat = caution_lp()
+    assert mat.mode == "gdof" and mat.users == 3
+    assert not check_tin(mat).satisfied
+    bounded, free = solve_cycle_lp(mat), solve_cycle_lp(mat, nonneg=False)
+    assert (bounded.value, bounded.point) == (20, (0, 10, 10))
+    assert (free.value, free.point) == (25, (-5, 15, 15))
+    assert not nonnegativity_redundancy_check(mat)
 
 
 def test_four_user_fixtures_are_tin_optimal():

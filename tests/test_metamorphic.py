@@ -51,18 +51,27 @@ The draws are strict-TIN matrices, arbitrary gdof and bit-level ones
 optimal, so that the relations compare LP values off strict TIN too.  On
 bit-level draws, relabeling and transposition also keep the best TIN
 scheme's sum, the cycle LP's value.
+
+``test_cli_payloads_are_invariant`` reads the relations off the ``--json``
+reports of ``sum``, ``separability``, ``combined-bounds``, ``region``,
+``invertibility`` and ``decompose`` at K = 6..8, so they hold through the
+command line's rendering too.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from oracles import random_det_matrix, random_gdof_matrix, random_strict_tin_matrix
+from tinopt.cli import main
 from tinopt.detmodel import best_tin_scheme
-from tinopt.model import Network, StrengthMatrix, check_tin
+from tinopt.model import Network, StrengthMatrix, check_tin, save_network
 from tinopt.optimize import solve_cycle_lp, sum_gdof
 from tinopt.region import region_contains, separate_tin_decomposable, tin_region
 
@@ -263,3 +272,128 @@ def test_partition_bound_is_monotone(k, kind):
     delta = Fraction(rng.randint(1, 4))
     assert sum_gdof(_raised(mat, i, i, delta)).methods["brute_force"] == bound + delta
     assert sum_gdof(_raised(mat, i, j, delta)).methods["brute_force"] <= bound
+
+
+# ---------------------------------------------------------------------------
+# the same relations on the command line's --json payloads
+# ---------------------------------------------------------------------------
+
+
+def _network(rng, k, m, mode):
+    """A strict-TIN sub-channel, then (m = 2) a "lowered" one, which breaks
+    the TIN condition with an optimal cycle LP: so both sum labels show,
+    and every sub-channel has an LP point to build a split target from."""
+    mats = [_matrix(rng, k, "strict", mode)]
+    if m == 2:
+        lowered = _lowered(rng, k)
+        mats.append(lowered if mode == "deterministic" else scale(lowered, Fraction(1, 2)))
+    return Network(mode=mode, matrices=tuple(mats))
+
+
+def _cli(tmp_path, capsys, net, *args):
+    """(exit code, parsed --json payload) of one subcommand on ``net``."""
+    path = tmp_path / "net.json"
+    save_network(net, path)
+    code = main([args[0], str(path), "--json", *args[1:]])
+    return code, json.loads(capsys.readouterr().out)
+
+
+# Readers of a run's (exit code, payload): ``user`` sends a user's 0-based
+# index in the network run to its index in the network compared with.
+
+def _sums(code, payload, user):
+    return ([(s["value"], s["label"]) for s in payload["per_subchannel"]],
+            payload["total"], payload.get("label", payload.get("total_label")))
+
+
+def _users(row, user):
+    return tuple(sorted(user(u - 1) + 1 for u in row["users"]))
+
+
+def _bounds(code, payload, user):
+    return {_users(row, user): row["rhs"] for row in payload["bounds"]}
+
+
+def _rows(code, payload, user):
+    return [Counter((_users(row, user), row["rhs"]) for row in rows)
+            for rows in payload["subchannels"]]
+
+
+def _invertibility(code, payload, user=None):
+    """The verdicts, and per sub-channel the multiset of (participating
+    bits, rank, invertible) over its certificates, or its sufficient
+    verdict's status on gdof; the quantized network's likewise."""
+    shape = [Counter((c["participating_bits"], c["rank"], c["invertible"])
+                     for c in sub["certificates"]) if "certificates" in sub
+             else sub["status"] for sub in payload["subchannels"]]
+    quantized = payload.get("quantized")
+    return (code, payload["invertible"], shape,
+            quantized and _invertibility(None, quantized))
+
+
+def _caps(code, payload, user):
+    dec = payload["decomposition"]
+    return code, dec["feasible"], {user(c["user"] - 1) + 1: (c["cap"], c["target"])
+                                   for c in dec.get("caps", ())}
+
+
+# (subcommand, reader, whether transposition keeps what it reads)
+RELATIONS = (("sum", _sums, True), ("separability", _sums, False),
+             ("combined-bounds", _bounds, True), ("region", _rows, True),
+             ("invertibility", _invertibility, False))
+
+
+@pytest.mark.parametrize("k, m, mode", ((6, 2, "gdof"), (6, 1, "deterministic"),
+                                        (7, 1, "gdof"), (7, 2, "deterministic"),
+                                        (8, 1, "gdof")))
+def test_cli_payloads_are_invariant(tmp_path, capsys, k, m, mode):
+    """The library relations above, read off the reports.
+
+    * ``sum``, ``separability``: each sub-channel's sum and label are
+      invariant under both maps (relabeling and transposition keep the
+      cycle-bound region, the partition bounds and the TIN verdict), so the
+      totals are too.
+    * ``combined-bounds``: the bound of S is the heaviest partition bound of
+      the network restricted to S; relabeling carries that restriction to
+      the one on pi(S) and transposition transposes it, keeping its bound.
+    * ``region``: each cycle maps to a cycle of the same bound, through the
+      relabeled users under relabeling and through the same users (its
+      reversal) under transposition.
+    * ``invertibility`` (relabeling only): pi permutes the bit-level
+      channel's inputs and outputs, so it maps the tied optimal partitions
+      onto each other and each one's participating bits and GF(2) system
+      to the image's, rows and columns permuted; bits, rank and verdict
+      stay.  The gdof sufficient conditions (cyclic topology, a dominant
+      optimal partition) range over all users and all optimal partitions,
+      so their status stays; ``--logP`` quantizes entry by entry, which
+      commutes with pi.
+    * ``decompose`` at pi(t) (relabeling only): the decomposition relation
+      above.
+    """
+    rng = random.Random("metamorphic/cli/%s/%d/%d" % (mode, k, m))
+    net = _network(rng, k, m, mode)
+    (_, move, user), (_, flip, same) = _transforms(rng, k)
+    image = Network(mode=mode, matrices=tuple(map(move, net.matrices)))
+    flipped = Network(mode=mode, matrices=tuple(map(flip, net.matrices)))
+    run = functools.partial(_cli, tmp_path, capsys)
+
+    for command, read, transposes in RELATIONS:
+        args = ("--logP", "1") if command == "invertibility" and mode == "gdof" else ()
+        base = run(net, command, *args)
+        assert read(*run(image, command, *args), same) == read(*base, user), command
+        if transposes:
+            assert read(*run(flipped, command, *args), same) == read(*base, same), command
+
+    split = [sum(col) for col in zip(*(solve_cycle_lp(mat).point for mat in net.matrices))]
+    pushed = list(split)
+    pushed[rng.randrange(k)] += Fraction(1, 2)
+    point = lambda t: "--point=" + ",".join(map(str, t))
+    verdicts = []
+    for target in (split, pushed):
+        moved = [None] * k
+        for u in range(k):
+            moved[user(u)] = target[u]
+        want = _caps(*run(net, "decompose", point(target)), user)
+        assert _caps(*run(image, "decompose", point(moved)), same) == want
+        verdicts.append(want[:2])
+    assert verdicts == [(0, True), (1, False)]

@@ -93,12 +93,18 @@ def test_lp_build_validation():
 
 
 def test_caution_lp_both_ways():
-    sol = solve_lp(caution_lp(nonneg=True))
-    assert sol.status == "optimal"
-    assert sol.value == 20 and sol.point == (0, 10, 10)
-    sol = solve_lp(caution_lp(nonneg=False))
-    assert sol.status == "optimal"
-    assert sol.value == 25 and sol.point == (-5, 15, 15)
+    # the caution sub-channel's 2-cycle bounds as a general LP: solve_lp
+    # and the cycle LP agree with and without nonnegativity
+    for nonneg, value, point in ((True, 20, (0, 10, 10)), (False, 25, (-5, 15, 15))):
+        lp = LinearProgram.build(
+            [1, 1, 1],
+            [([1, 1, 0], "<=", 10), ([1, 0, 1], "<=", 10), ([0, 1, 1], "<=", 30)],
+            nonneg=nonneg)
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert sol.value == value and sol.point == point
+        cycle = solve_cycle_lp(caution_lp(), nonneg=nonneg)
+        assert (cycle.value, cycle.point) == (value, point)
 
 
 def test_lp_infeasible_and_unbounded():

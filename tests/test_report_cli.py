@@ -23,7 +23,13 @@ from tinopt import report
 from tinopt.cli import main
 from tinopt.cycles import Cycle, CyclicPartition, enumerate_cycles
 from tinopt.fixtures import builtin_networks, gap_network
-from tinopt.model import CrossCheckError, load_network, network_to_dict, parse_network
+from tinopt.model import (
+    CrossCheckError,
+    StrengthMatrix,
+    load_network,
+    network_to_dict,
+    parse_network,
+)
 from tinopt.region import RegionConstraint, _cycle_table, tin_region
 from tinopt.report import (
     dumps_canonical,
@@ -510,6 +516,20 @@ def test_failed_demo_expectation_exits_4_before_any_output(capsys, monkeypatch):
         assert err.startswith("error: internal cross-check failed in demo "
                               "(no input file): demo expectation failed: "
                               "example2 not certified")
+
+
+@pytest.mark.parametrize("rows, claim", (
+    ([[3, 1, 1], [1, 3, 1], [1, 1, 3]], "caution sub-channel not TIN optimal"),
+    ([[30, 25, 25], [25, 31, 15], [25, 15, 30]], "caution LP with R >= 0"),
+    # the same 2-cycle bounds, and a 3-cycle bound of 24 that cuts the free optimum
+    ([[30, 26, 25], [24, 30, 15], [25, 15, 30]], "caution LP free"),
+))
+def test_failed_caution_expectation_exits_4(capsys, monkeypatch, rows, claim):
+    monkeypatch.setattr("tinopt.cli.caution_lp",
+                        lambda: StrengthMatrix.from_values("gdof", rows))
+    code, out, err = run_cli(capsys, "demo", "--json")
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "demo expectation failed: " + claim in err
 
 
 def _report_calls(nets, tmp_path):
