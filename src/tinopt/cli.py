@@ -251,6 +251,10 @@ def cmd_demo(net, args) -> tuple:
             "caution LP with R >= 0: 20 at (0, 10, 10)")
     _expect(sol_free.value == 25 and sol_free.point == (-5, 15, 15),
             "caution LP free: 25 at (-5, 15, 15)")
+    # report._demo_lines prints these 2-cycle bounds
+    _expect([(c.users, c.rhs) for c in tin_region(caution) if len(c.users) == 2]
+            == [((1, 2), 10), ((1, 3), 10), ((2, 3), 30)],
+            "caution 2-cycle bounds: d1 + d2 <= 10, d1 + d3 <= 10, d2 + d3 <= 30")
 
     results = {
         "example1": report.separability_repr(sep1),

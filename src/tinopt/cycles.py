@@ -201,8 +201,11 @@ def partition_bound(partition: CyclicPartition, matrix: StrengthMatrix) -> Fract
     """Sum bound implied by a cyclic partition: all desired strengths minus
     the total interference weight the partition accumulates."""
     _check_covers(partition, matrix)
-    desired = sum(map(matrix.desired, range(1, matrix.users + 1)), Fraction(0))
-    return desired - partition.weight(matrix)
+    k = matrix.users
+    scale, flat = matrix.scaled
+    # the edge into user u comes from its predecessor p: n_{p,u}
+    weight = sum(flat[(p - 1) * k + u] for u, p in enumerate(partition.predecessors()) if p)
+    return Fraction(sum(flat[::k + 1]) - weight, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -297,11 +297,10 @@ def check_3user_condition(matrix: StrengthMatrix) -> ThreeUserCondition:
     if matrix.users != 3:
         raise InputError("the 3-user condition needs exactly 3 users, got %d"
                          % matrix.users)
-    forward = (matrix.edge_weight(1, 2) + matrix.edge_weight(2, 3)
-               + matrix.edge_weight(3, 1))
-    backward = (matrix.edge_weight(2, 1) + matrix.edge_weight(3, 2)
-                + matrix.edge_weight(1, 3))
-    delta = forward - backward
+    scale, n = matrix.scaled
+    # forward: edges 2 -> 1, 3 -> 2, 1 -> 3 (n_12 + n_23 + n_31); backward
+    # the reverse ones (n_21 + n_32 + n_13), row-major at (rx - 1) * 3 + tx - 1
+    delta = Fraction(n[1] + n[5] + n[6] - n[3] - n[7] - n[2], scale)
     return ThreeUserCondition(holds=delta != 0, delta=delta)
 
 
@@ -311,14 +310,9 @@ def is_cyclic_topology(matrix: StrengthMatrix) -> bool:
     Every participating output level then has a single contributor, the
     bipartite dependency structure is a forest, and invertibility follows
     for any partition."""
-    for rx in range(1, matrix.users + 1):
-        interferers = sum(
-            1 for tx in range(1, matrix.users + 1)
-            if tx != rx and matrix.entry(rx, tx) > 0
-        )
-        if interferers > 1:
-            return False
-    return True
+    k, flat = matrix.users, matrix.scaled[1]
+    return all(sum(1 for tx, v in enumerate(flat[rx * k:(rx + 1) * k]) if v and tx != rx) <= 1
+               for rx in range(k))
 
 
 def bipartite_acyclic(matrix: StrengthMatrix, partition: CyclicPartition) -> bool:
@@ -462,17 +456,14 @@ def tin_feasible(matrix: StrengthMatrix, rates, powers) -> bool:
     d = [as_rational(x) for x in powers]
     if any(x < 0 for x in r) or any(x < 0 for x in d):
         raise InputError("rates and backoffs must be nonnegative")
-    zero = Fraction(0)
-    for u in range(1, k + 1):
-        head = matrix.desired(u) - d[u - 1]
-        if r[u - 1] > head:
+    flat = matrix.scaled[1]     # bit levels: D = 1
+    for u in range(k):
+        row = flat[u * k:(u + 1) * k]
+        head = row[u] - d[u]
+        if r[u] > head:
             return False
-        interference = max(
-            (max(matrix.entry(u, j) - d[j - 1], zero)
-             for j in range(1, k + 1) if j != u),
-            default=zero,
-        )
-        if head - r[u - 1] < interference:
+        interference = max([0] + [row[j] - d[j] for j in range(k) if j != u])
+        if head - r[u] < interference:
             return False
     return True
 

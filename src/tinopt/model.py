@@ -4,14 +4,16 @@ A network is a set of K transmitter/receiver pairs observed over M parallel
 sub-channels.  Each sub-channel is described by a K x K matrix of nonnegative
 channel strengths, with rows indexed by receiver and columns by transmitter:
 ``entry(j, i)`` is the strength of the link from transmitter i to receiver j.
-Strengths are exact rationals (``fractions.Fraction``); in ``"deterministic"``
-mode they must be nonnegative integers (bit levels), in ``"gdof"`` mode any
-nonnegative rational is allowed.
+Strengths are exact rationals; in ``"deterministic"`` mode they must be
+nonnegative integers (bit levels), in ``"gdof"`` mode any nonnegative
+rational is allowed.  A matrix stores them as ints over their least common
+denominator D (``StrengthMatrix.scaled``); ``Fraction`` values are made only
+where a reader asks for them.
 
-Each check has one home.  The ``StrengthMatrix`` and ``Network``
-constructors check their own fields, on every way of building them;
-``StrengthMatrix.from_values`` only reads raw values, and ``parse_network``
-checks only the JSON document's own fields.
+Each check has one home.  ``_read_pair`` reads every raw rational (and
+``as_rational`` is built on it); ``_gate`` checks a matrix, on every way of
+building one; the ``Network`` constructor checks its own fields, and
+``parse_network`` only the JSON document's own fields.
 
 All arithmetic in this package is exact.  Floats are accepted on input but are
 converted through their decimal string form, so a JSON value ``0.1`` means
@@ -81,6 +83,8 @@ class CrossCheckError(AssertionError):
 
 MAX_RATIONAL_DIGITS = 1000
 _RATIONAL_LIMIT = 10 ** MAX_RATIONAL_DIGITS
+_TEXT_LIMIT = 2 * MAX_RATIONAL_DIGITS + 64   # longest string read
+_INTS = {int}
 
 
 def as_rational(value) -> Fraction:
@@ -90,31 +94,68 @@ def as_rational(value) -> Fraction:
     finite floats (converted via str() so the decimal literal is honored).
     Rejects bool, anything else, and values whose numerator or denominator
     has more than MAX_RATIONAL_DIGITS decimal digits; an oversized string is
-    rejected from its length and exponent, before it is parsed.
+    rejected from its length and exponent, before it is parsed.  The value
+    is read by ``_read_pair``, the package's one reader of raw rationals.
     """
+    return Fraction(*_read_pair(value))
+
+
+def _read_pair(value) -> tuple:
+    """The (numerator, denominator) pair, in lowest terms with a positive
+    denominator, of every value ``as_rational`` accepts, with its errors.
+    A plain int and a ``"p"`` or ``"p/q"`` string of ASCII digits are read
+    without a Fraction; every other form goes through ``Fraction()``."""
+    kind = type(value)
+    if kind is int:
+        num, den = value, 1
+    else:
+        pair = _digits_pair(value) if kind is str else None
+        if pair is None:
+            frac = _read_fraction(value)
+            pair = frac.numerator, frac.denominator
+        num, den = pair
+    if -_RATIONAL_LIMIT < num < _RATIONAL_LIMIT and den < _RATIONAL_LIMIT:
+        return num, den
+    raise _too_large(value)
+
+
+def _digits_pair(text: str) -> "tuple | None":
+    """(p, q) in lowest terms for a ``"p"`` or ``"p/q"`` of ASCII digits
+    with q > 0, short enough for ``int()``; None for any other text."""
+    num, slash, den = text.partition("/")
+    if not (len(text) <= _TEXT_LIMIT and text.isascii() and num.isdigit()
+            and (den.isdigit() or not slash)):
+        return None
+    if not slash:
+        return int(num), 1
+    p, q = int(num), int(den)
+    if not q:
+        return None
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def _read_fraction(value) -> Fraction:
+    """``_read_pair``'s general path: any accepted form through ``Fraction()``."""
     if isinstance(value, bool):
         raise InputError("boolean is not a valid rational: %r" % (value,))
     if isinstance(value, Fraction):
-        frac = value
-    elif isinstance(value, int):
-        frac = Fraction(value)
-    elif isinstance(value, float):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
         if not math.isfinite(value):
             raise InputError("non-finite rational: %r" % (value,))
-        frac = Fraction(str(value))
-    elif isinstance(value, str):
-        frac = _parse_rational(value.strip())
-    else:
-        raise InputError("cannot interpret %s as a rational" % _shown(value))
-    if abs(frac.numerator) >= _RATIONAL_LIMIT or frac.denominator >= _RATIONAL_LIMIT:
-        raise _too_large(value)
-    return frac
+        return Fraction(str(value))
+    if isinstance(value, str):
+        return _parse_rational(value.strip())
+    raise InputError("cannot interpret %s as a rational" % _shown(value))
 
 
 def _parse_rational(text: str) -> Fraction:
     # Fraction() takes time that grows with the digits and the exponent,
     # e.g. "1e3000000" is 9 characters but 3 million digits: bound both.
-    if len(text) > 2 * MAX_RATIONAL_DIGITS + 64:
+    if len(text) > _TEXT_LIMIT:
         raise _too_large(text)
     _, e, exponent = text.lower().partition("e")
     if e:
@@ -161,8 +202,11 @@ def _common_denominator(denominators) -> int:
 def rational_str(value) -> "int | str":
     """Render a rational for JSON output: bare int when integral, else "p/q".
 
-    A Fraction is used as it is; anything else goes through ``Fraction()``.
+    An int or a Fraction is used as it is; anything else goes through
+    ``Fraction()``.
     """
+    if type(value) is int:
+        return value
     frac = value if isinstance(value, Fraction) else Fraction(value)
     if frac.denominator == 1:
         return frac.numerator
@@ -173,92 +217,76 @@ def rational_str(value) -> "int | str":
 # strength matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class StrengthMatrix:
     """A single sub-channel's K x K strength matrix (rows = receivers).
 
-    The constructor is the one gate for a matrix's fields: a known mode, a
-    non-empty sequence of K rows, each a sequence of K ``Fraction`` entries,
-    all nonnegative, and integers in deterministic mode.  It stores
-    ``entries`` as a tuple of tuples, so instances are immutable and
-    hashable.  Build from raw user values with :meth:`from_values`.
+    The stored form is ``scaled`` = (D, flat): D the least common
+    denominator of the entries and ``flat`` D times each entry as an int,
+    row-major, entry (rx, tx) at (rx - 1) * K + tx - 1.  Every integer
+    route reads it; ``==`` and ``hash`` compare it with the mode, so they
+    go by value, and instances are immutable and hashable.  ``entries``,
+    K rows of K ``Fraction`` entries, is a view built from ``scaled`` on
+    first read.
+
+    The constructor takes ``entries`` as K rows of K ints or Fractions;
+    :meth:`from_values` reads raw user values instead.  Both pass through
+    one gate (``_gate``): a known mode, a non-empty sequence of K rows,
+    each a sequence of K entries, all nonnegative, integers in
+    deterministic mode, and numerators, denominators and D within
+    MAX_RATIONAL_DIGITS digits.
     """
 
     mode: str
-    entries: tuple  # tuple of K tuples of K Fractions
+    users: int
+    scaled: tuple  # (D, flat): D times each entry, row-major
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise InputError("mode must be one of %s, got %s" % (MODES, _shown(self.mode)))
-        rows = self.entries
-        if not isinstance(rows, (list, tuple)) or not rows:
-            raise InputError("strength matrix must have at least one user")
-        k = len(rows)
-        det = self.mode == "deterministic"
-        for j, row in enumerate(rows, start=1):
-            if not isinstance(row, (list, tuple)):
-                _bad_row(row)
-            if len(row) != k:
-                raise InputError(
-                    "strength matrix must be square (K=%d but row %d has %d entries)"
-                    % (k, j, len(row))
-                )
-            for i, val in enumerate(row, start=1):
-                if not isinstance(val, Fraction):
-                    raise InputError(
-                        "matrix entries must be Fractions, got %s "
-                        "(receiver %d, transmitter %d)" % (type(val).__name__, j, i))
-                if val.numerator < 0:
-                    raise InputError(
-                        "matrix entries must be nonnegative, got %s "
-                        "(receiver %d, transmitter %d)" % (_shown(val), j, i))
-                if det and val.denominator != 1:
-                    raise InputError(
-                        "deterministic bit levels must be integers, got %s "
-                        "(receiver %d, transmitter %d)" % (_shown(val), j, i))
-        object.__setattr__(self, "entries", tuple(map(tuple, rows)))
+    def __init__(self, mode: str, entries):
+        self._store(mode, *_gate(mode, entries, _stored_pair))
+
+    def _store(self, mode: str, users: int, scaled: tuple) -> None:
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "users", users)
+        object.__setattr__(self, "scaled", scaled)
 
     @classmethod
     def from_values(cls, mode: str, values, subchannel: int | None = None) -> "StrengthMatrix":
-        """Coerce raw values (flat K^2 or nested K x K) into a StrengthMatrix.
+        """Read raw values (flat K^2 or nested K x K) into a StrengthMatrix.
 
-        This only reads values (``as_rational``); the constructor checks the
-        result.  Negative entries are clamped to zero with a ClampWarning
-        first, so that e.g. -3.5 clamps cleanly to 0 in deterministic mode.
+        Each value is read as ``as_rational`` reads it, without building a
+        Fraction for an int or a "p/q" string, and the gate checks the
+        result.  A negative value is clamped to zero with a ClampWarning as
+        it is read, before the gate checks it, so that e.g. -3.5 clamps
+        cleanly to 0 in deterministic mode.
         """
-        out = []
-        for j, row in enumerate(_as_rows(values), start=1):
-            new_row = []
-            for i, raw in enumerate(row, start=1):
-                val = as_rational(raw)
-                if val.numerator < 0:
-                    where = "receiver %d, transmitter %d" % (j, i)
-                    if subchannel is not None:
-                        where += ", sub-channel %d" % subchannel
-                    warnings.warn(
-                        "clamped negative strength %s to 0 (%s)" % (val, where),
-                        ClampWarning,
-                        stacklevel=3,
-                    )
-                    val = Fraction(0)
-                new_row.append(val)
-            out.append(new_row)
-        return cls(mode=mode, entries=out)
+        def read(raw, rx, tx):
+            num, den = _read_pair(raw)
+            if num >= 0:
+                return num, den
+            where = "receiver %d, transmitter %d" % (rx, tx)
+            if subchannel is not None:
+                where += ", sub-channel %d" % subchannel
+            warnings.warn("clamped negative strength %s to 0 (%s)"
+                          % (_pair_str(num, den), where), ClampWarning, stacklevel=5)
+            return 0, 1
 
-    @property
-    def users(self) -> int:
-        return len(self.entries)
+        mat = cls.__new__(cls)
+        mat._store(mode, *_gate(mode, _as_rows(values), read))
+        return mat
 
     @cached_property
-    def scaled(self) -> tuple:
-        """The integer view every integer route reads, built on first use
-        and no field (``==``, ``hash`` and ``repr`` ignore it): (D, flat),
-        D the least common denominator of the entries (InputError past
-        MAX_RATIONAL_DIGITS digits) and ``flat`` D times each entry as an
-        int, row-major: entry (rx, tx) at (rx - 1) * K + tx - 1."""
-        vals = [val for row in self.entries for val in row]
-        scale = _common_denominator({val.denominator for val in vals})
-        return scale, tuple(val.numerator * (scale // val.denominator) for val in vals)
+    def entries(self) -> tuple:
+        """K rows of K Fractions, the entries: built from ``scaled`` on
+        first read, the one place this view is built."""
+        scale, flat = self.scaled
+        k = self.users
+        vals = [Fraction(v, scale) for v in flat]
+        return tuple(tuple(vals[j * k:(j + 1) * k]) for j in range(k))
+
+    def __repr__(self):
+        rows = tuple(tuple(v.numerator if v.denominator == 1 else v for v in row)
+                     for row in self.entries)
+        return "StrengthMatrix(mode=%r, entries=%r)" % (self.mode, rows)
 
     def entry(self, rx: int, tx: int) -> Fraction:
         """Strength from transmitter tx at receiver rx (1-based indices)."""
@@ -266,7 +294,8 @@ class StrengthMatrix:
         if not (1 <= rx <= k and 1 <= tx <= k):
             raise InputError("user index out of range 1..%d: (%s, %s)"
                              % (k, _shown(rx), _shown(tx)))
-        return self.entries[rx - 1][tx - 1]
+        scale, flat = self.scaled
+        return Fraction(flat[(rx - 1) * k + tx - 1], scale)
 
     def desired(self, k: int) -> Fraction:
         """Strength of user k's own (desired) link."""
@@ -282,13 +311,72 @@ class StrengthMatrix:
         return self.entry(i, j)
 
 
+def _gate(mode, rows, read) -> tuple:
+    """The one gate of a matrix: (K, (D, flat)) for ``rows``, K rows of K
+    values that ``read(value, rx, tx)`` turns into lowest-terms
+    (numerator, denominator) pairs, or InputError at the first fault.  A
+    row of plain ints within MAX_RATIONAL_DIGITS digits, none negative,
+    passes without ``read``."""
+    if mode not in MODES:
+        raise InputError("mode must be one of %s, got %s" % (MODES, _shown(mode)))
+    if not isinstance(rows, (list, tuple)) or not rows:
+        raise InputError("strength matrix must have at least one user")
+    k = len(rows)
+    det = mode == "deterministic"
+    nums, dens = [], []
+    for j, row in enumerate(rows, start=1):
+        if not isinstance(row, (list, tuple)):
+            _bad_row(row)
+        if len(row) != k:
+            raise InputError(
+                "strength matrix must be square (K=%d but row %d has %d entries)"
+                % (k, j, len(row))
+            )
+        if _INTS.issuperset(map(type, row)) and min(row) >= 0 \
+                and max(row) < _RATIONAL_LIMIT:
+            nums += row
+            dens += [1] * k
+            continue
+        for i, val in enumerate(row, start=1):
+            num, den = read(val, j, i)
+            if num < 0:
+                raise InputError(
+                    "matrix entries must be nonnegative, got %s "
+                    "(receiver %d, transmitter %d)" % (_pair_str(num, den), j, i))
+            if det and den != 1:
+                raise InputError(
+                    "deterministic bit levels must be integers, got %s "
+                    "(receiver %d, transmitter %d)" % (_pair_str(num, den), j, i))
+            if num >= _RATIONAL_LIMIT or den >= _RATIONAL_LIMIT:
+                raise InputError(
+                    "matrix entries are limited to %d digits in numerator and "
+                    "denominator (receiver %d, transmitter %d)"
+                    % (MAX_RATIONAL_DIGITS, j, i))
+            nums.append(num)
+            dens.append(den)
+    scale = _common_denominator(set(dens))
+    if scale == 1:
+        return k, (1, tuple(nums))
+    return k, (scale, tuple(num * (scale // den) for num, den in zip(nums, dens)))
+
+
+def _stored_pair(val, rx: int, tx: int) -> tuple:
+    """The constructor's reader: an int or a Fraction as its pair."""
+    if type(val) is int:
+        return val, 1
+    if isinstance(val, Fraction):
+        return val.numerator, val.denominator
+    raise InputError("matrix entries must be ints or Fractions, got %s "
+                     "(receiver %d, transmitter %d)" % (type(val).__name__, rx, tx))
+
+
 def _as_rows(values):
-    """Normalize flat-K^2 or nested lists into a list of rows."""
+    """Normalize flat-K^2 or nested lists into a list of rows; the gate
+    checks the rows of a nested one."""
     if not isinstance(values, (list, tuple)):
         raise InputError("matrix must be a list, got %r" % type(values).__name__)
     if values and isinstance(values[0], (list, tuple)):
-        return [row if isinstance(row, (list, tuple)) else _bad_row(row)
-                for row in values]
+        return values
     # flat: length must be a perfect square
     n = len(values)
     k = math.isqrt(n)
@@ -299,14 +387,20 @@ def _as_rows(values):
     return [values[j * k:(j + 1) * k] for j in range(k)]
 
 
+def _pair_str(num: int, den: int) -> str:
+    """num/den as str() of its Fraction shows it, or a description past
+    MAX_RATIONAL_DIGITS digits, where str() of an int may raise."""
+    if abs(num) >= _RATIONAL_LIMIT or den >= _RATIONAL_LIMIT:
+        return "a rational of over %d digits" % MAX_RATIONAL_DIGITS
+    return str(num) if den == 1 else "%d/%d" % (num, den)
+
+
 def _shown(val) -> str:
     """A value as an error message shows it: str() of a Fraction, repr() of
     anything else.  str() and repr() of an int past Python's 4300-digit
     limit raise ValueError, so an oversized value is described instead."""
     if isinstance(val, Fraction):
-        if abs(val.numerator) < _RATIONAL_LIMIT and val.denominator < _RATIONAL_LIMIT:
-            return str(val)
-        return "a rational of over %d digits" % MAX_RATIONAL_DIGITS
+        return _pair_str(val.numerator, val.denominator)
     try:
         return repr(val)
     except ValueError:
@@ -338,7 +432,7 @@ class Network:
     """A K-user network observed over M parallel sub-channels.
 
     The constructor checks a non-empty sequence of StrengthMatrix items,
-    whose constructors checked their mode, all of the network's mode and of
+    whose gate checked their mode, all of the network's mode and of
     one K; their ``scaled`` views must share a common denominator within
     MAX_RATIONAL_DIGITS digits.  It stores ``matrices`` as a tuple, so
     instances are immutable and hashable.
@@ -412,12 +506,11 @@ def check_tin(matrix: StrengthMatrix) -> TinVerdict:
     For each user i the condition compares the desired strength entry(i, i)
     against max_{j != i} entry(j, i) (interference i causes, its column) plus
     max_{k != i} entry(i, k) (interference i suffers, its row), on the
-    integer view ``matrix.scaled`` (InputError past MAX_RATIONAL_DIGITS
-    digits of common denominator); a violation's witness holds the entries
-    themselves.
+    integer view ``matrix.scaled``; a violation's witness holds the
+    entries themselves, as Fractions.
     """
     k = matrix.users
-    flat = matrix.scaled[1]
+    scale, flat = matrix.scaled
     violations = []
     strict = True
     for i in range(k):
@@ -425,11 +518,9 @@ def check_tin(matrix: StrengthMatrix) -> TinVerdict:
         incoming = max(row[:i] + row[i + 1:], default=0)
         outgoing = max(col[:i] + col[i + 1:], default=0)
         if row[i] < incoming + outgoing:
-            entries = matrix.entries
-            others = [t for t in range(k) if t != i]
             violations.append(TinViolation(
-                i + 1, max(entries[i][t] for t in others),
-                max(entries[t][i] for t in others), entries[i][i]))
+                i + 1, Fraction(incoming, scale), Fraction(outgoing, scale),
+                Fraction(row[i], scale)))
             strict = False
         elif row[i] == incoming + outgoing:
             strict = False
@@ -459,11 +550,11 @@ def quantize(obj, log2p) -> "StrengthMatrix | Network":
     if isinstance(obj, StrengthMatrix):
         if obj.mode != "gdof":
             raise InputError("quantize applies to gdof-mode matrices")
-        rows = tuple(
-            tuple(Fraction(math.floor(val * lp / 2)) for val in row)
-            for row in obj.entries
-        )
-        return StrengthMatrix(mode="deterministic", entries=rows)
+        # floor((v / D) * (p / q) / 2) on the ints v of the view
+        k, (scale, flat) = obj.users, obj.scaled
+        div = 2 * scale * lp.denominator
+        levels = [v * lp.numerator // div for v in flat]
+        return StrengthMatrix("deterministic", [levels[j * k:(j + 1) * k] for j in range(k)])
     raise InputError("quantize expects a StrengthMatrix or Network")
 
 
@@ -534,7 +625,6 @@ def load_network(path) -> Network:
 # ---------------------------------------------------------------------------
 
 _escape = json.encoder.encode_basestring_ascii
-_INTS = {int}
 _FLUSH = 512   # pieces joined at a time
 
 
@@ -618,14 +708,18 @@ def dumps_canonical(obj) -> str:
 
 def network_to_dict(network: Network) -> dict:
     """Canonical JSON-ready dict for a network (nested rows, exact rationals)."""
+    k = network.users
+
+    def rows(mat):
+        scale, flat = mat.scaled
+        vals = [rational_str(v if scale == 1 else Fraction(v, scale)) for v in flat]
+        return [vals[j * k:(j + 1) * k] for j in range(k)]
+
     return {
         "mode": network.mode,
-        "users": network.users,
+        "users": k,
         "subchannels": network.subchannels,
-        "matrices": [
-            [[rational_str(val) for val in row] for row in mat.entries]
-            for mat in network.matrices
-        ],
+        "matrices": [rows(mat) for mat in network.matrices],
     }
 
 

@@ -695,7 +695,8 @@ def sum_gdof(matrix: StrengthMatrix) -> SumGdofResult:
     required to agree, and the result is labeled a bound.
     """
     tin = check_tin(matrix)
-    diag_sum = sum(map(matrix.desired, range(1, matrix.users + 1)), Fraction(0))
+    scale, flat = matrix.scaled
+    diag_sum = Fraction(sum(flat[::matrix.users + 1]), scale)
 
     lp = solve_cycle_lp(matrix, nonneg=True)
     aw, _ = best_partition_assignment(matrix)

@@ -405,12 +405,14 @@ def _demo_lines(p) -> list:
     allocation = tuple(tuple(str(x) for x in chan) for chan in ones["allocation"])
     lines += [
         "point %s: decomposable, e.g. %s" % (_point(ones["target"]), allocation),
-        _banner("demo 4: nonnegativity matters in general LPs"),
-        "max R1+R2+R3 s.t. R1+R2<=10, R1+R3<=10, R2+R3<=30",
-        "  with R >= 0 : %s at %s" % (lp["nonneg"], _point(lp["nonneg_point"])),
-        "  free        : %s at %s" % (lp["free"], _point(lp["free_point"])),
-        "no strictly-TIN-optimal sub-channel generates such bounds: there,",
-        "dropping nonnegativity never changes the cycle-LP optimum.",
+        _banner("demo 4: d >= 0 binds on a non-TIN sub-channel"),
+        # cli.cmd_demo checks the sub-channel's TIN verdict and these bounds
+        "sub-channel caution_lp() breaks the TIN condition; its 2-cycle bounds:",
+        "  d1 + d2 <= 10, d1 + d3 <= 10, d2 + d3 <= 30",
+        "cycle LP with d >= 0 : %s at %s" % (lp["nonneg"], _point(lp["nonneg_point"])),
+        "cycle LP with d free : %s at %s" % (lp["free"], _point(lp["free_point"])),
+        "on a strictly TIN-optimal sub-channel, dropping d >= 0 never",
+        "changes the cycle-LP optimum.",
     ]
     return lines
 

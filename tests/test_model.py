@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 from oracles import (random_det_matrix, random_gdof_matrix, random_strict_tin_matrix,
                      submatrix, tin_by_triples)
+from tinopt import cli, model
 from tinopt.cycles import Cycle, CyclicPartition, enumerate_cycles
 from tinopt.detmodel import tin_feasible
 from tinopt.fixtures import gap_network
 from tinopt.model import (
     MAX_RATIONAL_DIGITS,
+    MODES,
     ClampWarning,
     GuardError,
     InputError,
@@ -165,14 +167,17 @@ _BAD_MATRICES = [
                  r"square \(K=2 but row 2 has 1 entries\)", id="ragged-row"),
     pytest.param("gdof", ((F(1), F(0)), 5), [[1, 0], 5], "rows must be lists",
                  id="non-sequence-row"),
-    pytest.param("gdof", ((F(1), 0), (F(0), F(1))), [[1, None], [0, 1]],
-                 r"must be Fractions, got int \(receiver 1, transmitter 2\)"
+    pytest.param("gdof", ((F(1), None), (F(0), F(1))), [[1, None], [0, 1]],
+                 r"must be ints or Fractions, got NoneType \(receiver 1, transmitter 2\)"
                  "|cannot interpret None", id="non-fraction"),
     pytest.param("gdof", ((F(1), F(0)), (F(-1, 2), F(1))), None,
                  r"nonnegative, got -1/2 \(receiver 2, transmitter 1\)",
                  id="negative"),
     pytest.param("gdof", ((F(-10 ** 5000),),), None,
                  r"nonnegative, got a rational of over 1000 digits", id="huge-negative"),
+    pytest.param("gdof", ((F(1), F(1, 10 ** 1000)), (F(0), F(1))),
+                 [[1, "1/%d" % 10 ** 1000], [0, 1]],
+                 r"limited to 1000 digits", id="oversized-entry"),
     pytest.param("deterministic", ((F(1), F(1, 2)), (F(0), F(1))),
                  [[1, "1/2"], [0, 1]],
                  r"integers, got 1/2 \(receiver 1, transmitter 2\)",
@@ -301,6 +306,143 @@ def test_reading_the_scaled_view_changes_no_field():
 
 
 # ---------------------------------------------------------------------------
+# the stored form: one reader of raw values, ints until a Fraction is asked for
+# ---------------------------------------------------------------------------
+
+_LIMIT = 10 ** MAX_RATIONAL_DIGITS
+
+
+def _outcome(read, value):
+    """("ok", Fraction) or ("error", message) of one reading of ``value``."""
+    try:
+        got = read(value)
+    except InputError as exc:
+        return "error", str(exc)
+    return "ok", Fraction(*got) if isinstance(got, tuple) else got
+
+
+def _through_fraction(value):
+    # the general path alone: every value goes through Fraction(), then the
+    # digit limits of as_rational's contract
+    frac = model._read_fraction(value)
+    if abs(frac.numerator) >= _LIMIT or frac.denominator >= _LIMIT:
+        raise model._too_large(value)
+    return frac
+
+
+def _check_reader(value):
+    want = _outcome(_through_fraction, value)
+    assert _outcome(model._read_pair, value) == want
+    assert _outcome(as_rational, value) == want
+    if want[0] == "ok":
+        num, den = model._read_pair(value)
+        assert type(num) is int and type(den) is int
+        assert den > 0 and math.gcd(num, den) == 1
+
+
+_EDGE_VALUES = [
+    _LIMIT - 1, _LIMIT, -(_LIMIT - 1), -_LIMIT, _LIMIT + 1, -_LIMIT - 1,
+    str(_LIMIT - 1), str(_LIMIT), "1/%d" % (_LIMIT - 1), "1/%d" % _LIMIT,
+    "%d/%d" % (_LIMIT, 10), "0" * 2000 + "7", "1" * (2 * MAX_RATIONAL_DIGITS + 65),
+    "07/2", "0/5", "-0", "1_000", "٣/2", "٣", "²", " 5/2 ", "+3", "3/0", "0/0",
+    "1e-3", "1/", "/2", "", "1/2/3", "4/6", 0.75, 5e-324, True, None, Fraction(6, 4), 0,
+]
+
+
+@pytest.mark.parametrize("value", _EDGE_VALUES, ids=range(len(_EDGE_VALUES)))
+def test_reader_matches_as_rational_on_edge_values(value):
+    _check_reader(value)
+
+
+_RAW_VALUES = st.one_of(
+    st.integers(),
+    st.integers(_LIMIT - 3, _LIMIT + 3).flatmap(lambda v: st.sampled_from([v, -v, str(v)])),
+    st.from_regex(r"\A[0-9]{1,25}(/[0-9]{1,25})?\Z"),
+    st.text(alphabet="0123456789/ _+-.eE٣", max_size=12),
+    st.fractions(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+)
+
+
+@given(_RAW_VALUES)
+def test_reader_matches_as_rational(value):
+    _check_reader(value)
+
+
+@given(st.integers(1, 4), st.data())
+def test_fraction_int_and_string_matrices_are_one_value(k, data):
+    mode = data.draw(st.sampled_from(MODES))
+    dens = st.just(1) if mode == "deterministic" else st.integers(1, 12)
+    vals = [Fraction(data.draw(st.integers(0, 40)), data.draw(dens)) for _ in range(k * k)]
+    rows = [vals[j * k:(j + 1) * k] for j in range(k)]
+    built = [
+        StrengthMatrix(mode=mode, entries=rows),
+        StrengthMatrix(mode, [[v.numerator if v.denominator == 1 else v for v in row]
+                              for row in rows]),
+        StrengthMatrix.from_values(mode, [[str(v) for v in row] for row in rows]),
+        parse_network({"mode": mode, "users": k, "subchannels": 1,
+                       "matrices": [[rational_str(v) for v in vals]]}).matrices[0],
+    ]
+    want = tuple(map(tuple, rows))
+    for mat in built:
+        assert mat == built[0] and hash(mat) == hash(built[0])
+        assert mat.scaled == built[0].scaled and mat.entries == want
+        assert all(type(v) is Fraction for row in mat.entries for v in row)
+        assert eval(repr(mat), {"StrengthMatrix": StrengthMatrix, "Fraction": Fraction}) == mat
+
+
+_HOT_DOCS = {
+    # gdof: ints and "p/q" strings, and a sub-channel that breaks TIN
+    "gdof": {"mode": "gdof", "users": 3, "subchannels": 2, "matrices": [
+        [[3, "1/2", 1], [0, 3, "5/2"], [1, 0, "7/2"]],
+        [[30, 25, 25], [25, 30, 15], [25, 15, 30]]]},
+    "deterministic": {"mode": "deterministic", "users": 3, "subchannels": 2, "matrices": [
+        [[4, 1, 1], [0, 4, 2], [1, 1, 4]], [[1, 2, 2], [2, 1, 2], [2, 2, 1]]]},
+}
+
+
+def test_loading_builds_no_fraction(monkeypatch):
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(model, "Fraction", Counted)
+    for doc in _HOT_DOCS.values():
+        parse_network(doc)
+    assert made == []
+    parse_network(dict(_HOT_DOCS["gdof"], matrices=[[["0.5"]]] * 2, users=1))
+    assert made                             # the count is live: "0.5" needs one
+
+
+@pytest.mark.parametrize("command, mode", [
+    (["sum"], "gdof"), (["sum"], "deterministic"),
+    (["decompose", "--point", "1,1,1"], "gdof"), (["separability"], "deterministic"),
+])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_hot_paths_never_build_the_entries_view(monkeypatch, tmp_path, capsys,
+                                                command, mode, json_flag):
+    built = []
+    view = StrengthMatrix.__dict__["entries"].func
+
+    def spied(self):
+        built.append(self)
+        return view(self)
+
+    monkeypatch.setattr(StrengthMatrix, "entries", property(spied))
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(_HOT_DOCS[mode]))
+    assert cli.main(command[:1] + [str(path)] + command[1:] + json_flag) in (0, 1)
+    assert capsys.readouterr().err == ""
+    assert built == []
+    assert load_network(path).matrices[0].entries and built   # the spy is live
+
+
+# ---------------------------------------------------------------------------
 # networks
 # ---------------------------------------------------------------------------
 
@@ -343,6 +485,22 @@ def test_network_rejects_an_oversized_common_denominator():
     with pytest.raises(InputError, match="common denominator") as exc:
         Network(mode="gdof", matrices=(a, b))
     assert len(str(exc.value)) < 200
+
+
+def test_matrix_gate_rejects_an_oversized_common_denominator():
+    # each entry is under MAX_RATIONAL_DIGITS, their common denominator
+    # (about 2,000 digits) is not: the matrix gate refuses it on every
+    # construction path, so no route ever reads such a matrix
+    big = 10 ** 999
+    entries = ((Fraction(3), Fraction(1, big + 1)), (Fraction(1, big + 2), Fraction(3)))
+    raw = [[str(v) for v in row] for row in entries]
+    doc = {"mode": "gdof", "users": 2, "subchannels": 1, "matrices": [raw]}
+    for build in (lambda: StrengthMatrix(mode="gdof", entries=entries),
+                  lambda: StrengthMatrix.from_values("gdof", raw),
+                  lambda: parse_network(doc)):
+        with pytest.raises(InputError, match="common denominator") as exc:
+            build()
+        assert len(str(exc.value)) < 200
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from tinopt.cycles import cycle_count, enumerate_cycles
 from tinopt.fixtures import example1, gap_network, gap_point
 from tinopt import optimize, region, report
 from tinopt.model import (ClampWarning, GuardError, InputError, Network, StrengthMatrix,
-                          _rescaled, check_tin)
+                          _rescaled)
 from tinopt.optimize import _cutting_plane_lp, network_sum, solve_cycle_lp
 from tinopt.region import (
     RegionConstraint,
@@ -117,23 +117,6 @@ def test_cycle_table_sums_bounds_level_by_level(k):
     for cyc, mask, path, close in zip(cycles, masks, paths, closes):
         desired = sum(flat[(u - 1) * (k + 1)] for u in users_of[mask])
         assert Fraction(desired - path - entry[close], scale) == cycle_bound_rhs(cyc, mat)
-
-
-def test_tin_region_rejects_an_oversized_common_denominator():
-    # each entry is under MAX_RATIONAL_DIGITS, their common denominator
-    # (about 2,000 digits) is not; load_network rejects such a network
-    # before any analysis, so only library callers reach this
-    big = 10 ** 999
-    mat = StrengthMatrix(mode="gdof", entries=(
-        (Fraction(3), Fraction(1, big + 1)),
-        (Fraction(1, big + 2), Fraction(3)),
-    ))
-    with pytest.raises(InputError, match="common denominator"):
-        tin_region(mat)
-    with pytest.raises(InputError, match="common denominator"):
-        combined_sum_bounds(Network(mode="gdof", matrices=(mat,)))
-    with pytest.raises(InputError, match="common denominator"):
-        check_tin(mat)
 
 
 def test_region_constraint_str_and_eval():

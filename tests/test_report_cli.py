@@ -472,6 +472,13 @@ def test_demo_runs_and_asserts(capsys):
     code, out, _ = run_cli(capsys, "demo")
     assert code == 0
     assert "demo 4" in out and "25 at (-5, 15, 15)" in out
+    # demo 4 names the cautionary sub-channel, its failed TIN condition and
+    # the 2-cycle bounds cmd_demo checks; it solves a cycle LP, not a general LP
+    demo4 = out[out.index("demo 4"):]
+    assert "caution_lp() breaks the TIN condition" in demo4
+    assert "d1 + d2 <= 10, d1 + d3 <= 10, d2 + d3 <= 30" in demo4
+    assert "cycle LP with d >= 0 : 20 at (0, 10, 10)" in demo4
+    assert "general LP" not in demo4 and "R1" not in demo4
 
     code, out, _ = run_cli(capsys, "demo", "--json")
     assert code == 0
@@ -530,6 +537,16 @@ def test_failed_caution_expectation_exits_4(capsys, monkeypatch, rows, claim):
     code, out, err = run_cli(capsys, "demo", "--json")
     assert code == 4 and out == ""
     assert err.count("\n") == 1 and "demo expectation failed: " + claim in err
+
+
+def test_failed_caution_bound_expectation_exits_4(capsys, monkeypatch):
+    # the 2-cycle bounds the demo's text prints are checked, not assumed
+    monkeypatch.setattr("tinopt.cli.tin_region", lambda mat: [
+        con._replace(rhs=con.rhs + 1) if con.users == (2, 3) else con
+        for con in tin_region(mat)])
+    code, out, err = run_cli(capsys, "demo")
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "demo expectation failed: caution 2-cycle bounds" in err
 
 
 def _report_calls(nets, tmp_path):
