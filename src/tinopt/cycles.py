@@ -10,7 +10,8 @@ e_{u1 u2}, ..., e_{u_{L-1} u0}, so each listed user is the *predecessor*
 of the user that follows it.  A cyclic partition is a set of disjoint
 cycles covering every user exactly once; identifying each user with its
 predecessor makes cyclic partitions the same thing as permutations of
-{1..K} (trivial cycles = fixed points).
+{1..K} (trivial cycles = fixed points).  ``CyclicPartition`` stores that
+predecessor vector, and its cycles are a view built when first read.
 
 Enumeration is exhaustive and therefore guarded: K is capped at
 MAX_ENUM_USERS for the operations that walk all cycles or partitions.
@@ -22,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .model import GuardError, InputError, StrengthMatrix, _shown
 
@@ -111,47 +112,58 @@ class Cycle:
 # cyclic partitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CyclicPartition:
-    """Disjoint cycles covering users 1..K exactly once."""
+    """Disjoint cycles covering users 1..K exactly once.
 
-    cycles: tuple
+    The stored form is the predecessor vector: ``predecessors[k-1]`` is user
+    k's predecessor, 0 on a trivial cycle, as reports write it; ``==`` and
+    ``hash`` compare it.  The constructor takes the cycles (``Cycle``s or
+    user tuples); ``cycles`` is a view built on first read, each cycle
+    starting at its smallest user, in order of that user.
+    """
 
-    def __post_init__(self):
-        cycles = tuple(sorted((c if isinstance(c, Cycle) else Cycle(tuple(c))
-                               for c in self.cycles),
-                              key=lambda c: c.users[0]))
+    predecessors: tuple
+
+    def __init__(self, cycles):
+        cycles = sorted((c if isinstance(c, Cycle) else Cycle(tuple(c)) for c in cycles),
+                        key=lambda c: c.users[0])
         if not cycles:
             raise InputError("a cyclic partition needs at least one cycle")
-        seen = set()
-        for cyc in cycles:
-            for u in cyc.users:
-                if u in seen:
+        pred = {}
+        for users in (cyc.users for cyc in cycles):
+            for t, u in enumerate(users):
+                if u in pred:
                     raise InputError("partition cycles are not disjoint at user %s"
                                      % _shown(u))
-                seen.add(u)
-        if seen != set(range(1, len(seen) + 1)):
+                pred[u] = users[t - 1]          # u itself on a trivial cycle
+        if set(pred) != set(range(1, len(pred) + 1)):
             raise InputError("partition must cover users 1..K exactly once, got %s"
-                             % _shown(sorted(seen)))
-        object.__setattr__(self, "cycles", cycles)
+                             % _shown(sorted(pred)))
+        object.__setattr__(self, "predecessors",
+                           tuple(0 if p == u else p for u, p in sorted(pred.items())))
+
+    @cached_property
+    def cycles(self) -> tuple:
+        # the user after u on its cycle is the one whose predecessor is u
+        succ = {p: u for u, p in enumerate(self.predecessors, start=1) if p}
+        cycles, seen = [], set()
+        for start in range(1, self.users + 1):
+            order, u = [], start
+            while u not in seen:
+                seen.add(u)
+                order.append(u)
+                u = succ.get(u, u)
+            if order:
+                cycles.append(Cycle(tuple(order)))
+        return tuple(cycles)
 
     @property
     def users(self) -> int:
-        return sum(len(c) for c in self.cycles)
+        return len(self.predecessors)
 
     def __str__(self):
         return "{" + ", ".join(str(c) for c in self.cycles) + "}"
-
-    def predecessors(self) -> tuple:
-        """Predecessor vector (index k-1 for user k); 0 marks trivial cycles."""
-        out = [0] * self.users
-        for cyc in self.cycles:
-            if cyc.trivial:
-                continue
-            users = cyc.users
-            for t, u in enumerate(users):
-                out[u - 1] = users[t - 1]
-        return tuple(out)
 
     def weight(self, matrix: StrengthMatrix) -> Fraction:
         return sum((cyc.weight(matrix) for cyc in self.cycles), Fraction(0))
@@ -161,31 +173,19 @@ class CyclicPartition:
         """The partition whose predecessor map is the permutation ``perm``.
 
         ``perm[k-1]`` is the predecessor of user k (k itself for a trivial
-        cycle, where :meth:`predecessors` has 0).  Must be a permutation of
+        cycle, where ``predecessors`` has 0).  Must be a permutation of
         1..K.
         """
         perm = tuple(perm)
         k = len(perm)
-        if sorted(perm) != list(range(1, k + 1)):
+        if sorted(perm) != list(range(1, k + 1)) or any(type(p) is not int for p in perm):
             raise InputError("not a permutation of 1..%d: %s" % (k, _shown(perm)))
-        # Walk each orbit in traversal order: the user after u on its cycle
-        # is the one whose predecessor is u, i.e. the preimage of u.
-        succ = [0] * (k + 1)
-        for user in range(1, k + 1):
-            succ[perm[user - 1]] = user
-        seen = [False] * (k + 1)
-        cycles = []
-        for start in range(1, k + 1):
-            if seen[start]:
-                continue
-            order = []
-            u = start
-            while not seen[u]:
-                seen[u] = True
-                order.append(u)
-                u = succ[u]
-            cycles.append(Cycle(tuple(order)))
-        return cls(tuple(cycles))
+        if not perm:
+            raise InputError("a cyclic partition needs at least one cycle")
+        part = object.__new__(cls)
+        object.__setattr__(part, "predecessors",
+                           tuple(0 if p == u else p for u, p in enumerate(perm, start=1)))
+        return part
 
 
 def _check_covers(partition: CyclicPartition, matrix: StrengthMatrix) -> None:
@@ -197,15 +197,23 @@ def _check_covers(partition: CyclicPartition, matrix: StrengthMatrix) -> None:
         )
 
 
+def _participating_strengths(flat, predecessors) -> tuple:
+    """n_{pred(u),u} for each user u, 0 on a trivial cycle, read from the
+    row-major integer view ``flat`` (``StrengthMatrix.scaled``): the
+    partition's edge weights, scaled.  On bit levels they are its
+    participating widths, through which alone its GF(2) system, rank,
+    kernel and dominance depend on it."""
+    k = len(predecessors)
+    return tuple(flat[(p - 1) * k + u] if p else 0 for u, p in enumerate(predecessors))
+
+
 def partition_bound(partition: CyclicPartition, matrix: StrengthMatrix) -> Fraction:
     """Sum bound implied by a cyclic partition: all desired strengths minus
     the total interference weight the partition accumulates."""
     _check_covers(partition, matrix)
-    k = matrix.users
     scale, flat = matrix.scaled
-    # the edge into user u comes from its predecessor p: n_{p,u}
-    weight = sum(flat[(p - 1) * k + u] for u, p in enumerate(partition.predecessors()) if p)
-    return Fraction(sum(flat[::k + 1]) - weight, scale)
+    weight = sum(_participating_strengths(flat, partition.predecessors))
+    return Fraction(sum(flat[::matrix.users + 1]) - weight, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,12 @@ input bits uniquely -- an exact GF(2) rank question, decided here by
 elimination over integer bitmasks.  On gdof strengths, which have no bit
 levels, sufficient conditions answer instead: 3-user unequal cycle sums,
 cyclic topologies and dominant partitions (they hold in both modes).
-``bipartite_acyclic``, a forest test on one partition's participating
-bits, is a library check that no verdict calls.
+``find_dominant_optimal`` builds its one candidate from each transmitter's
+loudest receiver, without listing the tied optimal partitions.  A
+partition enters every test here only through its predecessor vector,
+read as per-user participating strengths.  ``bipartite_acyclic``, a
+forest test on one partition's participating bits, is a library check
+that no verdict calls.
 
 The separability verdict ties everything together: when every sub-channel
 is TIN-optimal and its participating structure is recoverable, per-sub-channel
@@ -27,7 +31,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 
-from .cycles import CyclicPartition, _check_covers
+from .cycles import CyclicPartition, _check_covers, _participating_strengths
 from .model import (
     CrossCheckError,
     GuardError,
@@ -36,7 +40,8 @@ from .model import (
     StrengthMatrix,
     as_rational,
 )
-from .optimize import all_optimal_partitions, network_sum, solve_cycle_lp
+from .optimize import (all_optimal_partitions, brute_force_best_weight, network_sum,
+                       solve_cycle_lp)
 
 __all__ = [
     "GF2_BIT_GUARD",
@@ -72,17 +77,6 @@ def _require_deterministic(matrix: StrengthMatrix, what: str) -> None:
         raise InputError("%s requires a deterministic-mode matrix" % what)
 
 
-def _widths(flat, predecessors) -> tuple:
-    """w_u = n_{pred(u),u} for each user u, read from the row-major integer
-    view ``flat`` (``StrengthMatrix.scaled``), 0 on a trivial cycle: the
-    participating widths of the partition whose predecessor vector
-    (``CyclicPartition.predecessors``, 0 marking a trivial cycle) is given.
-    A partition's GF(2) system, rank, kernel and dominance depend on it
-    only through these widths."""
-    k = len(predecessors)
-    return tuple(flat[(p - 1) * k + u] if p else 0 for u, p in enumerate(predecessors))
-
-
 def participating_levels(matrix: StrengthMatrix, partition: CyclicPartition) -> tuple:
     """Per-user count of participating bits under the partition.
 
@@ -92,7 +86,7 @@ def participating_levels(matrix: StrengthMatrix, partition: CyclicPartition) -> 
     """
     _require_deterministic(matrix, "participating_levels")
     _check_covers(partition, matrix)
-    return _widths(matrix.scaled[1], partition.predecessors())
+    return _participating_strengths(matrix.scaled[1], partition.predecessors)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +113,7 @@ def build_gf2_system(matrix: StrengthMatrix, partition: CyclicPartition) -> Gf2S
     _check_covers(partition, matrix)
     k = matrix.users
     _, flat = matrix.scaled
-    widths = _widths(flat, partition.predecessors())
+    widths = _participating_strengths(flat, partition.predecessors)
     total_bits = sum(widths)
     if total_bits > GF2_BIT_GUARD:
         raise GuardError(
@@ -259,7 +253,7 @@ def invertibility_verdict(matrix: StrengthMatrix) -> InvertibilityVerdict:
     by_widths = {}   # width vector -> certificate of its first tie
     certs = []
     for part in all_optimal_partitions(matrix):
-        widths = _widths(flat, part.predecessors())
+        widths = _participating_strengths(flat, part.predecessors)
         cert = by_widths.get(widths)
         if cert is None:
             cert = by_widths[widths] = invertible_gf2(matrix, part)
@@ -354,9 +348,9 @@ def dominant_partition_check(matrix: StrengthMatrix, partition: CyclicPartition)
     competing interference level, so they can be recovered top-down."""
     _check_covers(partition, matrix)
     _, flat = matrix.scaled
-    preds = partition.predecessors()
+    preds = partition.predecessors
     k = len(preds)
-    for user, (pred, strength) in enumerate(zip(preds, _widths(flat, preds))):
+    for user, (pred, strength) in enumerate(zip(preds, _participating_strengths(flat, preds))):
         if pred and any(flat[rx * k + user] >= strength for rx in range(k)
                         if rx not in (user, pred - 1)):
             return False
@@ -364,11 +358,40 @@ def dominant_partition_check(matrix: StrengthMatrix, partition: CyclicPartition)
 
 
 def find_dominant_optimal(matrix: StrengthMatrix) -> "CyclicPartition | None":
-    """Some weight-optimal cyclic partition that is dominant, if one exists."""
-    for part in all_optimal_partitions(matrix):
-        if dominant_partition_check(matrix, part):
-            return part
-    return None
+    """A weight-optimal cyclic partition that is dominant, if one exists,
+    built in O(K^2) without listing the ties (GuardError above
+    MAX_ENUM_USERS, from the DP that gives the best weight).
+
+    A non-trivial user u of a dominant partition must take as predecessor
+    the receiver other than u that hears transmitter u strictly loudest
+    (for K = 2, the other user), so the dominant partitions are exactly the
+    sets of cycles of that map.  For K >= 3 each link on such a cycle is
+    strictly louder than another link of its transmitter, so every cycle
+    weighs more than 0 and only the partition taking all of them can be
+    optimal.  The candidate takes every cycle of positive weight (on K = 2
+    with both cross links 0, none: the all-trivial partition, the first of
+    the two ties); it is optimal exactly when its weight is the best
+    weight, and ``dominant_partition_check`` confirms it.
+    """
+    best, _ = brute_force_best_weight(matrix)
+    k = matrix.users
+    scale, flat = matrix.scaled
+    loudest = []            # loudest[u]: receiver hearing transmitter u strictly loudest
+    for u in range(k):
+        heard = sorted((flat[r * k + u], r) for r in range(k) if r != u)
+        strict = heard and (len(heard) == 1 or heard[-1][0] > heard[-2][0])
+        loudest.append(heard[-1][1] if strict else None)
+    perm = list(range(1, k + 1))
+    for u in range(k):
+        cycle, v = [u], loudest[u]
+        while v is not None and v != u and len(cycle) < k:
+            cycle.append(v)
+            v = loudest[v]
+        if v == u and sum(flat[loudest[w] * k + w] for w in cycle) > 0:
+            perm[u] = loudest[u] + 1
+    candidate = CyclicPartition.from_permutation(perm)
+    weight = Fraction(sum(_participating_strengths(flat, candidate.predecessors)), scale)
+    return candidate if weight == best and dominant_partition_check(matrix, candidate) else None
 
 
 @dataclass(frozen=True)

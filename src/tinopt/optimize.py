@@ -535,16 +535,14 @@ def best_partition_assignment(matrix: StrengthMatrix):
     """Heaviest cyclic partition via min-cost assignment on the matrix's
     integer view (``StrengthMatrix.scaled``).
 
-    Returns (max_weight, perm) where perm[k-1] is user k's predecessor in
-    some maximizing partition (perm[k-1] == k marks a trivial cycle).
+    Returns (max_weight, partition) for some maximizing partition.
     """
     k = matrix.users
     scale, flat = matrix.scaled
     cost = [[0 if r == c else -flat[r * k + c] for c in range(k)]
             for r in range(k)]
     total, assign = min_cost_assignment(cost)
-    perm = tuple(assign[j] + 1 for j in range(k))
-    return Fraction(-total, scale), perm
+    return Fraction(-total, scale), CyclicPartition.from_permutation(p + 1 for p in assign)
 
 
 # ---------------------------------------------------------------------------
@@ -625,13 +623,12 @@ def brute_force_best_weight(matrix: StrengthMatrix):
     """Heaviest cyclic partition by the subset DP over predecessor
     permutations (``_heaviest_permutations``); no cycles, no assignment.
 
-    Returns (max_weight, perm) with perm[k-1] user k's predecessor (k itself
-    for a trivial cycle); of the tied permutations, perm is the one with the
-    smallest predecessor vector, trivial cycles keyed 0.
+    Returns (max_weight, partition); of the tied partitions, it is the one
+    with the smallest predecessor vector, trivial cycles keyed 0.
     """
     scale, incoming, suf, _ = _heaviest_permutations(matrix)
     best = next(_ties(incoming, suf, self_first=True))
-    return Fraction(suf[0], scale), tuple(p + 1 for p in best)
+    return Fraction(suf[0], scale), CyclicPartition.from_permutation(p + 1 for p in best)
 
 
 def all_optimal_partitions(matrix: StrengthMatrix) -> tuple:
@@ -655,7 +652,7 @@ def optimal_partition(matrix: StrengthMatrix) -> CyclicPartition:
     """The maximizing partition with lexicographically smallest predecessor
     vector (trivial cycles sorting first), as ``brute_force_best_weight``
     finds it; guarded by MAX_ENUM_USERS (GuardError above K = 9)."""
-    return CyclicPartition.from_permutation(brute_force_best_weight(matrix)[1])
+    return brute_force_best_weight(matrix)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +697,7 @@ def sum_gdof(matrix: StrengthMatrix) -> SumGdofResult:
 
     lp = solve_cycle_lp(matrix, nonneg=True)
     aw, _ = best_partition_assignment(matrix)
-    bw, bperm = brute_force_best_weight(matrix)
+    bw, partition = brute_force_best_weight(matrix)
     assignment_value = diag_sum - aw
     brute_value = diag_sum - bw
 
@@ -737,7 +734,7 @@ def sum_gdof(matrix: StrengthMatrix) -> SumGdofResult:
         value=assignment_value,
         label=label,
         methods=methods,
-        partition=CyclicPartition.from_permutation(bperm),
+        partition=partition,
         agreement=agreement,
     )
 

@@ -50,7 +50,7 @@ def point_repr(point) -> list:
 def partition_repr(partition) -> dict:
     return {
         "cycles": [list(cyc.users) for cyc in partition.cycles],
-        "predecessors": list(partition.predecessors()),  # 0 marks trivial cycles
+        "predecessors": list(partition.predecessors),  # 0 marks trivial cycles
     }
 
 

@@ -22,7 +22,8 @@ from fractions import Fraction
 from math import lcm
 
 from tinopt.cycles import enumerate_cycles, enumerate_partitions, partition_bound
-from tinopt.detmodel import BestTinScheme, invertible_gf2, participating_levels
+from tinopt.detmodel import (BestTinScheme, dominant_partition_check, invertible_gf2,
+                             participating_levels)
 from tinopt.model import GuardError, Network, StrengthMatrix
 from tinopt.optimize import LinearProgram, all_optimal_partitions, solve_lp
 
@@ -136,7 +137,7 @@ def heaviest_partitions(matrix):
     weights = [part.weight(matrix) for part in parts]
     best = max(weights)
     ties = tuple(part for part, w in zip(parts, weights) if w == best)
-    return best, ties, min(ties, key=lambda part: part.predecessors())
+    return best, ties, min(ties, key=lambda part: part.predecessors)
 
 
 def heaviest_permutations(matrix):
@@ -417,6 +418,14 @@ def per_tie_certificates(matrix):
     between ties with the same participating widths."""
     return tuple(invertible_gf2(matrix, part)
                  for part in all_optimal_partitions(matrix))
+
+
+def dominant_optimal_by_ties(matrix):
+    """The first tied optimal partition, in tie order, that passes
+    ``dominant_partition_check``, or None: ``find_dominant_optimal`` by
+    listing every tie (GuardError past TIE_GUARD of them)."""
+    return next((part for part in all_optimal_partitions(matrix)
+                 if dominant_partition_check(matrix, part)), None)
 
 
 def kernel_maps_to_zero(matrix, partition, kernel):

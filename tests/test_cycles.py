@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -64,9 +65,9 @@ def test_cycle_edges_follow_listing_order():
 def test_cycle_predecessor():
     # each listed user precedes the next one, in any rotation of the listing
     for users in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        assert CyclicPartition((Cycle(users),)).predecessors() == (3, 1, 2)
-    assert CyclicPartition((Cycle((1, 3, 2)),)).predecessors() == (2, 3, 1)
-    assert CyclicPartition((Cycle((1,)),)).predecessors() == (0,)
+        assert CyclicPartition((Cycle(users),)).predecessors == (3, 1, 2)
+    assert CyclicPartition((Cycle((1, 3, 2)),)).predecessors == (2, 3, 1)
+    assert CyclicPartition((Cycle((1,)),)).predecessors == (0,)
 
 
 def test_cycle_weight_and_bound():
@@ -100,16 +101,17 @@ def test_partition_validation():
 
 def test_partition_predecessors_and_sentinel():
     part = CyclicPartition((Cycle((1, 2, 3)), Cycle((4,))))
-    assert part.predecessors() == (3, 1, 2, 0)
+    assert part.predecessors == (3, 1, 2, 0)
     assert str(part) == "{(1,2,3), (4)}"
 
 
 def test_partition_permutation_bijection():
     part = CyclicPartition((Cycle((1, 2, 3)), Cycle((4,))))
     assert CyclicPartition.from_permutation((3, 1, 2, 4)) == part
-    assert part.predecessors() == (3, 1, 2, 0)
-    with pytest.raises(InputError):
-        CyclicPartition.from_permutation((1, 1, 3))
+    assert part.predecessors == (3, 1, 2, 0)
+    for bad in ((1, 1, 3), (True,), (2.0, 1.0), ()):
+        with pytest.raises(InputError):
+            CyclicPartition.from_permutation(bad)
 
 
 def test_from_permutation_walks_orbits_in_traversal_order():
@@ -119,6 +121,23 @@ def test_from_permutation_walks_orbits_in_traversal_order():
     # a single 4-orbit: pred(1)=4, pred(4)=3, pred(3)=2, pred(2)=1
     part = CyclicPartition.from_permutation((4, 1, 2, 3))
     assert part.cycles == (Cycle((1, 2, 3, 4)),)
+
+
+def test_partition_stores_only_its_predecessor_vector(monkeypatch):
+    built = []
+    post_init = Cycle.__post_init__
+    monkeypatch.setattr(Cycle, "__post_init__",
+                        lambda self: built.append(self.users) or post_init(self))
+    part = CyclicPartition.from_permutation((2, 1, 3))
+    assert built == []                          # no Cycle until one is read
+    assert [f.name for f in dataclasses.fields(part)] == ["predecessors"]
+    assert repr(part) == "CyclicPartition(predecessors=(2, 1, 0))"
+    assert "cycles" not in vars(part)
+    assert str(part) == "{(1,2), (3)}" and built == [(1, 2), (3,)]
+    assert part.cycles is part.cycles           # built once
+    # a partition built from cycles equals, and hashes as, its permutation
+    same = CyclicPartition(((3,), (2, 1)))
+    assert same == part and hash(same) == hash(part)
 
 
 def test_participating_edges():
@@ -145,7 +164,7 @@ def test_partition_bound_matches_manual_sum():
 def test_permutation_roundtrip(perm):
     part = CyclicPartition.from_permutation(tuple(perm))
     # predecessors really are the permutation (0 rewritten to the user itself)
-    pred = part.predecessors()
+    pred = part.predecessors
     rebuilt = tuple(p if p != 0 else k + 1 for k, p in enumerate(pred))
     assert rebuilt == tuple(perm)
 

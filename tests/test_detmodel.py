@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     best_tin_scheme_sweep,
     channel_output,
+    dominant_optimal_by_ties,
     exhaustive_injectivity,
     kernel_maps_to_zero,
     per_tie_certificates,
@@ -283,7 +284,7 @@ def test_acyclic_fixture_is_a_forest_and_dominant():
     parts = all_optimal_partitions(mat)
     assert len(parts) == 1
     part = parts[0]
-    assert part.predecessors() == (4, 1, 2, 3)
+    assert part.predecessors == (4, 1, 2, 3)
     assert bipartite_acyclic(mat, part)
     assert dominant_partition_check(mat, part)
     cert = invertible_gf2(mat, part)
@@ -311,6 +312,36 @@ def test_dominant_partition_check_details():
     assert find_dominant_optimal(SYMMETRIC3) is None
     with pytest.raises(InputError):
         dominant_partition_check(SYMMETRIC3, CyclicPartition(((1,), (2,))))
+
+
+def _dominance_case(rng, k, mode):
+    """Random cross links, up to half the columns tied (every link of the
+    transmitter equal), and on K = 2 one or both cross links often 0."""
+    scale = 1 if mode == "deterministic" else rng.choice((1, 2, 3))
+    draw = lambda: Fraction(rng.randint(0, 6), scale)
+    rows = [[draw() for _ in range(k)] for _ in range(k)]
+    for tx in rng.sample(range(k), rng.randint(0, k // 2)):
+        level = draw()
+        for rx in range(k):
+            rows[rx][tx] = level
+    if k == 2 and rng.random() < 0.5:
+        rows[0][1] = Fraction(0)
+        if rng.random() < 0.5:
+            rows[1][0] = Fraction(0)
+    return StrengthMatrix(mode=mode, entries=tuple(map(tuple, rows)))
+
+
+def test_find_dominant_optimal_matches_the_tie_walk():
+    # the loudest-receiver candidate against the first dominant tie, K 1..8
+    rng = random.Random(30)
+    found = 0
+    for _ in range(5000):
+        mat = _dominance_case(rng, rng.randint(1, 8),
+                              rng.choice(("gdof", "deterministic")))
+        want = dominant_optimal_by_ties(mat)
+        assert find_dominant_optimal(mat) == want, mat
+        found += want is not None
+    assert 1000 < found < 4000
 
 
 def test_sufficient_invertibility_reason_selection():

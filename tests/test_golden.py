@@ -33,7 +33,11 @@ PLAIN = ("check-tin", "sum", "region", "combined-bounds", "invertibility",
 # Test-local networks, as network documents.  tied6x2's first sub-channel has
 # 21 tied optimal partitions with 4 distinct participating width vectors, 3
 # of the ties invertible; its second has 6 ties, 4 vectors, 2 invertible.
-# Their reports pin one certificate per tie, in tie order.
+# Their reports pin one certificate per tie, in tie order.  witness4x2 is
+# gdof: its first sub-channel is acyclic4's matrix, whose unique optimal
+# partition {(1,2,3,4)} is dominant and is reported as the witness; its
+# second has two tied optimal partitions, neither dominant, and no other
+# sufficient condition holds, so it is undetermined.
 LITERAL = {
     "tied6x2": {
         "mode": "deterministic",
@@ -44,6 +48,15 @@ LITERAL = {
              [2, 2, 1, 5, 0, 1], [0, 2, 0, 2, 5, 0], [1, 0, 1, 0, 1, 3]],
             [[4, 0, 1, 2, 1, 0], [0, 5, 2, 1, 0, 0], [1, 1, 5, 2, 0, 0],
              [1, 2, 0, 5, 0, 1], [0, 2, 1, 1, 4, 1], [0, 1, 0, 0, 0, 3]],
+        ],
+    },
+    "witness4x2": {
+        "mode": "gdof",
+        "users": 4,
+        "subchannels": 2,
+        "matrices": [
+            [[4, 2, 1, 0], [0, 4, 2, 1], [1, 0, 4, 2], [2, 1, 0, 4]],
+            [[5, 2, 2, 1], [1, 5, 2, 1], [2, 1, 5, 1], [1, 2, 1, 4]],
         ],
     },
 }
@@ -65,7 +78,8 @@ def golden_cases() -> dict:
     cases["decompose.gap_eps_1_10.gap_point"] = (
         "decompose", "gap_eps_1_10", ("--point", "2,1/2,1/2"))
     for sub in ("invertibility", "separability"):
-        cases["%s.tied6x2" % sub] = (sub, "tied6x2", ())
+        for name in LITERAL:
+            cases["%s.%s" % (sub, name)] = (sub, name, ())
     # partition probes: one certificate per sub-channel; the gdof probe's top
     # level holds sufficient-condition verdicts, its quantized section the
     # certificates

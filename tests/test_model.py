@@ -597,6 +597,8 @@ def test_quantize_validates_inputs():
         quantize(mat, "-3")
     with pytest.raises(InputError):
         quantize(quantize(mat, 4), 4)  # already deterministic
+    with pytest.raises(InputError, match="gdof-mode networks"):
+        quantize(Network(mode="deterministic", matrices=(quantize(mat, 4),)), 4)
     with pytest.raises(InputError):
         quantize("nope", 4)
 
@@ -653,6 +655,8 @@ def test_parse_network_roundtrip(tmp_path):
     lambda d: d.update(subchannels=2),          # count mismatch
     lambda d: d.update(matrices="nope"),
     lambda d: d.update(users=3),                # matrix is 2x2
+    lambda d: d.update(subchannels=0),
+    lambda d: d.update(subchannels=True),
 ])
 def test_parse_network_rejects_bad_documents(mutate):
     doc = _doc()

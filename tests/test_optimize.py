@@ -256,14 +256,13 @@ def test_assignment_matches_permutation_scan(seed, n):
 def test_best_partition_routes_agree_on_arbitrary_matrices(seed, k):
     rng = random.Random(seed)
     mat = random_det_matrix(rng, k, hi=5)
-    aw, aperm = best_partition_assignment(mat)
-    bw, bperm = brute_force_best_weight(mat)
+    aw, apart = best_partition_assignment(mat)
+    bw, bpart = brute_force_best_weight(mat)
     assert aw == bw
-    # both returned permutations must actually attain that weight
-    for perm in (aperm, bperm):
-        weight = sum(
-            (mat.edge_weight(perm[u], u + 1) for u in range(k)), Fraction(0)
-        )
+    # both returned partitions must actually attain that weight
+    for part in (apart, bpart):
+        weight = sum((mat.edge_weight(p, u) for u, p in
+                      enumerate(part.predecessors, start=1) if p), Fraction(0))
         assert weight == aw
 
 
@@ -300,8 +299,7 @@ def test_scan_views_match_partition_oracle(seed, k, tied):
     rng = random.Random(seed)
     mat = _tied_matrix(rng, k) if tied else random_gdof_matrix(rng, k)
     best, ties, lexmin = heaviest_partitions(mat)
-    weight, perm = brute_force_best_weight(mat)
-    assert weight == best and CyclicPartition.from_permutation(perm) == lexmin
+    assert brute_force_best_weight(mat) == (best, lexmin)
     assert all_optimal_partitions(mat) == ties
     assert optimal_partition(mat) == lexmin
 
@@ -331,9 +329,9 @@ def test_subset_dp_matches_permutation_scan_oracle(k, kind):
         assert cnt[0] == len(tied)
         # the walk lists every tie, tuple for tuple, in the scan's order
         assert list(_ties(incoming, suf)) == tied
-        lexmin = tuple(p + 1 for p in canonical)
+        lexmin = CyclicPartition.from_permutation(p + 1 for p in canonical)
         assert brute_force_best_weight(mat) == (weight, lexmin)
-        assert optimal_partition(mat) == CyclicPartition.from_permutation(lexmin)
+        assert optimal_partition(mat) == lexmin
         if len(tied) <= TIE_GUARD:
             assert all_optimal_partitions(mat) == tuple(
                 CyclicPartition.from_permutation([p + 1 for p in perm])
@@ -355,7 +353,8 @@ def test_tie_guard_trips_before_the_walk(monkeypatch):
         all_optimal_partitions(mat)
     assert walked == []
     # the value and the canonical tie are read from one walk's first tie
-    assert brute_force_best_weight(mat) == (9, (2, 1, 4, 3, 6, 5, 8, 9, 7))
+    weight, part = brute_force_best_weight(mat)
+    assert weight == 9 and part.predecessors == (2, 1, 4, 3, 6, 5, 8, 9, 7)
     assert len(walked) == 1
 
 

@@ -629,7 +629,8 @@ def test_bad_point_and_partition_exit_2(nets, capsys):
             ("1:5,2:1,3:0", "--partition entry '1:5': predecessor 5 is outside 0..3"),
             ("1:-1,2:1,3:0", "--partition entry '1:-1': predecessor -1 is outside 0..3"),
             ("1:2,2:2,3:0", "--partition gives predecessor 2 twice: '1:2' and '2:2'"),
-            ("1:3,2:1,3:0", "--partition gives predecessor 3 twice: '1:3' and '3:0'")):
+            ("1:3,2:1,3:0", "--partition gives predecessor 3 twice: '1:3' and '3:0'"),
+            ("1:x,2:1,3:2", "bad partition entry '1:x'")):
         code, out, err = run_cli(capsys, "invertibility", nets["symmetric3"],
                                  "--partition", partition)
         assert code == 2 and out == ""
@@ -723,8 +724,10 @@ def test_enumeration_guard_exits_3(nets, capsys):
 def test_tie_guard_exits_3_before_walking_the_ties(tmp_path, capsys, mode,
                                                    cross):
     # K = 9 with every cross link 1 ties all 133,496 derangements, and with
-    # none every one of the 9! permutations: past TIE_GUARD either way (the
-    # gdof sufficient conditions list ties only when no cheaper one holds)
+    # none every one of the 9! permutations: past TIE_GUARD either way.  The
+    # deterministic verdicts list the ties, so they exit 3; the gdof ones
+    # need no tie list (the dominance test builds its one candidate), so
+    # they answer "undetermined" and exit 1 as quickly
     k = 9
     path = tmp_path / "tied9.json"
     path.write_text(json.dumps({
@@ -737,6 +740,9 @@ def test_tie_guard_exits_3_before_walking_the_ties(tmp_path, capsys, mode,
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv, str(path))
         assert time.perf_counter() - start < 5, argv
+        if mode == "gdof":
+            assert code == 1 and err == "" and "undetermined" in out, argv
+            continue
         assert code == 3 and out == "", argv
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "tie limit exceeded" in err
