@@ -11,7 +11,6 @@ The package answers, with rational arithmetic throughout:
 """
 
 from .cycles import (
-    Cycle,
     CyclicPartition,
     cycle_count,
     enumerate_cycles,

@@ -7,11 +7,15 @@ strength caused by transmitter j at receiver i (self-edges weigh zero).
 A cycle is a cyclically ordered subset of users, without repetitions; the
 cycle written (u0, u1, ..., u_{L-1}) traverses the edges e_{u0 u1},
 e_{u1 u2}, ..., e_{u_{L-1} u0}, so each listed user is the *predecessor*
-of the user that follows it.  A cyclic partition is a set of disjoint
-cycles covering every user exactly once; identifying each user with its
-predecessor makes cyclic partitions the same thing as permutations of
-{1..K} (trivial cycles = fixed points).  ``CyclicPartition`` stores that
-predecessor vector, and its cycles are a view built when first read.
+of the user that follows it.  A cycle is held as that user tuple, rotated
+so its smallest user comes first: rotation preserves the cycle, so this is
+a canonical form, while the two traversal directions of a 3-or-more cycle
+remain distinct (they traverse different edges).  A cyclic partition is a
+set of disjoint cycles covering every user exactly once; identifying each
+user with its predecessor makes cyclic partitions the same thing as
+permutations of {1..K} (trivial cycles = fixed points).
+``CyclicPartition`` stores that predecessor vector, and its cycles are a
+view built when first read.
 
 Enumeration is exhaustive and therefore guarded: K is capped at
 MAX_ENUM_USERS for the operations that walk all cycles or partitions.
@@ -29,7 +33,6 @@ from .model import GuardError, InputError, StrengthMatrix, _shown
 
 __all__ = [
     "MAX_ENUM_USERS",
-    "Cycle",
     "CyclicPartition",
     "enumerate_cycles",
     "enumerate_partitions",
@@ -41,71 +44,21 @@ __all__ = [
 MAX_ENUM_USERS = 9
 
 
+def _check_users(k: int) -> None:
+    """InputError unless K is an int (not a bool) of at least 1."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise InputError("K must be an integer, got %s" % _shown(k))
+    if k < 1:
+        raise InputError("need at least one user, got K = %s" % _shown(k))
+
+
 def _check_enum_guard(k: int) -> None:
+    _check_users(k)
     if k > MAX_ENUM_USERS:
         raise GuardError(
             "exhaustive enumeration limit exceeded: K = %s (max %d)"
             % (_shown(k), MAX_ENUM_USERS)
         )
-    if k < 1:
-        raise InputError("need at least one user, got K = %s" % _shown(k))
-
-
-# ---------------------------------------------------------------------------
-# cycles
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Cycle:
-    """A cyclically ordered subset of users, canonicalized.
-
-    ``users`` is the traversal order rotated so the smallest user comes
-    first; rotation preserves the cycle, so this is a canonical form, while
-    the two traversal directions of a 3-or-more cycle remain distinct
-    (as they must: they traverse different edges).
-    """
-
-    users: tuple
-
-    def __post_init__(self):
-        users = tuple(self.users)
-        if not users:
-            raise InputError("a cycle needs at least one user")
-        if len(set(users)) != len(users):
-            raise InputError("cycle repeats a user: %s" % _shown(users))
-        if any((not isinstance(u, int)) or isinstance(u, bool) or u < 1
-               for u in users):
-            raise InputError("cycle users must be positive integers: %s" % _shown(users))
-        pivot = users.index(min(users))
-        object.__setattr__(self, "users", users[pivot:] + users[:pivot])
-
-    def __len__(self):
-        return len(self.users)
-
-    def __iter__(self):
-        return iter(self.users)
-
-    def __str__(self):
-        return "(" + ",".join(map(_shown, self.users)) + ")"
-
-    @property
-    def trivial(self) -> bool:
-        return len(self.users) == 1
-
-    def edges(self) -> tuple:
-        """The traversed edges as (i, j) pairs, meaning e_ij from j to i.
-
-        The trivial cycle has no cross edges.
-        """
-        users = self.users
-        if len(users) == 1:
-            return ()
-        return tuple(
-            (users[t], users[(t + 1) % len(users)]) for t in range(len(users))
-        )
-
-    def weight(self, matrix: StrengthMatrix) -> Fraction:
-        return sum((matrix.edge_weight(i, j) for i, j in self.edges()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +71,30 @@ class CyclicPartition:
 
     The stored form is the predecessor vector: ``predecessors[k-1]`` is user
     k's predecessor, 0 on a trivial cycle, as reports write it; ``==`` and
-    ``hash`` compare it.  The constructor takes the cycles (``Cycle``s or
-    user tuples); ``cycles`` is a view built on first read, each cycle
-    starting at its smallest user, in order of that user.
+    ``hash`` compare it.  The constructor takes the cycles as user
+    sequences in any rotation (InputError on an empty one, a repeated user
+    or a user that is not a positive int); ``cycles`` is a view built on
+    first read, canonical user tuples in order of their smallest user.
     """
 
     predecessors: tuple
 
     def __init__(self, cycles):
-        cycles = sorted((c if isinstance(c, Cycle) else Cycle(tuple(c)) for c in cycles),
-                        key=lambda c: c.users[0])
-        if not cycles:
+        canonical = []
+        for users in map(tuple, cycles):
+            if not users:
+                raise InputError("a cycle needs at least one user")
+            if len(set(users)) != len(users):
+                raise InputError("cycle repeats a user: %s" % _shown(users))
+            if any((not isinstance(u, int)) or isinstance(u, bool) or u < 1
+                   for u in users):
+                raise InputError("cycle users must be positive integers: %s" % _shown(users))
+            pivot = users.index(min(users))
+            canonical.append(users[pivot:] + users[:pivot])
+        if not canonical:
             raise InputError("a cyclic partition needs at least one cycle")
         pred = {}
-        for users in (cyc.users for cyc in cycles):
+        for users in sorted(canonical, key=lambda users: users[0]):
             for t, u in enumerate(users):
                 if u in pred:
                     raise InputError("partition cycles are not disjoint at user %s"
@@ -155,7 +118,7 @@ class CyclicPartition:
                 order.append(u)
                 u = succ.get(u, u)
             if order:
-                cycles.append(Cycle(tuple(order)))
+                cycles.append(tuple(order))
         return tuple(cycles)
 
     @property
@@ -163,10 +126,7 @@ class CyclicPartition:
         return len(self.predecessors)
 
     def __str__(self):
-        return "{" + ", ".join(str(c) for c in self.cycles) + "}"
-
-    def weight(self, matrix: StrengthMatrix) -> Fraction:
-        return sum((cyc.weight(matrix) for cyc in self.cycles), Fraction(0))
+        return "{" + ", ".join("(%s)" % ",".join(map(str, c)) for c in self.cycles) + "}"
 
     @classmethod
     def from_permutation(cls, perm) -> "CyclicPartition":
@@ -222,7 +182,8 @@ def partition_bound(partition: CyclicPartition, matrix: StrengthMatrix) -> Fract
 
 @lru_cache(maxsize=None)
 def enumerate_cycles(k: int) -> tuple:
-    """All cycles on users 1..K, trivial ones included.
+    """All cycles on users 1..K as canonical user tuples, trivial ones
+    included, in order of length, then of user set, then of traversal.
 
     There are sum over L of C(K, L) * (L-1)! of them, since a cardinality-L
     subset supports (L-1)! distinct cyclic orders.
@@ -234,7 +195,7 @@ def enumerate_cycles(k: int) -> tuple:
         for subset in itertools.combinations(users, size):
             head, rest = subset[0], subset[1:]
             for tail in itertools.permutations(rest):
-                cycles.append(Cycle((head,) + tail))
+                cycles.append((head,) + tail)
     return tuple(cycles)
 
 
@@ -249,13 +210,15 @@ def enumerate_partitions(k: int) -> tuple:
 
 
 def cycle_count(k: int) -> int:
-    """Closed form for len(enumerate_cycles(k))."""
+    """Closed form for len(enumerate_cycles(k)), for any K >= 1."""
+    _check_users(k)
     return sum(
         math.comb(k, size) * math.factorial(size - 1) for size in range(1, k + 1)
     )
 
 
 def partition_count(k: int) -> int:
-    """Closed form for len(enumerate_partitions(k))."""
+    """Closed form for len(enumerate_partitions(k)), for any K >= 1."""
+    _check_users(k)
     return math.factorial(k)
 

@@ -54,7 +54,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class RegionConstraint(NamedTuple):
-    """sum of d_k over ``users`` <= ``rhs``; ``cycle`` records the source.
+    """sum of d_k over ``users`` <= ``rhs``; ``cycle`` records the source,
+    the cycle's canonical user tuple (``enumerate_cycles``), or None.
     A named tuple: it also equals the plain tuple (users, rhs, cycle)."""
 
     users: tuple
@@ -76,10 +77,10 @@ def _cycle_table(k: int) -> tuple:
     """``enumerate_cycles(k)`` as flat arrays, for summing cycle bounds one
     level of cycle lengths at a time: (masks, levels, closes, users_of).
 
-    Cycle c covers the users of the bitmask ``masks[c]`` (bit u - 1 for
-    user u).  Edge e_ij of a row-major K x K matrix has index
-    (i - 1) * K + j - 1.  The cycles come in length order, and a cycle
-    (u0, ..., u_{L-1}) of length L >= 2 minus its last user is an earlier
+    Cycle c, a user tuple (u0, ..., u_{L-1}), covers the users of the
+    bitmask ``masks[c]`` (bit u - 1 for user u).  Edge e_ij of a row-major
+    K x K matrix has index (i - 1) * K + j - 1.  The cycles come in length
+    order, and a cycle of length L >= 2 minus its last user is an earlier
     cycle, its parent; ``levels[L - 2]`` is the (parents, steps) pair of
     the cycles of length L, in order: the parent's index and the index of
     the step edge e_{u_{L-2} u_{L-1}}.  So the open path u0 -> ... ->
@@ -91,11 +92,10 @@ def _cycle_table(k: int) -> tuple:
     cycles' own guard, and read-only, since every caller shares it.
     """
     cycles = enumerate_cycles(k)
-    index = {cyc.users: c for c, cyc in enumerate(cycles)}
+    index = {users: c for c, users in enumerate(cycles)}
     masks, closes = array("H"), bytearray()
     levels = [(array("I"), bytearray()) for _ in range(k - 1)]
-    for cyc in cycles:
-        users = cyc.users
+    for users in cycles:
         masks.append(sum(1 << (u - 1) for u in users))
         closes.append((users[-1] - 1) * k + users[0] - 1 if len(users) > 1 else k * k)
         if len(users) > 1:
@@ -124,9 +124,10 @@ def tin_region(matrix: StrengthMatrix) -> tuple:
     paths plus their step edges, one ``map`` per length, and a cycle's
     bound is its users' desired sum minus its path and closing edge.  Each
     distinct bound becomes one Fraction, shared by every constraint with
-    that bound.  Equal, cycle by cycle, to the cycle's desired strengths
-    minus its ``Cycle.weight``; GuardError above K = 9, before any table is
-    built.
+    that bound.  Equal, cycle by cycle, to the desired strengths of the
+    cycle's users minus the strengths of the edges e_{u0 u1}, ...,
+    e_{u_{L-1} u0} it traverses; GuardError above K = 9, before any table
+    is built.
     """
     k = matrix.users
     cycles = enumerate_cycles(k)
@@ -225,7 +226,7 @@ def _heaviest_cycles(flat, k) -> list:
 
     A Held-Karp pass (Held & Karp 1962; Bellman 1962), in O(2^K K^2):
     ``paths[mask][v]`` weighs the heaviest order (low, ..., v) of all of
-    mask, as a Cycle weighs its listed users (e_uv = flat[u*K + v] per
+    mask, as a cycle's user tuple weighs (e_uv = flat[u*K + v] per
     consecutive pair); e_v,low closes the cycle.  Where no order exists it
     is too low to win any max.
     """

@@ -49,7 +49,7 @@ def point_repr(point) -> list:
 
 def partition_repr(partition) -> dict:
     return {
-        "cycles": [list(cyc.users) for cyc in partition.cycles],
+        "cycles": [list(cyc) for cyc in partition.cycles],
         "predecessors": list(partition.predecessors),  # 0 marks trivial cycles
     }
 
@@ -108,7 +108,7 @@ def region_repr(constraints) -> list:
         if cycle is None:
             rows.append({"users": users, "rhs": text})
         else:
-            rows.append({"users": users, "rhs": text, "cycle": cycle.users})
+            rows.append({"users": users, "rhs": text, "cycle": cycle})
     return rows
 
 

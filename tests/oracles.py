@@ -131,10 +131,11 @@ def brute_min_assignment(cost):
 
 def heaviest_partitions(matrix):
     """(max weight, tied partitions in ``enumerate_partitions`` order, the
-    tie with the smallest predecessor vector), each partition weighed with
-    ``CyclicPartition.weight`` in Fraction arithmetic."""
+    tie with the smallest predecessor vector), each partition weighed as
+    the sum of its cycles' ``cycle_weight`` in Fraction arithmetic."""
     parts = enumerate_partitions(matrix.users)
-    weights = [part.weight(matrix) for part in parts]
+    weights = [sum((cycle_weight(cyc, matrix) for cyc in part.cycles), Fraction(0))
+               for part in parts]
     best = max(weights)
     ties = tuple(part for part, w in zip(parts, weights) if w == best)
     return best, ties, min(ties, key=lambda part: part.predecessors)
@@ -217,19 +218,28 @@ def tin_by_triples(matrix):
 # cycle bounds, one Fraction sum per cycle
 # ---------------------------------------------------------------------------
 
+def cycle_edges(cycle):
+    """The edges the user tuple ``cycle`` traverses, as (i, j) pairs meaning
+    e_ij from j to i: each consecutive pair, and the last user back to the
+    first.  A trivial cycle has no cross edges."""
+    if len(cycle) == 1:
+        return ()
+    return tuple(zip(cycle, cycle[1:] + cycle[:1]))
+
+
 def cycle_weight(cycle, matrix):
     """Sum of the strengths of the interference links the cycle traverses."""
-    return sum((matrix.edge_weight(i, j) for i, j in cycle.edges()), Fraction(0))
+    return sum((matrix.edge_weight(i, j) for i, j in cycle_edges(cycle)), Fraction(0))
 
 
 def cycle_bound_rhs(cycle, matrix):
     """Right-hand side of the cycle's sum bound: desired strengths minus weight."""
-    return sum(map(matrix.desired, cycle.users), Fraction(0)) - cycle_weight(cycle, matrix)
+    return sum(map(matrix.desired, cycle), Fraction(0)) - cycle_weight(cycle, matrix)
 
 
 def point_obeys_cycle_bounds(matrix, point, cycles):
     """Direct evaluation of every cycle bound at the point."""
-    return all(sum((point[u - 1] for u in cyc.users), Fraction(0))
+    return all(sum((point[u - 1] for u in cyc), Fraction(0))
                <= cycle_bound_rhs(cyc, matrix) for cyc in cycles)
 
 
@@ -245,7 +255,7 @@ def _cycle_rows(matrix, offset=0, width=None):
     rows = []
     for cyc in enumerate_cycles(k):
         coeffs = [0] * width
-        for u in cyc.users:
+        for u in cyc:
             coeffs[offset + u - 1] = 1
         rows.append((coeffs, "<=", cycle_bound_rhs(cyc, matrix)))
     return rows

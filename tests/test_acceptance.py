@@ -24,7 +24,6 @@ from oracles import (
     random_strict_tin_matrix,
 )
 from tinopt.cycles import (
-    Cycle,
     CyclicPartition,
     cycle_count,
     enumerate_cycles,
@@ -145,9 +144,9 @@ def test_criterion_2_lp_sanity_and_redundancy(strict_corpus):
 def test_criterion_3_example1_replay():
     net = example1()
     stated = (
-        CyclicPartition((Cycle((1, 2, 3)),)),
-        CyclicPartition((Cycle((1, 3, 2)),)),
-        CyclicPartition((Cycle((1,)), Cycle((2, 3)))),
+        CyclicPartition(((1, 2, 3),)),
+        CyclicPartition(((1, 3, 2),)),
+        CyclicPartition(((1,), (2, 3))),
     )
     tin_ok = all(check_tin(mat).satisfied for mat in net.matrices)
     verdict = separability_verdict(net)

@@ -22,7 +22,7 @@ from oracles import (
     random_tied_matrix,
 )
 from tinopt import detmodel
-from tinopt.cycles import Cycle, CyclicPartition, enumerate_partitions
+from tinopt.cycles import CyclicPartition, enumerate_partitions
 from tinopt.detmodel import (
     GF2_BIT_GUARD,
     _gf2_rank_and_kernel,
@@ -99,7 +99,7 @@ def test_channel_output_superposes_by_xor():
 
 def test_participating_levels():
     mat = example1().matrices[0]
-    full = CyclicPartition((Cycle((1, 2, 3)),))
+    full = CyclicPartition(((1, 2, 3),))
     # widths are the strengths at each user's predecessor: a_31, a_12, a_23
     assert participating_levels(mat, full) == (0, 2, 1)
     trivial = CyclicPartition(((1,), (2,), (3,)))
@@ -124,7 +124,7 @@ def test_build_gf2_system_tiny():
 
 
 def test_build_gf2_system_merges_colliding_levels():
-    part = CyclicPartition((Cycle((1, 2, 3)),))
+    part = CyclicPartition(((1, 2, 3),))
     sys3 = build_gf2_system(SYMMETRIC3, part)
     assert len(sys3.variables) == 3
     # at every receiver both interferers land on level 0 and merge into one row
@@ -149,11 +149,11 @@ def test_gf2_rank_and_kernel_basics():
 
 def test_invertible_gf2_on_fixture_cases():
     mat = example1().matrices[0]
-    cert = invertible_gf2(mat, CyclicPartition((Cycle((1, 2, 3)),)))
+    cert = invertible_gf2(mat, CyclicPartition(((1, 2, 3),)))
     assert cert.invertible and cert.rank == cert.num_bits == 3
     assert cert.kernel is None and bool(cert)
 
-    part = CyclicPartition((Cycle((1, 2, 3)),))
+    part = CyclicPartition(((1, 2, 3),))
     bad = invertible_gf2(SYMMETRIC3, part)
     assert not bad.invertible and bad.rank == 2 and bad.num_bits == 3
     assert bad.kernel == ((1, 1), (2, 1), (3, 1))
@@ -304,7 +304,7 @@ def test_cyclic_fixture_breaks_acyclicity_but_not_invertibility():
 def test_dominant_partition_check_details():
     # symmetric strengths can never be *strictly* dominant
     for part in enumerate_partitions(3):
-        if not all(c.trivial for c in part.cycles):
+        if not all(len(c) == 1 for c in part.cycles):
             assert not dominant_partition_check(SYMMETRIC3, part)
     # all-trivial partitions are vacuously dominant
     trivial = CyclicPartition(((1,), (2,), (3,)))

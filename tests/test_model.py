@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from oracles import (random_det_matrix, random_gdof_matrix, random_strict_tin_matrix,
                      submatrix, tin_by_triples)
 from tinopt import cli, model
-from tinopt.cycles import Cycle, CyclicPartition, enumerate_cycles
+from tinopt.cycles import (CyclicPartition, cycle_count, enumerate_cycles,
+                           enumerate_partitions, partition_count)
 from tinopt.detmodel import tin_feasible
 from tinopt.fixtures import gap_network
 from tinopt.model import (
@@ -223,29 +224,31 @@ def test_oversized_users_raises_input_error():
 HUGE = 10 ** 5000
 
 
-def _raise_with_cycle_str():
-    # messages render a cycle through Cycle.__str__, which must not raise
-    raise InputError("on cycle %s" % Cycle((HUGE,)))
-
-
 @pytest.mark.parametrize("call", [
-    lambda: Cycle((HUGE, HUGE)),
-    lambda: Cycle((-HUGE,)),
+    lambda: CyclicPartition(((HUGE, HUGE),)),
+    lambda: CyclicPartition(((-HUGE,),)),
     lambda: CyclicPartition(((HUGE,),)),
     lambda: CyclicPartition(((HUGE,), (HUGE,))),
     lambda: CyclicPartition.from_permutation((HUGE, 1)),
     lambda: StrengthMatrix.from_values("gdof", [[1]]).entry(HUGE, 1),
     lambda: LinearProgram.build([1], [([1], HUGE, 1)]),
-    _raise_with_cycle_str,
     lambda: combined_sum_bounds(gap_network("1/10")).bound((HUGE,)),
     lambda: enumerate_cycles(-HUGE),
+    lambda: cycle_count(-HUGE),
+    lambda: partition_count(-HUGE),
+    lambda: enumerate_cycles(True),
+    lambda: enumerate_partitions(2.0),
+    lambda: cycle_count("3"),
+    lambda: partition_count(None),
     lambda: parse_network({"mode": "gdof", "users": HUGE, "subchannels": 1,
                            "matrices": [[[1]]]}),
     lambda: parse_network({"mode": "gdof", "users": 1, "subchannels": HUGE,
                            "matrices": [[[1]]]}),
 ], ids=["cycle-repeat", "cycle-negative", "partition-cover", "partition-disjoint",
-        "from-permutation", "entry", "lp-relation", "cycle-str", "combined-bound",
-        "enumerate-negative", "document-users", "document-subchannels"])
+        "from-permutation", "entry", "lp-relation", "combined-bound",
+        "enumerate-negative", "cycle-count-negative", "partition-count-negative",
+        "enumerate-bool", "enumerate-float", "cycle-count-str", "partition-count-none",
+        "document-users", "document-subchannels"])
 def test_oversized_int_arguments_raise_input_error(call):
     with pytest.raises(InputError) as exc:
         call()
@@ -646,22 +649,28 @@ def test_parse_network_roundtrip(tmp_path):
     assert '"1/2"' in text and "0.5" not in text
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda d: d.pop("mode"),
-    lambda d: d.pop("matrices"),
-    lambda d: d.update(mode="fuzzy"),
-    lambda d: d.update(users=0),
-    lambda d: d.update(users=True),
-    lambda d: d.update(subchannels=2),          # count mismatch
-    lambda d: d.update(matrices="nope"),
-    lambda d: d.update(users=3),                # matrix is 2x2
-    lambda d: d.update(subchannels=0),
-    lambda d: d.update(subchannels=True),
-])
+# each bad document and the start of the message of the one check that rejects it
+BAD_DOCUMENTS = {
+    lambda d: d.pop("mode"): "network document missing keys: mode$",
+    lambda d: d.pop("matrices"): "network document missing keys: matrices$",
+    lambda d: d.update(mode="fuzzy"): "mode must be one of",
+    lambda d: d.update(users=0): "users must be a positive integer, got 0$",
+    lambda d: d.update(users=True): "users must be a positive integer, got True$",
+    lambda d: d.update(subchannels=2): "expected 2 matrices, got 1$",
+    lambda d: d.update(matrices="nope"): "matrices must be a list$",
+    lambda d: d.update(users=3): "sub-channel 1 matrix is 2x2 but users=3$",
+    # the document check, before the matrix count or Network could object
+    lambda d: d.update(subchannels=0): r"subchannels must be a positive integer \(M >= 1 "
+                                       r"required\), got 0$",
+    lambda d: d.update(subchannels=True): "subchannels must be a positive integer",
+}
+
+
+@pytest.mark.parametrize("mutate", BAD_DOCUMENTS)
 def test_parse_network_rejects_bad_documents(mutate):
     doc = _doc()
     mutate(doc)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^" + BAD_DOCUMENTS[mutate]):
         parse_network(doc)
 
 

@@ -9,10 +9,9 @@ test compares those hashes with the values below, which
     python tests/replay_reports.py --seed 3 --passes 1
 
 printed when they were pinned.  Seed 3 pins only the two workloads whose
-LPs run on the simplex tableau, sum-corpus and decompose-mix.  The seed-1
-and seed-3 values are the same on CPython 3.10 to 3.13, the seed-2 values
-on CPython 3.11 and 3.13; the two det-ties values, which hash
-``best_tin_scheme``'s results, have been recorded on CPython 3.11 only.
+LPs run on the simplex tableau, sum-corpus and decompose-mix.  Every value,
+the two det-ties values that hash ``best_tin_scheme``'s results included,
+has been printed by CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 alike.
 An intended report change, or a change to the benchmark's generators,
 re-pins them and says why in CHANGES.md, as a change to ``tests/golden/``
 does.

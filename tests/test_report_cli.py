@@ -21,7 +21,7 @@ import tinopt
 from oracles import cycle_bound_rhs, random_gdof_matrix
 from tinopt import report
 from tinopt.cli import main
-from tinopt.cycles import Cycle, CyclicPartition, enumerate_cycles
+from tinopt.cycles import CyclicPartition, enumerate_cycles
 from tinopt.fixtures import builtin_networks, gap_network
 from tinopt.model import (
     CrossCheckError,
@@ -52,7 +52,7 @@ def test_frac_and_point_repr_never_emit_floats():
 
 
 def test_partition_repr_uses_zero_sentinel():
-    part = CyclicPartition((Cycle((1, 3)), Cycle((2,))))
+    part = CyclicPartition(((3, 1), (2,)))
     rep = partition_repr(part)
     assert rep == {"cycles": [[1, 3], [2]], "predecessors": [3, 0, 1]}
 
@@ -105,8 +105,8 @@ def _region_reference(net) -> tuple:
             x.numerator, x.denominator)
 
     subchannels = [
-        [{"users": sorted(cyc.users), "rhs": rational(cycle_bound_rhs(cyc, mat)),
-          "cycle": list(cyc.users)} for cyc in enumerate_cycles(net.users)]
+        [{"users": sorted(cyc), "rhs": rational(cycle_bound_rhs(cyc, mat)),
+          "cycle": list(cyc)} for cyc in enumerate_cycles(net.users)]
         for mat in net.matrices
     ]
     doc = {"command": "region", "mode": net.mode, "subchannels": subchannels}
@@ -143,7 +143,7 @@ def test_region_repr_renders_each_distinct_bound_once(monkeypatch):
     # K = 8: 16,072 rows over a few hundred distinct bound objects
     rng = random.Random("region_repr")
     mats = [random_gdof_matrix(rng, 8) for _ in range(2)]
-    want = [[{"users": c.users, "rhs": frac(c.rhs), "cycle": c.cycle.users}
+    want = [[{"users": c.users, "rhs": frac(c.rhs), "cycle": c.cycle}
              for c in tin_region(mat)] for mat in mats]
     calls = []
 
