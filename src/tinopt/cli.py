@@ -32,6 +32,7 @@ from .model import (
     CrossCheckError,
     GuardError,
     InputError,
+    _clip,
     as_rational,
     check_tin,
     load_network,
@@ -60,32 +61,32 @@ def _parse_log2p(text, net) -> tuple:
 
 
 def _parse_partition(text: str, users: int) -> CyclicPartition:
-    """Parse "1:3,2:1,3:2" (user:predecessor, 0 = trivial cycle); a bad
-    predecessor is reported by the entries as typed."""
+    """Parse "1:3,2:1,3:2" (user:predecessor, 0 = trivial cycle, as is the
+    user itself); a bad predecessor is reported by the entries as typed."""
     pred, given = {}, {}                # given[p]: the entry naming p
     for chunk in text.split(","):
         chunk = chunk.strip()
         if ":" not in chunk:
             raise InputError("partition entries look like user:predecessor, got %r"
-                             % chunk)
+                             % _clip(chunk))
         left, right = chunk.split(":", 1)
         try:
             user, p = int(left), int(right)
         except ValueError as exc:
-            raise InputError("bad partition entry %r" % chunk) from exc
+            raise InputError("bad partition entry %r" % _clip(chunk)) from exc
         if user in pred:
-            raise InputError("user %d listed twice in --partition" % user)
+            raise InputError("user %s listed twice in --partition" % _clip(str(user)))
         if not 0 <= p <= users:
-            raise InputError("--partition entry %r: predecessor %d is outside 0..%d"
-                             % (chunk, p, users))
+            raise InputError("--partition entry %r: predecessor %s is outside 0..%d"
+                             % (_clip(chunk), _clip(str(p)), users))
         p = p or user
         if p in given:
             raise InputError("--partition gives predecessor %d twice: %r and %r"
-                             % (p, given[p], chunk))
-        pred[user], given[p] = p, chunk
+                             % (p, _clip(given[p]), _clip(chunk)))
+        pred[user], given[p] = 0 if p == user else p, chunk
     if sorted(pred) != list(range(1, users + 1)):
         raise InputError("--partition must cover users 1..%d exactly once" % users)
-    return CyclicPartition.from_permutation([pred[u] for u in range(1, users + 1)])
+    return CyclicPartition([pred[u] for u in range(1, users + 1)])
 
 
 # ---------------------------------------------------------------------------

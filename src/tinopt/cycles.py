@@ -14,8 +14,8 @@ remain distinct (they traverse different edges).  A cyclic partition is a
 set of disjoint cycles covering every user exactly once; identifying each
 user with its predecessor makes cyclic partitions the same thing as
 permutations of {1..K} (trivial cycles = fixed points).
-``CyclicPartition`` stores that predecessor vector, and its cycles are a
-view built when first read.
+``CyclicPartition`` is built from and stores that predecessor vector, 0
+for a trivial cycle, and walks its cycles from it when they are read.
 
 Enumeration is exhaustive and therefore guarded: K is capped at
 MAX_ENUM_USERS for the operations that walk all cycles or partitions.
@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .model import GuardError, InputError, StrengthMatrix, _shown
 
@@ -65,48 +65,33 @@ def _check_enum_guard(k: int) -> None:
 # cyclic partitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class CyclicPartition:
-    """Disjoint cycles covering users 1..K exactly once.
+    """Disjoint cycles covering users 1..K exactly once, built from and
+    stored as the predecessor vector.
 
-    The stored form is the predecessor vector: ``predecessors[k-1]`` is user
-    k's predecessor, 0 on a trivial cycle, as reports write it; ``==`` and
-    ``hash`` compare it.  The constructor takes the cycles as user
-    sequences in any rotation (InputError on an empty one, a repeated user
-    or a user that is not a positive int); ``cycles`` is a view built on
-    first read, canonical user tuples in order of their smallest user.
+    ``predecessors[k-1]`` is user k's predecessor, 0 on a trivial cycle, as
+    reports and ``--partition`` write it; ``==``, ``hash`` and ``repr``
+    read it.  The constructor takes a non-empty list or tuple of ints (not
+    bools) in which no user is its own predecessor and which, each 0 read
+    as the user itself, is a permutation of 1..K, so every user has exactly
+    one successor; anything else raises InputError.  ``cycles`` is walked
+    from the vector on each read: canonical user tuples in order of their
+    smallest user.
     """
 
     predecessors: tuple
 
-    def __init__(self, cycles):
-        canonical = []
-        for users in map(tuple, cycles):
-            if not users:
-                raise InputError("a cycle needs at least one user")
-            if len(set(users)) != len(users):
-                raise InputError("cycle repeats a user: %s" % _shown(users))
-            if any((not isinstance(u, int)) or isinstance(u, bool) or u < 1
-                   for u in users):
-                raise InputError("cycle users must be positive integers: %s" % _shown(users))
-            pivot = users.index(min(users))
-            canonical.append(users[pivot:] + users[:pivot])
-        if not canonical:
-            raise InputError("a cyclic partition needs at least one cycle")
-        pred = {}
-        for users in sorted(canonical, key=lambda users: users[0]):
-            for t, u in enumerate(users):
-                if u in pred:
-                    raise InputError("partition cycles are not disjoint at user %s"
-                                     % _shown(u))
-                pred[u] = users[t - 1]          # u itself on a trivial cycle
-        if set(pred) != set(range(1, len(pred) + 1)):
-            raise InputError("partition must cover users 1..K exactly once, got %s"
-                             % _shown(sorted(pred)))
-        object.__setattr__(self, "predecessors",
-                           tuple(0 if p == u else p for u, p in sorted(pred.items())))
+    def __post_init__(self):
+        pred = self.predecessors
+        users = range(1, len(pred) + 1) if isinstance(pred, (tuple, list)) else ()
+        if not (users and all(type(p) is int and p != u for u, p in zip(users, pred))
+                and sorted(p or u for u, p in zip(users, pred)) == list(users)):
+            raise InputError("not the predecessor vector of a cyclic partition: %s"
+                             % _shown(pred))
+        object.__setattr__(self, "predecessors", tuple(pred))
 
-    @cached_property
+    @property
     def cycles(self) -> tuple:
         # the user after u on its cycle is the one whose predecessor is u
         succ = {p: u for u, p in enumerate(self.predecessors, start=1) if p}
@@ -127,25 +112,6 @@ class CyclicPartition:
 
     def __str__(self):
         return "{" + ", ".join("(%s)" % ",".join(map(str, c)) for c in self.cycles) + "}"
-
-    @classmethod
-    def from_permutation(cls, perm) -> "CyclicPartition":
-        """The partition whose predecessor map is the permutation ``perm``.
-
-        ``perm[k-1]`` is the predecessor of user k (k itself for a trivial
-        cycle, where ``predecessors`` has 0).  Must be a permutation of
-        1..K.
-        """
-        perm = tuple(perm)
-        k = len(perm)
-        if sorted(perm) != list(range(1, k + 1)) or any(type(p) is not int for p in perm):
-            raise InputError("not a permutation of 1..%d: %s" % (k, _shown(perm)))
-        if not perm:
-            raise InputError("a cyclic partition needs at least one cycle")
-        part = object.__new__(cls)
-        object.__setattr__(part, "predecessors",
-                           tuple(0 if p == u else p for u, p in enumerate(perm, start=1)))
-        return part
 
 
 def _check_covers(partition: CyclicPartition, matrix: StrengthMatrix) -> None:
@@ -204,7 +170,7 @@ def enumerate_partitions(k: int) -> tuple:
     """All cyclic partitions of users 1..K (one per permutation: K! total)."""
     _check_enum_guard(k)
     return tuple(
-        CyclicPartition.from_permutation(perm)
+        CyclicPartition(tuple(0 if p == u else p for u, p in enumerate(perm, start=1)))
         for perm in itertools.permutations(range(1, k + 1))
     )
 

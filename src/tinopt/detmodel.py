@@ -381,15 +381,15 @@ def find_dominant_optimal(matrix: StrengthMatrix) -> "CyclicPartition | None":
         heard = sorted((flat[r * k + u], r) for r in range(k) if r != u)
         strict = heard and (len(heard) == 1 or heard[-1][0] > heard[-2][0])
         loudest.append(heard[-1][1] if strict else None)
-    perm = list(range(1, k + 1))
+    pred = [0] * k
     for u in range(k):
         cycle, v = [u], loudest[u]
         while v is not None and v != u and len(cycle) < k:
             cycle.append(v)
             v = loudest[v]
         if v == u and sum(flat[loudest[w] * k + w] for w in cycle) > 0:
-            perm[u] = loudest[u] + 1
-    candidate = CyclicPartition.from_permutation(perm)
+            pred[u] = loudest[u] + 1
+    candidate = CyclicPartition(pred)
     weight = Fraction(sum(_participating_strengths(flat, candidate.predecessors)), scale)
     return candidate if weight == best and dominant_partition_check(matrix, candidate) else None
 

@@ -171,10 +171,16 @@ def _parse_rational(text: str) -> Fraction:
         raise InputError("cannot parse rational %r" % (text,)) from exc
 
 
+def _clip(text: str) -> str:
+    """Outside input as a message echoes it: cut to 24 characters and "..."
+    past that, so a huge value cannot flood the one-line error."""
+    return text if len(text) <= 24 else text[:24] + "..."
+
+
 def _too_large(value) -> InputError:
     # never echo the value itself: str() of a huge int raises ValueError
     if isinstance(value, str):
-        shown = repr(value if len(value) <= 24 else value[:24] + "...")
+        shown = repr(_clip(value))
     else:
         shown = "of type %s" % type(value).__name__
     return InputError(

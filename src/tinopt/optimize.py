@@ -542,7 +542,9 @@ def best_partition_assignment(matrix: StrengthMatrix):
     cost = [[0 if r == c else -flat[r * k + c] for c in range(k)]
             for r in range(k)]
     total, assign = min_cost_assignment(cost)
-    return Fraction(-total, scale), CyclicPartition.from_permutation(p + 1 for p in assign)
+    # assign[u] is user u's predecessor row (0-based), u itself on a trivial cycle
+    return Fraction(-total, scale), CyclicPartition(
+        tuple(0 if p == u else p + 1 for u, p in enumerate(assign)))
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +589,9 @@ def _heaviest_permutations(matrix: StrengthMatrix):
 
 
 def _ties(incoming, suf, self_first=False):
-    """Yield the permutations attaining ``suf[0]``, 0-based (perm[u] is
-    user u+1's predecessor), by a depth-first walk of the tight branches
+    """Yield the permutations attaining ``suf[0]`` as the predecessor
+    vectors ``CyclicPartition`` takes (user u+1's predecessor at index u, 0
+    on a trivial cycle), by a depth-first walk of the tight branches
     only.  Every tight choice extends to a tie, so the walk never
     backtracks before a leaf and costs O(K^2) per tie, not K!.  Users try
     predecessors in increasing order, so the ties come lexicographically;
@@ -608,7 +611,7 @@ def _ties(incoming, suf, self_first=False):
         for p in levels[u]:
             nxt = base | 1 << p
             if nxt != base and row[p] + suf[nxt] == target:
-                prefix[u] = p
+                prefix[u] = 0 if p == u else p + 1
                 if u + 1 == k:
                     yield tuple(prefix)
                 else:
@@ -628,7 +631,7 @@ def brute_force_best_weight(matrix: StrengthMatrix):
     """
     scale, incoming, suf, _ = _heaviest_permutations(matrix)
     best = next(_ties(incoming, suf, self_first=True))
-    return Fraction(suf[0], scale), CyclicPartition.from_permutation(p + 1 for p in best)
+    return Fraction(suf[0], scale), CyclicPartition(best)
 
 
 def all_optimal_partitions(matrix: StrengthMatrix) -> tuple:
@@ -642,10 +645,7 @@ def all_optimal_partitions(matrix: StrengthMatrix) -> tuple:
             "optimal-partition tie limit exceeded: %d tied partitions (max %d)"
             % (ties, TIE_GUARD)
         )
-    return tuple(
-        CyclicPartition.from_permutation([p + 1 for p in perm])
-        for perm in _ties(incoming, suf)
-    )
+    return tuple(map(CyclicPartition, _ties(incoming, suf)))
 
 
 def optimal_partition(matrix: StrengthMatrix) -> CyclicPartition:

@@ -21,7 +21,8 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from tinopt.cycles import enumerate_cycles, enumerate_partitions, partition_bound
+from tinopt.cycles import (CyclicPartition, enumerate_cycles, enumerate_partitions,
+                           partition_bound)
 from tinopt.detmodel import (BestTinScheme, dominant_partition_check, invertible_gf2,
                              participating_levels)
 from tinopt.model import GuardError, Network, StrengthMatrix
@@ -144,9 +145,9 @@ def heaviest_partitions(matrix):
 def heaviest_permutations(matrix):
     """(max weight, tied, canonical) by scanning all K! predecessor
     permutations in integer-scaled arithmetic.  ``tied`` lists every
-    maximizing permutation, 0-based (perm[u] is user u+1's predecessor), in
-    ``itertools.permutations`` order; ``canonical`` is the tie with the
-    smallest predecessor vector, trivial cycles keyed 0."""
+    maximizing permutation, in ``itertools.permutations`` order, as a
+    predecessor vector (user u+1's predecessor at index u, 0 on a trivial
+    cycle); ``canonical`` is the smallest of them."""
     k = matrix.users
     scale = lcm(*(val.denominator for row in matrix.entries for val in row))
     # incoming[u][p]: scaled weight of user u's edge from predecessor p
@@ -161,9 +162,8 @@ def heaviest_permutations(matrix):
             best, tied = s, [perm]
         elif s == best:
             tied.append(perm)
-    canonical = min(tied, key=lambda perm: tuple(
-        0 if p == u else p + 1 for u, p in enumerate(perm)))
-    return Fraction(best, scale), tied, canonical
+    tied = [tuple(0 if p == u else p + 1 for u, p in enumerate(perm)) for perm in tied]
+    return Fraction(best, scale), tied, min(tied)
 
 
 def submatrix(matrix, users):
@@ -212,6 +212,38 @@ def tin_by_triples(matrix):
         if k == 1 and matrix.desired(i) < 0:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# partitions from cycles, and cycles from predecessor vectors
+# ---------------------------------------------------------------------------
+
+def partition_of_cycles(cycles):
+    """The partition with the given cycles (user sequences, any rotation):
+    each user's predecessor is the user listed before it, the last user's
+    the first, 0 on a trivial cycle.  The cycles themselves are not
+    checked; the constructor checks the vector they give."""
+    pred = {}
+    for cyc in map(tuple, cycles):
+        for before, u in zip(cyc[-1:] + cyc[:-1], cyc):
+            pred[u] = 0 if before == u else before
+    return CyclicPartition(tuple(pred[u] for u in range(1, len(pred) + 1)))
+
+
+def orbit_cycles(predecessors):
+    """The cycles of a predecessor vector as canonical user tuples, in
+    order of their smallest user, by walking each orbit backwards from
+    that user along the predecessors."""
+    pred = {u: p or u for u, p in enumerate(predecessors, start=1)}
+    cycles, seen = [], set()
+    for start in sorted(pred):
+        if start not in seen:
+            back = [start]
+            while pred[back[-1]] != start:
+                back.append(pred[back[-1]])
+            seen.update(back)
+            cycles.append((start, *reversed(back[1:])))
+    return tuple(cycles)
 
 
 # ---------------------------------------------------------------------------

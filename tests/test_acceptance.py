@@ -19,12 +19,12 @@ from oracles import (
     best_tin_scheme_sweep,
     exhaustive_injectivity,
     kernel_maps_to_zero,
+    partition_of_cycles,
     random_det_matrix,
     random_partition,
     random_strict_tin_matrix,
 )
 from tinopt.cycles import (
-    CyclicPartition,
     cycle_count,
     enumerate_cycles,
     enumerate_partitions,
@@ -144,9 +144,9 @@ def test_criterion_2_lp_sanity_and_redundancy(strict_corpus):
 def test_criterion_3_example1_replay():
     net = example1()
     stated = (
-        CyclicPartition(((1, 2, 3),)),
-        CyclicPartition(((1, 3, 2),)),
-        CyclicPartition(((1,), (2, 3))),
+        partition_of_cycles(((1, 2, 3),)),
+        partition_of_cycles(((1, 3, 2),)),
+        partition_of_cycles(((1,), (2, 3))),
     )
     tin_ok = all(check_tin(mat).satisfied for mat in net.matrices)
     verdict = separability_verdict(net)

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from oracles import cycle_bound_rhs, cycle_edges, cycle_weight, submatrix
+from oracles import (cycle_bound_rhs, cycle_edges, cycle_weight, orbit_cycles,
+                     partition_of_cycles, submatrix)
 from tinopt.cycles import (
     MAX_ENUM_USERS,
     CyclicPartition,
@@ -35,23 +36,13 @@ MAT = StrengthMatrix.from_values(
 
 
 def test_cycle_canonical_rotation():
-    assert CyclicPartition([(2, 3, 1)]) == CyclicPartition([(1, 2, 3)])
-    assert CyclicPartition([(3, 1, 2)]).cycles == ((1, 2, 3),)
+    # a cycle reads from its smallest user, whatever rotation listed it
+    assert CyclicPartition((3, 1, 2)).cycles == ((1, 2, 3),)
+    assert partition_of_cycles([(2, 3, 1)]) == CyclicPartition((3, 1, 2))
     # opposite traversal directions stay distinct
-    assert CyclicPartition([(1, 3, 2)]) != CyclicPartition([(1, 2, 3)])
-    assert str(CyclicPartition([(2, 1)])) == "{(1,2)}"
-
-
-def test_cycle_validation():
-    for cycle, message in [
-        ((), "a cycle needs at least one user"),
-        ((1, 2, 1), r"cycle repeats a user: \(1, 2, 1\)"),
-        ((0, 1), r"cycle users must be positive integers: \(0, 1\)"),
-        ((True, 2), r"cycle users must be positive integers: \(True, 2\)"),
-        ((1, 2.0), r"cycle users must be positive integers: \(1, 2.0\)"),
-    ]:
-        with pytest.raises(InputError, match="^%s$" % message):
-            CyclicPartition([cycle])
+    assert CyclicPartition((2, 3, 1)).cycles == ((1, 3, 2),)
+    assert CyclicPartition((2, 3, 1)) != CyclicPartition((3, 1, 2))
+    assert str(CyclicPartition((2, 1))) == "{(1,2)}"
 
 
 def test_cycle_edges_follow_listing_order():
@@ -64,11 +55,13 @@ def test_cycle_edges_follow_listing_order():
 
 
 def test_cycle_predecessor():
-    # each listed user precedes the next one, in any rotation of the listing
-    for users in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        assert CyclicPartition((users,)).predecessors == (3, 1, 2)
-    assert CyclicPartition(([1, 3, 2],)).predecessors == (2, 3, 1)
-    assert CyclicPartition((range(1, 2),)).predecessors == (0,)
+    # each listed user precedes the next one, the last the first; a user on
+    # a trivial cycle has predecessor 0
+    assert CyclicPartition((3, 1, 2, 0)).cycles == ((1, 2, 3), (4,))
+    for part in enumerate_partitions(4):
+        for cyc in part.cycles:
+            for before, u in zip(cyc[-1:] + cyc[:-1], cyc):
+                assert part.predecessors[u - 1] == (0 if before == u else before)
 
 
 def test_cycle_weight_and_bound():
@@ -88,66 +81,72 @@ def test_cycle_weight_and_bound():
 
 
 def test_partition_validation():
-    CyclicPartition(((1, 2), (3,)))
-    with pytest.raises(InputError, match="needs at least one cycle"):
-        CyclicPartition(())
-    with pytest.raises(InputError, match="not disjoint at user 2$"):
-        CyclicPartition(((1, 2), (2, 3)))       # overlap
-    with pytest.raises(InputError, match=r"cover users 1..K exactly once, got \[1, 2, 4\]"):
-        CyclicPartition(((1, 2), (4,)))         # hole at 3
-    # the cycles are scanned in order of their smallest user, each from that
-    # user, so the overlap is named where the later cycle first meets it
-    with pytest.raises(InputError, match="not disjoint at user 4$"):
-        CyclicPartition(((4, 1), (4, 2), (3, 2)))
-    # user lists in any rotation become canonical tuples
-    part = CyclicPartition(([2, 1], (3,)))
-    assert part.cycles == ((1, 2), (3,))
-    assert all(type(cyc) is tuple for cyc in part.cycles)
+    # every vector that is not a partition's gets the one message
+    for pred, shown in [
+        ((), "()"),
+        (None, "None"),
+        ("21", "'21'"),
+        (((1, 2),), "((1, 2),)"),               # cycles are not a vector
+        ((True, 0), "(True, 0)"),
+        ((2, True), "(2, True)"),
+        ((1.0, 0), "(1.0, 0)"),
+        ((1, 0), "(1, 0)"),                     # its own predecessor
+        ((3, 0, 0), "(3, 0, 0)"),               # 3 is trivial: no successor
+        ((2, 1, 1), "(2, 1, 1)"),               # 1 precedes two users
+        ((0, 5), "(0, 5)"),
+        ((-1, 0), "(-1, 0)"),
+        ((10 ** 5000, 0), "an oversized tuple"),
+    ]:
+        message = "not the predecessor vector of a cyclic partition: " + shown
+        with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+            CyclicPartition(pred)
+    # a list is taken too, and stored as the tuple
+    assert CyclicPartition([0, 3, 2]).predecessors == (0, 3, 2)
+    assert CyclicPartition((0,)).cycles == ((1,),)
 
 
 def test_partition_predecessors_and_sentinel():
-    part = CyclicPartition(((1, 2, 3), (4,)))
-    assert part.predecessors == (3, 1, 2, 0)
+    part = CyclicPartition((3, 1, 2, 0))
+    assert part == partition_of_cycles(((2, 3, 1), (4,)))
     assert str(part) == "{(1,2,3), (4)}"
 
 
 def test_partition_permutation_bijection():
-    part = CyclicPartition(((1, 2, 3), (4,)))
-    assert CyclicPartition.from_permutation((3, 1, 2, 4)) == part
-    assert part.predecessors == (3, 1, 2, 0)
-    for bad in ((1, 1, 3), (True,), (2.0, 1.0), ()):
-        with pytest.raises(InputError):
-            CyclicPartition.from_permutation(bad)
+    # each 0 read as the user itself, the partitions' vectors are the K!
+    # permutations of 1..K
+    for k in range(1, 6):
+        assert {tuple(p or u for u, p in enumerate(part.predecessors, start=1))
+                for part in enumerate_partitions(k)} == set(
+                    itertools.permutations(range(1, k + 1)))
 
 
-def test_from_permutation_walks_orbits_in_traversal_order():
-    # predecessor of 1 is 2, of 2 is 1: the 2-cycle (1,2); 3 fixed
-    part = CyclicPartition.from_permutation((2, 1, 3))
+def test_cycles_walk_orbits_in_traversal_order():
+    # predecessor of 1 is 2, of 2 is 1: the 2-cycle (1,2); 3 trivial
+    part = CyclicPartition((2, 1, 0))
     assert part.cycles == ((1, 2), (3,))
     # a single 4-orbit: pred(1)=4, pred(4)=3, pred(3)=2, pred(2)=1
-    part = CyclicPartition.from_permutation((4, 1, 2, 3))
+    part = CyclicPartition((4, 1, 2, 3))
     assert part.cycles == ((1, 2, 3, 4),)
+    assert all(type(cyc) is tuple for cyc in part.cycles)
 
 
 def test_partition_stores_only_its_predecessor_vector():
-    part = CyclicPartition.from_permutation((2, 1, 3))
+    part = CyclicPartition((2, 1, 0))
     assert [f.name for f in dataclasses.fields(part)] == ["predecessors"]
     assert repr(part) == "CyclicPartition(predecessors=(2, 1, 0))"
-    assert "cycles" not in vars(part)           # no cycle until one is read
-    assert "cycles" not in vars(CyclicPartition(((3,), (2, 1))))
-    assert str(part) == "{(1,2), (3)}" and "cycles" in vars(part)
-    assert part.cycles is part.cycles           # built once
-    # a partition built from cycles equals, and hashes as, its permutation
-    same = CyclicPartition(((3,), (2, 1)))
+    assert str(part) == "{(1,2), (3)}"
+    assert vars(part) == {"predecessors": (2, 1, 0)}    # reading cycles kept none
+    # a partition built from cycles equals, and hashes as, its vector
+    same = partition_of_cycles(((3,), (2, 1)))
     assert same == part and hash(same) == hash(part)
 
 
 def test_participating_edges():
     # the cross edges a partition traverses are its cycles' edges, and
     # they alone make up its weight
-    part = CyclicPartition(((1, 2), (3,)))
+    part = CyclicPartition((2, 1, 0))
     assert [cycle_edges(cyc) for cyc in part.cycles] == [((1, 2), (2, 1)), ()]
-    full = CyclicPartition(((1, 3, 2),))
+    full = CyclicPartition((2, 3, 1))
     edges = sorted(edge for cyc in full.cycles for edge in cycle_edges(cyc))
     assert edges == [(1, 3), (2, 1), (3, 2)]
     weight = sum(MAT.edge_weight(i, j) for i, j in edges)
@@ -155,7 +154,7 @@ def test_participating_edges():
 
 
 def test_partition_bound_matches_manual_sum():
-    part = CyclicPartition(((1, 2), (3,)))
+    part = CyclicPartition((2, 1, 0))
     # weight = a_12 + a_21 = 1 + 3
     assert sum(cycle_weight(cyc, MAT) for cyc in part.cycles) == 4
     assert partition_bound(part, MAT) == 27 - 4
@@ -163,13 +162,15 @@ def test_partition_bound_matches_manual_sum():
         partition_bound(part, submatrix(MAT, [1, 2]))
 
 
-@given(st.permutations(list(range(1, 7))))
-def test_permutation_roundtrip(perm):
-    part = CyclicPartition.from_permutation(tuple(perm))
-    # predecessors really are the permutation (0 rewritten to the user itself)
-    pred = part.predecessors
-    rebuilt = tuple(p if p != 0 else k + 1 for k, p in enumerate(pred))
-    assert rebuilt == tuple(perm)
+def test_permutation_roundtrip():
+    # every partition of K = 1..6 users, from its permutation
+    for k in range(1, 7):
+        for perm in itertools.permutations(range(1, k + 1)):
+            part = CyclicPartition(tuple(0 if p == u else p
+                                         for u, p in enumerate(perm, start=1)))
+            assert CyclicPartition(part.predecessors) == part
+            assert eval(repr(part)) == part
+            assert part.cycles == orbit_cycles(part.predecessors)
 
 
 # ---------------------------------------------------------------------------

@@ -99,13 +99,13 @@ def test_channel_output_superposes_by_xor():
 
 def test_participating_levels():
     mat = example1().matrices[0]
-    full = CyclicPartition(((1, 2, 3),))
+    full = CyclicPartition((3, 1, 2))         # the cycle (1,2,3)
     # widths are the strengths at each user's predecessor: a_31, a_12, a_23
     assert participating_levels(mat, full) == (0, 2, 1)
-    trivial = CyclicPartition(((1,), (2,), (3,)))
+    trivial = CyclicPartition((0, 0, 0))
     assert participating_levels(mat, trivial) == (0, 0, 0)
     with pytest.raises(InputError):
-        participating_levels(mat, CyclicPartition(((1,), (2,))))
+        participating_levels(mat, CyclicPartition((0, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def test_participating_levels():
 
 def test_build_gf2_system_tiny():
     mat = _det([[2, 1], [1, 2]])
-    sys2 = build_gf2_system(mat, CyclicPartition(((1, 2),)))
+    sys2 = build_gf2_system(mat, CyclicPartition((2, 1)))
     assert sys2.variables == ((1, 1), (2, 1))
     # each receiver sees the other transmitter's single bit at level 0;
     # desired links never enter the system
@@ -124,7 +124,7 @@ def test_build_gf2_system_tiny():
 
 
 def test_build_gf2_system_merges_colliding_levels():
-    part = CyclicPartition(((1, 2, 3),))
+    part = CyclicPartition((3, 1, 2))
     sys3 = build_gf2_system(SYMMETRIC3, part)
     assert len(sys3.variables) == 3
     # at every receiver both interferers land on level 0 and merge into one row
@@ -149,11 +149,11 @@ def test_gf2_rank_and_kernel_basics():
 
 def test_invertible_gf2_on_fixture_cases():
     mat = example1().matrices[0]
-    cert = invertible_gf2(mat, CyclicPartition(((1, 2, 3),)))
+    cert = invertible_gf2(mat, CyclicPartition((3, 1, 2)))
     assert cert.invertible and cert.rank == cert.num_bits == 3
     assert cert.kernel is None and bool(cert)
 
-    part = CyclicPartition(((1, 2, 3),))
+    part = CyclicPartition((3, 1, 2))
     bad = invertible_gf2(SYMMETRIC3, part)
     assert not bad.invertible and bad.rank == 2 and bad.num_bits == 3
     assert bad.kernel == ((1, 1), (2, 1), (3, 1))
@@ -163,7 +163,7 @@ def test_invertible_gf2_on_fixture_cases():
 def test_gf2_bit_guard():
     mat = _det([[5000, 4096], [4096, 5000]])
     with pytest.raises(GuardError):
-        build_gf2_system(mat, CyclicPartition(((1, 2),)))
+        build_gf2_system(mat, CyclicPartition((2, 1)))
     assert GF2_BIT_GUARD == 4096
 
 
@@ -307,11 +307,11 @@ def test_dominant_partition_check_details():
         if not all(len(c) == 1 for c in part.cycles):
             assert not dominant_partition_check(SYMMETRIC3, part)
     # all-trivial partitions are vacuously dominant
-    trivial = CyclicPartition(((1,), (2,), (3,)))
+    trivial = CyclicPartition((0, 0, 0))
     assert dominant_partition_check(SYMMETRIC3, trivial)
     assert find_dominant_optimal(SYMMETRIC3) is None
     with pytest.raises(InputError):
-        dominant_partition_check(SYMMETRIC3, CyclicPartition(((1,), (2,))))
+        dominant_partition_check(SYMMETRIC3, CyclicPartition((0, 0)))
 
 
 def _dominance_case(rng, k, mode):

@@ -225,11 +225,11 @@ HUGE = 10 ** 5000
 
 
 @pytest.mark.parametrize("call", [
-    lambda: CyclicPartition(((HUGE, HUGE),)),
-    lambda: CyclicPartition(((-HUGE,),)),
-    lambda: CyclicPartition(((HUGE,),)),
+    lambda: CyclicPartition((HUGE, HUGE)),
+    lambda: CyclicPartition((-HUGE,)),
+    lambda: CyclicPartition((HUGE,)),
     lambda: CyclicPartition(((HUGE,), (HUGE,))),
-    lambda: CyclicPartition.from_permutation((HUGE, 1)),
+    lambda: CyclicPartition((HUGE, 1)),
     lambda: StrengthMatrix.from_values("gdof", [[1]]).entry(HUGE, 1),
     lambda: LinearProgram.build([1], [([1], HUGE, 1)]),
     lambda: combined_sum_bounds(gap_network("1/10")).bound((HUGE,)),

@@ -52,7 +52,7 @@ def test_frac_and_point_repr_never_emit_floats():
 
 
 def test_partition_repr_uses_zero_sentinel():
-    part = CyclicPartition(((3, 1), (2,)))
+    part = CyclicPartition((3, 0, 1))         # the cycles (1,3) and (2)
     rep = partition_repr(part)
     assert rep == {"cycles": [[1, 3], [2]], "predecessors": [3, 0, 1]}
 
@@ -630,7 +630,14 @@ def test_bad_point_and_partition_exit_2(nets, capsys):
             ("1:-1,2:1,3:0", "--partition entry '1:-1': predecessor -1 is outside 0..3"),
             ("1:2,2:2,3:0", "--partition gives predecessor 2 twice: '1:2' and '2:2'"),
             ("1:3,2:1,3:0", "--partition gives predecessor 3 twice: '1:3' and '3:0'"),
-            ("1:x,2:1,3:2", "bad partition entry '1:x'")):
+            ("1:x,2:1,3:2", "bad partition entry '1:x'"),
+            # a huge entry is echoed cut to 24 characters, within and past
+            # the digits int() reads
+            ("1:%s,2:1,3:0" % ("9" * 4000),
+             "--partition entry '1:%s...': predecessor %s... is outside 0..3"
+             % ("9" * 22, "9" * 24)),
+            ("1:%s,2:1,3:0" % ("9" * 5000),
+             "bad partition entry '1:%s...'" % ("9" * 22))):
         code, out, err = run_cli(capsys, "invertibility", nets["symmetric3"],
                                  "--partition", partition)
         assert code == 2 and out == ""
