@@ -60,9 +60,24 @@ def _parse_log2p(text, net) -> tuple:
     return as_rational(text), quantize(net, text)
 
 
+def _partition_int(text: str) -> "int | None":
+    """A --partition user or predecessor: ``int(text)``, or None for a
+    numeral too long for ``int()`` (CPython's 4,300-digit limit), which is
+    outside every range; ValueError for any other text."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip()
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        if digits.isascii() and digits.isdigit():
+            return None
+        raise
+
+
 def _parse_partition(text: str, users: int) -> CyclicPartition:
     """Parse "1:3,2:1,3:2" (user:predecessor, 0 = trivial cycle, as is the
-    user itself); a bad predecessor is reported by the entries as typed."""
+    user itself); a bad user or predecessor is reported by the entries as
+    typed."""
     pred, given = {}, {}                # given[p]: the entry naming p
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -71,14 +86,16 @@ def _parse_partition(text: str, users: int) -> CyclicPartition:
                              % _clip(chunk))
         left, right = chunk.split(":", 1)
         try:
-            user, p = int(left), int(right)
+            user, p = _partition_int(left), _partition_int(right)
         except ValueError as exc:
             raise InputError("bad partition entry %r" % _clip(chunk)) from exc
         if user in pred:
             raise InputError("user %s listed twice in --partition" % _clip(str(user)))
-        if not 0 <= p <= users:
-            raise InputError("--partition entry %r: predecessor %s is outside 0..%d"
-                             % (_clip(chunk), _clip(str(p)), users))
+        for name, value, typed, low in (("user", user, left, 1), ("predecessor", p, right, 0)):
+            if value is None or not low <= value <= users:
+                raise InputError("--partition entry %r: %s %s is outside %d..%d" % (
+                    _clip(chunk), name, _clip(typed.strip() if value is None else str(value)),
+                    low, users))
         p = p or user
         if p in given:
             raise InputError("--partition gives predecessor %d twice: %r and %r"

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cycles import CyclicPartition, _check_enum_guard
 from .model import (CrossCheckError, GuardError, InputError, StrengthMatrix, _shown,
@@ -138,6 +139,7 @@ class _Tableau:
         ``nstruct + i``, basic in it.  Right-hand sides may be negative: the
         objective starts all zero, so any basis is dual feasible and
         ``dual`` restores primal feasibility."""
+        self.nstruct = nstruct
         self.ncols = nstruct + len(rows)
         self.rows = []
         self.basis = list(range(nstruct, self.ncols))
@@ -213,9 +215,17 @@ class _Tableau:
                 return "unbounded"
             self.pivot(leave, enter)
 
-    def dual(self) -> str:
+    def dual(self) -> "list | None":
         """Dual simplex from the current dual-feasible basis, restoring
-        primal feasibility; "optimal" or "infeasible"."""
+        primal feasibility: None once the basis is primal feasible, else
+        the Farkas multipliers of the row it stopped on.
+
+        That row has rhs < 0 and no negative entry.  Every tableau row is a
+        combination of the rows as given, in "<=" form and cuts included,
+        weighted by its entries in the slack columns (column ``nstruct + i``
+        for row i, in the order the rows were given and then added).  So
+        those entries y >= 0 satisfy y.A >= 0 and y.b < 0: no point with
+        nonnegative columns meets every row."""
         rows, basis, obj = self.rows, self.basis, self.obj
         while True:
             leave = -1
@@ -223,7 +233,7 @@ class _Tableau:
                 if row[-1] < 0 and (leave < 0 or basis[i] < basis[leave]):
                     leave = i
             if leave < 0:
-                return "optimal"
+                return None
             row = rows[leave]
             enter = -1
             for j in range(self.ncols):
@@ -232,7 +242,7 @@ class _Tableau:
                 if a < 0 and (enter < 0 or obj[j] * best_a < best_o * a):
                     enter, best_o, best_a = j, obj[j], a
             if enter < 0:
-                return "infeasible"
+                return row[self.nstruct:self.ncols]
             self.pivot(leave, enter)
 
     def add_row(self, coeffs: dict, rhs):
@@ -277,8 +287,12 @@ def _simplex(rows, objective, nonneg, cuts=None):
     optimal one.  While the oracle ``cuts(point)`` returns rows
     ({variable: coefficient}, rhs), meaning coefficients . x <= rhs, append
     them and regain feasibility by the same dual simplex, now from the
-    optimal basis.  Returns (status, value, point, pivots), value and point
-    exact (ints where integral) and None unless status is "optimal"."""
+    optimal basis.  Returns (status, value, point, pivots, farkas), value
+    and point exact (ints where integral) and None unless status is
+    "optimal".  ``farkas`` is None unless status is "infeasible", when it
+    holds the dual simplex's multipliers y >= 0, one per row in "<=" form
+    (a ">=" row negated), the rows as given and then the cuts in the order
+    added: y.A >= 0 on every variable, 0 on a free one, and y.b < 0."""
     split, nstruct = [], 0      # split[j]: variable j's columns as (column, sign)
     for sign_restricted in nonneg:
         split.append([(nstruct, 1)] if sign_restricted else [(nstruct, 1), (nstruct + 1, -1)])
@@ -288,21 +302,23 @@ def _simplex(rows, objective, nonneg, cuts=None):
         return {c: v * s for j, v in coeffs.items() for c, s in split[j]}
 
     tab = _Tableau([(columns(coeffs), rel, rhs) for coeffs, rel, rhs in rows], nstruct)
-    if tab.dual() == "infeasible":
-        return "infeasible", None, None, tab.pivots
+    farkas = tab.dual()
+    if farkas is not None:
+        return "infeasible", None, None, tab.pivots, farkas
     cost = [objective[j] * s for j, cols in enumerate(split) for _, s in cols]
     if tab.primal(cost) == "unbounded":
-        return "unbounded", None, None, tab.pivots
+        return "unbounded", None, None, tab.pivots, None
     while True:
         vals = tab.values()
         point = [sum(vals[c] * s for c, s in cols) for cols in split]
         new = cuts(point) if cuts else ()
         if not new:
-            return "optimal", -tab.obj[-1], point, tab.pivots
+            return "optimal", -tab.obj[-1], point, tab.pivots, None
         for coeffs, rhs in new:
             tab.add_row(columns(coeffs), rhs)
-        if tab.dual() == "infeasible":
-            return "infeasible", None, None, tab.pivots
+        farkas = tab.dual()
+        if farkas is not None:
+            return "infeasible", None, None, tab.pivots, farkas
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -311,7 +327,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     rows = [({j: v for j, v in enumerate(coeffs) if v}, half, rhs)
             for coeffs, rel, rhs in lp.constraints
             for half in (("<=", ">=") if rel == "==" else (rel,))]
-    status, value, point, _ = _simplex(rows, lp.objective, lp.nonneg)
+    status, value, point, *_ = _simplex(rows, lp.objective, lp.nonneg)
     if status == "optimal":
         value, point = Fraction(value), tuple(map(Fraction, point))
     return LpSolution(status=status, value=value, point=point)
@@ -341,7 +357,39 @@ class CycleLpResult:
         return self.working
 
 
-def _cutting_plane_lp(flats, scale, objective, floors=(), nonneg=True):
+class _PlaneLp(NamedTuple):
+    """What ``_cutting_plane_lp`` returns."""
+
+    status: str         # "optimal" | "infeasible"
+    value: object       # Fraction, None unless optimal
+    point: object       # the rates d, None unless optimal
+    powers: object      # the backoffs q, None unless optimal
+    working: list       # per block, its rows in the order added
+    rounds: int
+    pivots: int
+    weights: object     # per floor, its Farkas multiplier; None unless infeasible
+
+
+def _check_farkas(rows, y, nonneg):
+    """Raise CrossCheckError unless the multipliers ``y`` prove the rows
+    (coefficients, rhs), each coefficients . x <= rhs, infeasible over x_j
+    >= 0 where ``nonneg[j]`` and x_j free elsewhere (Farkas 1902): y >= 0,
+    one per row, y.A >= 0 on every variable and 0 on every free one, and
+    y.b < 0.  Then y.A x >= 0 > y.b for every such x."""
+    if len(y) != len(rows) or any(w < 0 for w in y):
+        raise CrossCheckError("Farkas multipliers must be one per row and >= 0")
+    combination, bound = [0] * len(nonneg), 0
+    for (coeffs, rhs), w in zip(rows, y):
+        if w:
+            for j, v in coeffs.items():
+                combination[j] += w * v
+            bound += w * rhs
+    if bound >= 0 or any(c < 0 or (c and not sign_restricted)
+                         for c, sign_restricted in zip(combination, nonneg)):
+        raise CrossCheckError("Farkas multipliers do not prove the LP infeasible")
+
+
+def _cutting_plane_lp(flats, scale, objective, floors=(), nonneg=True) -> _PlaneLp:
     """Maximize ``objective`` . d subject to every cycle bound of every
     block, by cutting planes: ``_simplex`` with an arc scan as its oracle.
 
@@ -362,10 +410,13 @@ def _cutting_plane_lp(flats, scale, objective, floors=(), nonneg=True):
     rate, where a seeded arc costs a dual pivot of its own).
     Each round scans the K(K - 1) arcs of every block in integer arithmetic
     and cuts with the max(3, K) most violated per block, ties by (i, j).
-    GuardError above MAX_ENUM_USERS, before any LP.  Returns (status,
-    value, point, powers, working, rounds, pivots), ``working[m]`` listing
+    GuardError above MAX_ENUM_USERS, before any LP.  ``working[m]`` lists
     block m's rows in the order added as 1-based (i, j), with (i, 0) for
-    user i's reference row.
+    user i's reference row.  When the LP is infeasible, the dual simplex's
+    multipliers are checked against the arc rows and floors built here
+    (``_check_farkas``, CrossCheckError if they fail), and ``weights`` holds
+    each floor's.  Every arc row holds in any LP over the same blocks, so
+    such an LP that keeps each floor of positive weight is infeasible too.
     """
     nrates = len(objective)
     k = nrates // len(flats)
@@ -390,10 +441,10 @@ def _cutting_plane_lp(flats, scale, objective, floors=(), nonneg=True):
             strongest = j != i and flat[i * k + j] and not floors
             seed += [(i + 1, 0), (i + 1, j + 1)] if strongest else [(i + 1, 0)]
         working.append(seed)
-    rows = [(coeffs, "<=", rhs) for m, seed in enumerate(working)
-            for coeffs, rhs in (arc(m, i, j) for i, j in seed)]
-    rows += [({m * k + u: 1 for m in range(len(flats))}, ">=", total)
-             for u, total in floors]
+    # the arc rows in the tableau's order, and each floor in "<=" form
+    arcs = [arc(m, i, j) for m, seed in enumerate(working) for i, j in seed]
+    lows = [({m * k + u: -1 for m in range(len(flats))}, -total) for u, total in floors]
+    nseed = len(arcs)
     rounds = 1
 
     def separate(point):
@@ -417,17 +468,23 @@ def _cutting_plane_lp(flats, scale, objective, floors=(), nonneg=True):
                 cuts.append(arc(m, i, j))
         if cuts:
             rounds += 1
+        arcs.extend(cuts)
         return cuts
 
-    status, value, point, pivots = _simplex(
-        rows, list(objective) + [0] * nrates,
-        [nonneg] * nrates + [True] * nrates, separate)
+    signs = [nonneg] * nrates + [True] * nrates
+    status, value, point, pivots, farkas = _simplex(
+        [(coeffs, "<=", rhs) for coeffs, rhs in arcs + lows],
+        list(objective) + [0] * nrates, signs, separate)
     if status == "unbounded":
         raise CrossCheckError("restricted cycle LP cannot be unbounded (reference rows seed it)")
     if status != "optimal":
-        return status, None, None, None, working, rounds, pivots
+        # the tableau's rows: the seeded arcs, the floors, then the cuts
+        weights = farkas[nseed:nseed + len(lows)]
+        _check_farkas(arcs + lows, farkas[:nseed] + farkas[nseed + len(lows):] + weights, signs)
+        return _PlaneLp(status, None, None, None, working, rounds, pivots, tuple(weights))
     point = tuple(Fraction(p, scale) for p in point)
-    return status, Fraction(value, scale), point[:nrates], point[nrates:], working, rounds, pivots
+    return _PlaneLp(status, Fraction(value, scale), point[:nrates], point[nrates:],
+                    working, rounds, pivots, None)
 
 
 def solve_cycle_lp(matrix: StrengthMatrix, nonneg: bool = True) -> CycleLpResult:
@@ -441,9 +498,9 @@ def solve_cycle_lp(matrix: StrengthMatrix, nonneg: bool = True) -> CycleLpResult
     reaches ``point``.  GuardError above MAX_ENUM_USERS, before any LP.
     """
     scale, flat = matrix.scaled
-    *head, working, rounds, pivots = _cutting_plane_lp(
-        (flat,), scale, [1] * matrix.users, nonneg=nonneg)
-    return CycleLpResult(*head, tuple(working[0]), rounds, pivots)
+    res = _cutting_plane_lp((flat,), scale, [1] * matrix.users, nonneg=nonneg)
+    return CycleLpResult(res.status, res.value, res.point, res.powers,
+                         tuple(res.working[0]), res.rounds, res.pivots)
 
 
 @dataclass(frozen=True)

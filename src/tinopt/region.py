@@ -328,12 +328,21 @@ def separate_tin_decomposable(network: Network, point) -> DecompositionResult:
 
     Settled exactly by the cutting-plane LP engine of ``optimize`` over the
     arc rows of every sub-channel (GuardError above K = 9 first), with the
-    entries and the target at one common denominator for all K + 1 LPs of a
-    negative verdict.  When the split is impossible the result carries
-    every per-user cap certificate: fix all other users at their targets and
+    entries and the target at one common denominator for the split LP and
+    every cap LP.  When the split is impossible the result carries every
+    per-user cap certificate: fix all other users at their targets and
     maximize the remaining user's total, which infeasibility forces below
     its own target.  That LP may be infeasible too: ``caps`` is empty when
     fixing any K - 1 users at their targets already is.
+
+    A user's cap LP runs only when the split LP's Farkas certificate
+    (Farkas 1902) puts a positive weight on that user's floor.  The
+    certificate is multipliers y >= 0 on the split LP's arc rows and floors,
+    checked by the engine, with y.A >= 0 and y.b < 0.  Arc rows hold in
+    every LP over the same sub-channels, so when user u's floor has weight
+    0, the certificate uses only rows that u's cap LP must meet: that LP is
+    infeasible and has no cap, and the caps are those that solving all K
+    cap LPs gives.
 
     Each LP states a user's total as a floor, total >= target, and still
     answers for the total fixed at its target.  Each sub-channel's region
@@ -356,17 +365,19 @@ def separate_tin_decomposable(network: Network, point) -> DecompositionResult:
     scale, flats, totals = _rescaled(network.matrices, target)
     floors = list(enumerate(totals))
 
-    status, _, sol, *_ = _cutting_plane_lp(flats, scale, [-1] * (k * m), floors)
-    if status == "optimal":
+    split = _cutting_plane_lp(flats, scale, [-1] * (k * m), floors)
+    if split.status == "optimal":
         allocation = tuple(
-            tuple(sol[chan * k:(chan + 1) * k]) for chan in range(m)
+            tuple(split.point[chan * k:(chan + 1) * k]) for chan in range(m)
         )
         return DecompositionResult(
             feasible=True, target=target, allocation=allocation, caps=()
         )
 
     caps = []
-    for user in range(k):
+    for user, weight in enumerate(split.weights):
+        if not weight:
+            continue            # the split LP's certificate rules this cap LP out
         objective = [int(v % k == user) for v in range(k * m)]
         others = [f for f in floors if f[0] != user]
         status, cap, *_ = _cutting_plane_lp(flats, scale, objective, others)

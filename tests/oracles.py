@@ -12,7 +12,9 @@ these only run on small instances.
 the vertex-enumeration oracle (``vertex_lp_oracle``, used by the
 ``test_simplex_matches_vertex_enumeration*`` tests) stays the driver's
 independent check, and ``full_cycle_lp`` checks what the engine adds on
-top of it: the cycle separation and the cuts.
+top of it: the cycle separation and the cuts.  ``decomposition_by_every_cap_lp``
+runs the same engine on purpose: it solves every cap LP that the split LP's
+Farkas weights let ``separate_tin_decomposable`` skip.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from tinopt.cycles import (CyclicPartition, enumerate_cycles, enumerate_partitio
                            partition_bound)
 from tinopt.detmodel import (BestTinScheme, dominant_partition_check, invertible_gf2,
                              participating_levels)
-from tinopt.model import GuardError, Network, StrengthMatrix
-from tinopt.optimize import LinearProgram, all_optimal_partitions, solve_lp
+from tinopt.model import GuardError, Network, StrengthMatrix, _rescaled, as_rational
+from tinopt.optimize import LinearProgram, _cutting_plane_lp, all_optimal_partitions, solve_lp
+from tinopt.region import DecompositionResult, UserCap
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +325,30 @@ def full_decomposition(network, point):
         if best.status == "optimal":
             caps[user] = best.value
     return False, caps
+
+
+def decomposition_by_every_cap_lp(network, point):
+    """``separate_tin_decomposable`` with no cap LP skipped: on a negative
+    verdict, every user's cap LP runs on the cutting-plane engine, whatever
+    the split LP's Farkas weights say.  The reference for the skip."""
+    k, m = network.users, network.subchannels
+    target = tuple(as_rational(x) for x in point)
+    scale, flats, totals = _rescaled(network.matrices, target)
+    floors = list(enumerate(totals))
+    split = _cutting_plane_lp(flats, scale, [-1] * (k * m), floors)
+    if split.status == "optimal":
+        allocation = tuple(tuple(split.point[c * k:(c + 1) * k]) for c in range(m))
+        return DecompositionResult(feasible=True, target=target, allocation=allocation,
+                                   caps=())
+    caps = []
+    for user in range(k):
+        objective = [int(v % k == user) for v in range(k * m)]
+        others = [f for f in floors if f[0] != user]
+        res = _cutting_plane_lp(flats, scale, objective, others)
+        if res.status == "optimal":
+            caps.append(UserCap(user=user + 1, cap=res.value, target=target[user]))
+    return DecompositionResult(feasible=False, target=target, allocation=None,
+                               caps=tuple(caps))
 
 
 # ---------------------------------------------------------------------------

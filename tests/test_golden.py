@@ -77,6 +77,10 @@ def golden_cases() -> dict:
         "decompose", "gap_eps_1_10", ("--point", "1,1,1"))
     cases["decompose.gap_eps_1_10.gap_point"] = (
         "decompose", "gap_eps_1_10", ("--point", "2,1/2,1/2"))
+    # the split LP's Farkas weights (0, 0, 1) rule out the cap LPs of users
+    # 1 and 2, so user 3's is the only one solved
+    cases["decompose.gap_eps_1_10.single"] = (
+        "decompose", "gap_eps_1_10", ("--point", "0,0,3"))
     for sub in ("invertibility", "separability"):
         for name in LITERAL:
             cases["%s.%s" % (sub, name)] = (sub, name, ())

@@ -12,18 +12,20 @@ from hypothesis import strategies as st
 from oracles import (
     cycle_bound_rhs,
     cycle_weight,
+    decomposition_by_every_cap_lp,
     full_decomposition,
     point_obeys_cycle_bounds,
     random_gdof_matrix,
+    random_strict_tin_matrix,
     random_tin_network,
     subset_bounds,
 )
 from tinopt.cycles import cycle_count, enumerate_cycles
 from tinopt.fixtures import example1, gap_network, gap_point
 from tinopt import optimize, region, report
-from tinopt.model import (ClampWarning, GuardError, InputError, Network, StrengthMatrix,
-                          _rescaled)
-from tinopt.optimize import _cutting_plane_lp, network_sum, solve_cycle_lp
+from tinopt.model import (ClampWarning, CrossCheckError, GuardError, InputError, Network,
+                          StrengthMatrix, _rescaled)
+from tinopt.optimize import _check_farkas, _cutting_plane_lp, network_sum, solve_cycle_lp
 from tinopt.region import (
     RegionConstraint,
     _cycle_table,
@@ -325,23 +327,97 @@ _REFS = [(1, 0), (2, 0), (3, 0)]
 _RING = [(1, 2), (2, 3), (3, 1)]
 
 
-@pytest.mark.parametrize("point, status, working, rounds, pivots", [
+@pytest.mark.parametrize("point, status, working, rounds, pivots, weights", [
     (gap_point(), "infeasible",
-     [_REFS + _RING, _REFS + [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1)]], 6, 10),
-    ((1, 1, 1), "optimal", [_REFS + _RING, _REFS], 2, 6),
+     [_REFS + _RING, _REFS + [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1)]], 6, 10,
+     (2, 1, 1)),
+    ((1, 1, 1), "optimal", [_REFS + _RING, _REFS], 2, 6, None),
 ], ids=["gap-point", "ones"])
 def test_decomposition_lp_counters_are_pinned(point, status, working, rounds,
-                                              pivots):
+                                              pivots, weights):
     # the joint LP of a decomposition puts a floor row on each user total,
     # which the dual simplex brings in on the first block's rate, and cuts;
-    # pin its path on gap_network under the all-zero objective
+    # pin its path on gap_network under the all-zero objective.  The gap
+    # point's floor weights are the normal of the facet 2 d1 + d2 + d3 <= 47/10
+    # of the separate-TIN region, which the point (2, 1/2, 1/2) breaks
     net = gap_network()
     target = tuple(Fraction(t) for t in point)
     scale, flats, totals = _rescaled(net.matrices, target)
     fixed = list(enumerate(totals))
     res = _cutting_plane_lp(flats, scale, [0] * 6, fixed)
-    assert res[0] == status
-    assert res[4:] == (working, rounds, pivots)
+    assert res.status == status
+    assert (res.working, res.rounds, res.pivots, res.weights) == (
+        working, rounds, pivots, weights)
+
+
+def _random_decomposition_case(rng):
+    """A gdof network of K 2..6 users and M 1..4 sub-channels, each strictly
+    TIN optimal or, one time in four, arbitrary, and a point whose user u
+    asks for 0/8 to 8/8 of u's summed desired strengths."""
+    k, m = rng.randint(2, 6), rng.randint(1, 4)
+    mats = tuple(random_gdof_matrix(rng, k) if rng.random() < 0.25
+                 else random_strict_tin_matrix(rng, k) for _ in range(m))
+    point = tuple(sum(mat.entries[u][u] for mat in mats) * Fraction(rng.randint(0, 8), 8)
+                  for u in range(k))
+    return Network("gdof", mats), point
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_skipped_cap_lps_change_no_decomposition(chunk, monkeypatch):
+    # a cap LP runs only where the split LP's Farkas weight on its user's
+    # floor is positive; every result must equal the one with every cap LP
+    # solved, over 1,500 random cases in ten chunks
+    solved = []
+    engine = region._cutting_plane_lp
+    monkeypatch.setattr(region, "_cutting_plane_lp",
+                        lambda *args: solved.append(args) or engine(*args))
+    negatives = skipped = 0
+    for case in range(chunk * 150, (chunk + 1) * 150):
+        net, point = _random_decomposition_case(random.Random("skip/%d" % case))
+        solved.clear()
+        res = separate_tin_decomposable(net, point)
+        assert res == decomposition_by_every_cap_lp(net, point)
+        if not res.feasible:
+            negatives += 1
+            skipped += net.users + 1 - len(solved)
+    assert negatives and skipped
+
+
+def _split_certificate(monkeypatch):
+    """The (rows, multipliers, signs) that the split LP of the gap point
+    hands to ``_check_farkas``."""
+    seen = []
+    check = optimize._check_farkas
+    monkeypatch.setattr(optimize, "_check_farkas",
+                        lambda *args: seen.append(args) or check(*args))
+    separate_tin_decomposable(gap_network(), gap_point())
+    assert len(seen) == 1       # the cap LPs that run are all optimal
+    return seen[0]
+
+
+def test_farkas_check_refuses_mutated_certificates(monkeypatch):
+    rows, y, signs = _split_certificate(monkeypatch)
+    _check_farkas(rows, y, signs)
+    nfloors = 3                 # the floors come last, user by user
+    for i in range(len(y)):     # one multiplier raised
+        with pytest.raises(CrossCheckError):
+            _check_farkas(rows, y[:i] + [y[i] + 1] + y[i + 1:], signs)
+    dropped = 0
+    for i in range(len(rows) - nfloors):    # one arc row dropped from the check
+        if y[i]:
+            with pytest.raises(CrossCheckError):
+                _check_farkas(rows[:i] + rows[i + 1:], y[:i] + y[i + 1:], signs)
+            dropped += 1
+    assert dropped
+    # a floor index off by one: user u's weight on user u+1's floor
+    floors = rows[-nfloors:]
+    with pytest.raises(CrossCheckError):
+        _check_farkas(rows[:-nfloors] + floors[1:] + floors[:1], y, signs)
+    # the raised error stops the decomposition: the check runs before any skip
+    monkeypatch.setattr(optimize, "_check_farkas", _forbid)
+    with pytest.raises(_Forbidden):
+        separate_tin_decomposable(gap_network(), gap_point())
+    assert separate_tin_decomposable(gap_network(), (1, 1, 1)).feasible
 
 
 def test_decompose_single_channel_reduces_to_membership():

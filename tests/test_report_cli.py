@@ -632,11 +632,24 @@ def test_bad_point_and_partition_exit_2(nets, capsys):
             ("1:3,2:1,3:0", "--partition gives predecessor 3 twice: '1:3' and '3:0'"),
             ("1:x,2:1,3:2", "bad partition entry '1:x'"),
             # a huge entry is echoed cut to 24 characters, within and past
-            # the digits int() reads
+            # the digits int() reads; past them it is still out of range
             ("1:%s,2:1,3:0" % ("9" * 4000),
              "--partition entry '1:%s...': predecessor %s... is outside 0..3"
              % ("9" * 22, "9" * 24)),
             ("1:%s,2:1,3:0" % ("9" * 5000),
+             "--partition entry '1:%s...': predecessor %s... is outside 0..3"
+             % ("9" * 22, "9" * 24)),
+            ("1:-%s,2:1,3:0" % ("9" * 5000),
+             "--partition entry '1:-%s...': predecessor -%s... is outside 0..3"
+             % ("9" * 21, "9" * 23)),
+            ("%s:1,2:1,3:0" % ("9" * 40),
+             "--partition entry '%s...': user %s... is outside 1..3"
+             % ("9" * 24, "9" * 24)),
+            ("%s:1,2:1,3:0" % ("9" * 5000),
+             "--partition entry '%s...': user %s... is outside 1..3"
+             % ("9" * 24, "9" * 24)),
+            ("0:1,2:1,3:0", "--partition entry '0:1': user 0 is outside 1..3"),
+            ("1:%sx,2:1,3:0" % ("9" * 5000),
              "bad partition entry '1:%s...'" % ("9" * 22))):
         code, out, err = run_cli(capsys, "invertibility", nets["symmetric3"],
                                  "--partition", partition)
